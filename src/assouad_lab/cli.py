@@ -125,6 +125,12 @@ def _theta_grid(args, extra=()) -> tuple:
     if args.theta:
         grid = {round(v, 10) for v in args.theta}
     else:
+        if not args.theta_step > 0:
+            raise InvalidParameterError("theta-step must be positive")
+        if not args.theta_min <= args.theta_max:
+            raise InvalidParameterError(
+                f"theta-min {args.theta_min:g} exceeds theta-max {args.theta_max:g}"
+            )
         steps = int(round((args.theta_max - args.theta_min) / args.theta_step))
         grid = {round(args.theta_min + i * args.theta_step, 10) for i in range(steps + 1)}
     grid.update(round(v, 10) for v in extra)
@@ -482,7 +488,12 @@ def _parse_set(text: str) -> dict:
     params = {}
     for piece in filter(None, rest.split(",")):
         key, _, val = piece.partition("=")
-        params[key.strip()] = float(val)
+        try:
+            params[key.strip()] = float(val)
+        except ValueError:
+            raise InvalidParameterError(
+                f"scenario piece {piece!r} is not key=<number>"
+            ) from None
     if "a" not in params:
         raise InvalidParameterError("spiral scenario needs a=<exponent>")
     return params

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, WindowTooNarrowError
-from .index import MultiScaleIndex, _decode, _encode
+from .index import MultiScaleIndex, _decode, _encode, _unique
 
 __all__ = [
     "ScaleWindow",
@@ -142,23 +142,45 @@ def _thread_count() -> int:
         return 1
 
 
+def _distances(cols: list[np.ndarray], p: np.ndarray) -> np.ndarray:
+    """Euclidean distance from p to every point, given the points' columns.
+
+    Same float operations, in the same order, as
+    ``np.linalg.norm(points - p, axis=1)``, so results agree bit for bit.
+    """
+    d = cols[0] - p[0]
+    d *= d
+    for c, v in zip(cols[1:], p[1:]):
+        sq = c - v
+        sq *= sq
+        d += sq
+    return np.sqrt(d, out=d)
+
+
 def farthest_point_sample(points: np.ndarray, budget: int) -> np.ndarray:
     """Indices of a deterministic farthest-point subsample.
 
     Seeded at the lexicographically smallest point so repeated runs agree;
     each round adds the point farthest from everything chosen so far, which
-    covers the extremes of the set first.
+    covers the extremes of the set first.  Ties go to the first index: among
+    equal lexicographic minima for the seed, and among equal maximal
+    distances for each later round.
     """
     n = len(points)
     if n <= budget:
         return np.arange(n)
-    seed = int(np.lexsort(points.T[::-1])[0])
+    cols = [np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])]
+    cand = np.flatnonzero(cols[0] == cols[0].min())
+    for c in cols[1:]:
+        v = c[cand]
+        cand = cand[v == v.min()]
+    seed = int(cand[0])
     chosen = [seed]
-    dist = np.linalg.norm(points - points[seed], axis=1)
+    dist = _distances(cols, points[seed])
     for _ in range(budget - 1):
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+        np.minimum(dist, _distances(cols, points[nxt]), out=dist)
     return np.asarray(chosen)
 
 
@@ -179,20 +201,21 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     if hot_level >= idx.max_level:
         hot_level = max(idx.max_level - 1, 0)
     anc = _encode(deep_addr >> (idx.max_level - hot_level), idx._bits)
-    uniq, counts = np.unique(anc, return_counts=True)
+    uniq, counts = _unique(anc, return_counts=True)
     top = uniq[np.argsort(counts)[::-1][:budget]]
 
     low = np.asarray(idx.root.center) - idx.root.radius
     points = idx.source.points
+    cols = [np.ascontiguousarray(points[:, j]) for j in range(idx.dim)]
     out = []
     for key in top:
         sub = deep_addr[anc == key]
         for lev in range(hot_level + 1, idx.max_level + 1):
             child = _encode(sub >> (idx.max_level - lev), idx._bits)
-            winners, tallies = np.unique(child, return_counts=True)
+            winners, tallies = _unique(child, return_counts=True)
             sub = sub[child == winners[np.argmax(tallies)]]
         cell_center = low + (sub[0] + 0.5) * idx.cell_side(idx.max_level)
-        nearest = int(np.argmin(np.linalg.norm(points - cell_center, axis=1)))
+        nearest = int(np.argmin(_distances(cols, cell_center)))
         out.append(points[nearest])
     return np.asarray(out)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from assouad_lab.families import FamilySpec, sample_family
 from assouad_lab.geometry import PointSet
@@ -93,6 +94,36 @@ def make_random_set(rng, i, n):
     extent = float((hi - lo).max()) or 1.0
     res = extent / 2 ** int(rng.integers(6, 11))
     return PointSet(dim=n, points=pts, resolution=res)
+
+
+@st.composite
+def point_samples(draw, max_points=400):
+    """Small samples in dims 1-3 for exactness checks against reference code.
+
+    Shapes: uniform random; duplicate-heavy (snapped to a quarter grid); and
+    half the points tied on the smallest first coordinate, with coarse later
+    coordinates so ties reach past the first column.  A single point, or a
+    set with zero extent, gets resolution 1e-3.
+    """
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_points))
+    shape = draw(st.sampled_from(["random", "coarse", "tied"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+    if shape == "coarse":
+        pts = np.round(pts * 4.0) / 4.0
+    elif shape == "tied":
+        tied = rng.random(n) < 0.5
+        pts[tied, 0] = pts[:, 0].min()
+        pts[tied, 1:] = np.round(pts[tied, 1:] * 2.0) / 2.0
+    extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    res = extent * 2.0 ** -draw(st.integers(1, 10)) if extent > 0 else 1e-3
+    return PointSet(dim=dim, points=pts, resolution=res)
+
+
+def index_sample(ps):
+    """Index at the deepest honest level; 8 levels for a zero-extent set, as the CLI does."""
+    return build_index(ps, deepest_level(ps) or 8)
 
 
 def center_aligned_count(ps, x, radius, m):

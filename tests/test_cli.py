@@ -156,10 +156,26 @@ def test_estimate_thread_count_does_not_change_values(spiral_s1_coarse, capsys, 
     assert base == threaded
 
 
-def test_estimate_missing_input(tmp_path, capsys):
-    rc, _, err = run(capsys, "estimate", str(tmp_path / "nope.csv"))
+def assert_one_error_line(err, *needles):
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    for needle in needles:
+        assert needle in lines[0]
+
+
+@pytest.mark.parametrize("command", ["estimate", "index-stats"])
+@pytest.mark.parametrize("content, needle", [
+    (None, "No such file"),
+    ("# assouad-lab dim=2 resolution=0.001\nx0,x1\n0.1,0.2\n0.3,abc\n", "line 4"),
+    ("0.1,0.2\n0.3,0.4,0.5\n", "columns"),
+], ids=["missing", "non-numeric", "ragged"])
+def test_estimate_missing_input(tmp_path, capsys, command, content, needle):
+    path = tmp_path / "nope.csv"
+    if content is not None:
+        path.write_text(content)
+    rc, _, err = run(capsys, command, str(path), "--res", "1e-3")
     assert rc == 2
-    assert "error:" in err
+    assert_one_error_line(err, "nope.csv", needle)
 
 
 def test_estimate_plot_writes_curve(spiral_s1_coarse, tmp_path, capsys):
@@ -337,7 +353,15 @@ def test_verify_detects_wrong_oracle_claim(tmp_path, capsys):
     assert any(v["passed"] is False for v in payload["oracleVerdicts"])
 
 
-def test_verify_rejects_unknown_scenario(capsys):
-    rc, _, err = run(capsys, "verify", "--set", "julia:c=0.3")
+@pytest.mark.parametrize("argv, needles", [
+    (["--set", "julia:c=0.3"], ["planar spirals"]),
+    (["--set", "spiral:a=x"], ["'a=x'"]),
+    (["--set", "spiral:a=1,b"], ["'b'"]),
+    (["--set", "spiral:a=1", "--theta-step", "0"], ["theta-step must be positive"]),
+    (["--set", "spiral:a=1", "--theta-step", "-0.05"], ["theta-step must be positive"]),
+    (["--set", "spiral:a=1", "--theta-min", "0.5", "--theta-max", "0.2"], ["0.5", "0.2"]),
+], ids=["family", "value", "no-value", "zero-step", "negative-step", "min-above-max"])
+def test_verify_rejects_unknown_scenario(capsys, argv, needles):
+    rc, _, err = run(capsys, "verify", *argv)
     assert rc == 2
-    assert "planar spirals" in err
+    assert_one_error_line(err, *needles)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from assouad_lab.errors import InvalidParameterError, WindowTooNarrowError
 from assouad_lab.estimators import (
@@ -13,10 +14,14 @@ from assouad_lab.estimators import (
     estimate_box_dim,
     estimate_quasi_assouad,
     estimate_rho,
+    _distances,
     estimate_spectrum,
+    farthest_point_sample,
+    select_centers,
 )
 from assouad_lab.geometry import PointSet
-from assouad_lab.index import build_index, deepest_level
+from assouad_lab.index import _decode, _encode, build_index, deepest_level
+from conftest import index_sample, point_samples
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -204,3 +209,82 @@ def test_spectrum_json_and_csv(cantor12_idx):
     lines = spec.to_csv().strip().splitlines()
     assert lines[0] == "theta,regularized"
     assert len(lines) == 4
+
+
+# ---- center selection: exactness against the lexsort/norm reference ------
+
+
+def reference_farthest_point_sample(points, budget):
+    n = len(points)
+    if n <= budget:
+        return np.arange(n)
+    seed = int(np.lexsort(points.T[::-1])[0])
+    chosen = [seed]
+    dist = np.linalg.norm(points - points[seed], axis=1)
+    for _ in range(budget - 1):
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    return np.asarray(chosen)
+
+
+def reference_hotspots(idx, budget):
+    if budget <= 0:
+        return np.empty((0, idx.dim))
+    deep_addr = _decode(idx.level_keys[idx.max_level], idx._bits, idx.dim)
+    hot_level = max(3, idx.max_level // 2)
+    if hot_level >= idx.max_level:
+        hot_level = max(idx.max_level - 1, 0)
+    anc = _encode(deep_addr >> (idx.max_level - hot_level), idx._bits)
+    uniq, counts = np.unique(anc, return_counts=True)
+    top = uniq[np.argsort(counts)[::-1][:budget]]
+    low = np.asarray(idx.root.center) - idx.root.radius
+    points = idx.source.points
+    out = []
+    for key in top:
+        sub = deep_addr[anc == key]
+        for lev in range(hot_level + 1, idx.max_level + 1):
+            child = _encode(sub >> (idx.max_level - lev), idx._bits)
+            winners, tallies = np.unique(child, return_counts=True)
+            sub = sub[child == winners[np.argmax(tallies)]]
+        cell_center = low + (sub[0] + 0.5) * idx.cell_side(idx.max_level)
+        out.append(points[int(np.argmin(np.linalg.norm(points - cell_center, axis=1)))])
+    return np.asarray(out)
+
+
+def reference_select_centers(idx, budget):
+    hot = reference_hotspots(idx, budget // 2)
+    points = idx.source.points
+    spread = points[reference_farthest_point_sample(points, budget - len(hot))]
+    return spread if len(hot) == 0 else np.vstack([hot, spread])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=point_samples(), pick=st.integers(0, 2**16))
+def test_column_distances_are_bitwise_norm(ps, pick):
+    points = ps.points
+    p = points[pick % len(points)] + 0.1
+    cols = [np.ascontiguousarray(points[:, j]) for j in range(ps.dim)]
+    assert _distances(cols, p).tobytes() == np.linalg.norm(points - p, axis=1).tobytes()
+
+
+SINGLE_POINT = PointSet(dim=2, points=[(0.3, 0.7)], resolution=1e-3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ps=point_samples(), budget=st.integers(1, 40))
+@example(ps=SINGLE_POINT, budget=1)
+def test_farthest_point_sample_matches_reference(ps, budget):
+    got = farthest_point_sample(ps.points, budget)
+    want = reference_farthest_point_sample(ps.points, budget)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=point_samples(), budget=st.integers(1, 40))
+@example(ps=SINGLE_POINT, budget=24)
+def test_select_centers_matches_reference(ps, budget):
+    idx = index_sample(ps)
+    got = select_centers(idx, budget)
+    want = reference_select_centers(idx, budget)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

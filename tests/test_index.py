@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from assouad_lab.errors import (
     EmptySetError,
@@ -14,13 +14,15 @@ from assouad_lab.errors import (
 from assouad_lab.families import cantor_intervals
 from assouad_lab.geometry import PointSet
 from assouad_lab.index import (
+    _decode,
+    _encode,
     build_index,
     deepest_level,
     local_dyadic_count,
     occupied_count,
     snap_level,
 )
-from conftest import center_aligned_count, make_random_set
+from conftest import center_aligned_count, index_sample, make_random_set, point_samples
 
 
 # ---- build_index ------------------------------------------------------
@@ -197,3 +199,38 @@ def test_randomized_invariants_and_ball_sandwich(seed, n):
         assert oracle >= 1 and local >= 1
         assert local <= 3**n * oracle
         assert oracle <= 3**n * local
+
+
+# ---- exactness against the np.unique reference ------------------------
+
+
+def reference_level_keys(ps, max_level):
+    """Level keys as built with np.unique and an axis-0 bounding box."""
+    bits = max(max_level, 1)
+    lo, hi = ps.points.min(axis=0), ps.points.max(axis=0)
+    extent = float(np.max(hi - lo))
+    if extent == 0.0:
+        extent = ps.resolution * 2.0**max_level
+    low = (lo + hi) / 2.0 - extent / 2.0
+    leaf_side = extent * 2.0**-max_level
+    addr = np.floor((ps.points - low) / leaf_side).astype(np.int64)
+    np.clip(addr, 0, (np.int64(1) << max_level) - 1, out=addr)
+    keys = [np.unique(_encode(addr, bits))]
+    for _ in range(max_level):
+        parents = _decode(keys[0], bits, ps.dim) >> 1
+        keys.insert(0, np.unique(_encode(parents, bits)))
+    return keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=point_samples())
+@example(ps=PointSet(dim=2, points=[(0.3, 0.7)], resolution=1e-3))
+def test_level_keys_match_np_unique_reference(ps):
+    idx = index_sample(ps)
+    lo, hi = ps.bounding_box()
+    assert lo.tobytes() == ps.points.min(axis=0).tobytes()
+    assert hi.tobytes() == ps.points.max(axis=0).tobytes()
+    ref = reference_level_keys(ps, idx.max_level)
+    assert len(idx.level_keys) == len(ref)
+    for got, want in zip(idx.level_keys, ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
