@@ -72,6 +72,9 @@ _FAMILY_KINDS = {
 # Levels below this make even a flat occupancy profile unfittable.
 _MIN_INDEX_LEVELS = 8
 
+# Most thetas a --theta-step grid may hold; each one is a full count sweep.
+_MAX_THETAS = 1000
+
 
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
@@ -131,7 +134,13 @@ def _theta_grid(args, extra=()) -> tuple:
             raise InvalidParameterError(
                 f"theta-min {args.theta_min:g} exceeds theta-max {args.theta_max:g}"
             )
-        steps = int(round((args.theta_max - args.theta_min) / args.theta_step))
+        steps = (args.theta_max - args.theta_min) / args.theta_step
+        if not steps <= _MAX_THETAS - 1:
+            raise InvalidParameterError(
+                f"theta-step {args.theta_step:g} asks for {steps + 1:.3g} thetas; "
+                f"at most {_MAX_THETAS} are allowed"
+            )
+        steps = int(round(steps))
         grid = {round(args.theta_min + i * args.theta_step, 10) for i in range(steps + 1)}
     grid.update(round(v, 10) for v in extra)
     return tuple(sorted(grid))

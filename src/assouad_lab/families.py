@@ -28,6 +28,18 @@ from .geometry import PointSet
 # would be a lie at scales the estimators actually probe.
 TAIL_SLACK = 16.0
 
+# Largest sample any family may generate (about 240 MB for a planar curve
+# with its parameters); larger requests are refused before allocating.
+POINT_BUDGET = 10_000_000
+
+
+def _check_budget(n_points: float, what: str) -> None:
+    if not n_points <= POINT_BUDGET:
+        raise InvalidParameterError(
+            f"{what} would generate {n_points:.3g} points; "
+            f"the budget is {POINT_BUDGET:.3g}"
+        )
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -81,7 +93,9 @@ def _curve_points(x_max: float, modulus, speed, step: float) -> tuple:
     n_dense = int(min(2e6, max(8192, 400 * np.log10(max(x_max, 10.0)) ** 2 * 4)))
     x_dense, s_dense = _arc_length_parameter(x_max, speed, n_dense)
     total = s_dense[-1]
-    n_pts = int(np.floor(total / step)) + 1
+    n_pts = np.floor(total / step) + 1
+    _check_budget(n_pts + 1, "this truncation and resolution")  # +1: the origin
+    n_pts = int(n_pts)
     marks = np.arange(n_pts) * step
     xs = np.interp(marks, s_dense, x_dense)
     xs[0] = 1.0
@@ -162,6 +176,8 @@ def cantor_intervals(ratio: float, depth: int) -> np.ndarray:
 
 
 def _sample_cantor(ratio: float, depth: int, res: float) -> PointSet:
+    # 2^depth intervals, two endpoints each (a float power overflows past 1023)
+    _check_budget(2.0 ** (depth + 1) if depth < 1000 else np.inf, f"Cantor depth {depth}")
     ivals = cantor_intervals(ratio, depth)
     width = ratio**depth
     if width > res * (1 + 1e-12):
@@ -181,6 +197,7 @@ def _sample_sequence(p: float, m_max: int, res: float) -> PointSet:
         raise InvalidParameterError(f"sequence exponent p must be > 0, got {p}")
     if m_max < 1:
         raise InvalidParameterError(f"m_max must be >= 1, got {m_max}")
+    _check_budget(m_max + 1, f"m_max {m_max}")
     m = np.arange(1, m_max + 1, dtype=np.float64)
     pts = np.concatenate([[0.0], np.sort(m**-p)])
     return PointSet(dim=1, points=pts.reshape(-1, 1), resolution=res)

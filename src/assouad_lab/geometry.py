@@ -12,6 +12,7 @@ trips and map application.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import EmptySetError, InvalidParameterError
 
 _FMT = "%.17g"  # shortest format that round-trips float64 exactly
+_BLOCK_ROWS = 1 << 16  # rows formatted per write: flat memory, few calls
 
 
 def _as_points_array(points, dim: int) -> np.ndarray:
@@ -127,29 +129,29 @@ class PointSet:
             f"# assouad-lab dim={self.dim} resolution={_FMT % self.resolution}\n"
         )
         fh.write(",".join(cols) + "\n")
-        for row in data:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        # One %-operation per block of rows; each value is still a Python
+        # float under %.17g, so the text round-trips bit for bit.
+        row = ",".join([_FMT] * data.shape[1]) + "\n"
+        for start in range(0, len(data), _BLOCK_ROWS):
+            block = data[start:start + _BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path, resolution: float | None = None) -> "PointSet":
         """Parse a CSV written by to_csv, or any plain n-column numeric CSV.
 
+        ``#`` lines may appear anywhere; metadata is read from those before
+        the first data row.  At most one header row may precede the data.
         A plain CSV carries no resolution, so one must be supplied.
         """
         meta_dim = None
         meta_res = None
-        rows = []
         header = None
-        skipped = 0  # non-data lines so far; data rows are not counted one by one
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    skipped += 1
-                    continue
-                if line.startswith("#"):
-                    skipped += 1
-                    for tok in line[1:].split():
+            for lineno, line in enumerate(fh, 1):
+                text = line.strip()
+                if text.startswith("#"):
+                    for tok in text[1:].split():
                         try:
                             if tok.startswith("dim="):
                                 meta_dim = int(tok[4:])
@@ -157,30 +159,31 @@ class PointSet:
                                 meta_res = float(tok[11:])
                         except ValueError:
                             raise InvalidParameterError(
-                                f"{path} line {len(rows) + skipped}: bad metadata {tok!r}"
+                                f"{path} line {lineno}: bad metadata {tok!r}"
                             ) from None
                     continue
-                first = line.split(",")[0]
-                try:
-                    float(first)
-                except ValueError:
-                    header = line.split(",")
-                    skipped += 1
+                cells = text.split("#", 1)[0].rstrip()
+                if not cells:
                     continue
                 try:
-                    rows.append([float(v) for v in line.split(",")])
+                    float(cells.split(",", 1)[0])
+                    break
                 except ValueError:
-                    raise InvalidParameterError(
-                        f"{path} line {len(rows) + skipped + 1}: non-numeric cell in {line!r}"
-                    ) from None
-        if not rows:
-            raise EmptySetError(f"no points found in {path}")
-        try:
-            arr = np.asarray(rows, dtype=np.float64)
-        except ValueError:
-            raise InvalidParameterError(
-                f"{path}: rows have different numbers of columns"
-            ) from None
+                    if header is not None:
+                        raise InvalidParameterError(
+                            f"{path} line {lineno}: non-numeric cell in {text!r}"
+                        ) from None
+                    header = cells.split(",")
+            else:
+                raise EmptySetError(f"no points found in {path}")
+            # The file iterator resumes after the first data row.  Lines that
+            # hold only whitespace are blank here but a row to loadtxt.
+            rows = (ln for ln in itertools.chain([line], fh) if not ln.isspace())
+            try:
+                arr = np.loadtxt(rows, delimiter=",", comments="#",
+                                 dtype=np.float64, ndmin=2)
+            except ValueError:
+                raise _bad_row(path, lineno, cells.count(",") + 1) from None
         params = None
         if header is not None and header[-1] == "param":
             params = arr[:, -1]
@@ -220,6 +223,32 @@ class PointSet:
             resolution=float(payload["resolution"]),
             params=params,
         )
+
+
+def _bad_row(path, first: int, ncols: int) -> InvalidParameterError:
+    """Name the first data row (from line ``first`` on) that loadtxt rejected."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            cells = line.split("#", 1)[0].strip()
+            if lineno < first or not cells:
+                continue
+            cells = cells.split(",")
+            try:
+                for cell in cells:
+                    cell = cell.strip()
+                    # float() also takes digit separators and non-ASCII digits
+                    if "_" in cell or not cell.isascii():
+                        raise ValueError(cell)
+                    float(cell)
+            except ValueError:
+                return InvalidParameterError(
+                    f"{path} line {lineno}: non-numeric cell in {line.strip()!r}"
+                )
+            if len(cells) != ncols:
+                return InvalidParameterError(
+                    f"{path} line {lineno}: rows have different numbers of columns"
+                )
+    return InvalidParameterError(f"{path}: a data cell is not a decimal number")
 
 
 def load_points(path, resolution: float | None = None) -> PointSet:

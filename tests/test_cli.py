@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ def test_gen_cantor_row_count(tmp_path, capsys):
     assert rc == 0
     rows = path.read_text().strip().split("\n")
     assert len(rows) == 2 + 2048  # metadata + header + 2^11 endpoints
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "spiral", "--a", "0.5", "--xmax", "1e12", "--res", "1e-3"],
+    ["--family", "cantor", "--depth", "40"],
+    ["--family", "sequence", "--mmax", "1000000000"],
+], ids=["spiral", "cantor", "sequence"])
+def test_gen_refuses_samples_over_the_point_budget(capsys, argv):
+    tracemalloc.start()
+    rc, out, err = run(capsys, "gen", *argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, "budget")
+    assert peak < 64 * 2**20  # refused before the sample is allocated
 
 
 def test_gen_rejects_coarse_truncation(capsys):
@@ -168,7 +184,8 @@ def assert_one_error_line(err, *needles):
     (None, "No such file"),
     ("# assouad-lab dim=2 resolution=0.001\nx0,x1\n0.1,0.2\n0.3,abc\n", "line 4"),
     ("0.1,0.2\n0.3,0.4,0.5\n", "columns"),
-], ids=["missing", "non-numeric", "ragged"])
+    ("0.1,0.2\nabc,0.3\n0.5,0.6\n", "line 2"),
+], ids=["missing", "non-numeric", "ragged", "mid-file-header"])
 def test_estimate_missing_input(tmp_path, capsys, command, content, needle):
     path = tmp_path / "nope.csv"
     if content is not None:
@@ -360,8 +377,14 @@ def test_verify_detects_wrong_oracle_claim(tmp_path, capsys):
     (["--set", "spiral:a=1", "--theta-step", "0"], ["theta-step must be positive"]),
     (["--set", "spiral:a=1", "--theta-step", "-0.05"], ["theta-step must be positive"]),
     (["--set", "spiral:a=1", "--theta-min", "0.5", "--theta-max", "0.2"], ["0.5", "0.2"]),
-], ids=["family", "value", "no-value", "zero-step", "negative-step", "min-above-max"])
+    (["--set", "spiral:a=1", "--theta-step", "1e-12"], ["1e-12", "8.5e+11", "1000"]),
+], ids=["family", "value", "no-value", "zero-step", "negative-step", "min-above-max",
+        "tiny-step"])
 def test_verify_rejects_unknown_scenario(capsys, argv, needles):
+    tracemalloc.start()
     rc, _, err = run(capsys, "verify", *argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     assert rc == 2
     assert_one_error_line(err, *needles)
+    assert peak < 16 * 2**20  # refused before any theta grid or sample is built

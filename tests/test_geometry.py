@@ -1,8 +1,18 @@
+import io
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from assouad_lab import geometry
+from assouad_lab.cli import main
 from assouad_lab.errors import EmptySetError, InvalidParameterError
 from assouad_lab.geometry import Ball, Cube, PointSet, load_points
+
+from conftest import point_samples
 
 
 def test_pointset_basic():
@@ -125,3 +135,136 @@ def test_cube_and_ball_reject_nonpositive_radius(bad):
         Cube(center=(0.0,), radius=bad)
     with pytest.raises(InvalidParameterError):
         Ball(center=(0.0,), radius=bad)
+
+
+# ---- CSV exactness against per-row reference code ------------------------
+
+SPECIAL = [-0.0, 0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+def reference_write_csv(ps) -> str:
+    """The per-row writer the block writer replaced, kept as the reference."""
+    cols = [f"x{i}" for i in range(ps.dim)]
+    data = ps.points
+    if ps.params is not None:
+        cols.append("param")
+        data = np.column_stack([ps.points, ps.params])
+    out = [f"# assouad-lab dim={ps.dim} resolution={'%.17g' % ps.resolution}\n",
+           ",".join(cols) + "\n"]
+    for row in data:
+        out.append(",".join("%.17g" % v for v in row) + "\n")
+    return "".join(out)
+
+
+@st.composite
+def csv_samples(draw):
+    """point_samples with special values planted and optional params (inf, -0.0, subnormals)."""
+    ps = draw(point_samples(max_points=60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = ps.points.copy().ravel()
+    planted = rng.random(pts.size) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    pts[planted] = rng.choice(SPECIAL, size=int(planted.sum()))
+    params = draw(st.none() | st.lists(st.floats(allow_nan=False),
+                                       min_size=len(ps), max_size=len(ps)))
+    return PointSet(dim=ps.dim, points=pts.reshape(-1, ps.dim),
+                    resolution=ps.resolution, params=params)
+
+
+def written(ps) -> str:
+    buf = io.StringIO()
+    ps.to_csv(buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ps=csv_samples(), block=st.integers(1, 70))
+def test_csv_writer_matches_per_row_writer(ps, block):
+    # small blocks put the row counts on both sides of a block boundary
+    with mock.patch.object(geometry, "_BLOCK_ROWS", block):
+        assert written(ps) == reference_write_csv(ps)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_csv_writer_at_real_block_size(extra):
+    n = geometry._BLOCK_ROWS + extra
+    pts = np.random.default_rng(n).uniform(-1, 1, size=(n, 1))
+    ps = PointSet(dim=1, points=pts, resolution=1e-3, params=np.arange(n) / 3.0)
+    assert written(ps) == reference_write_csv(ps)
+
+
+CELL_FORMATS = ["%.17g", "%r", "%.6e", "%.3f", " %.17g ", "%+.17g"]
+
+
+def reference_cells(text: str) -> np.ndarray:
+    """Per-cell float() over the data rows of a file with one header row."""
+    rows = []
+    for line in text.splitlines()[1:]:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            rows.append([float(v) for v in line.split(",")])
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ps=csv_samples(), data=st.data())
+def test_csv_reader_matches_float_bit_for_bit(tmp_path_factory, ps, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    table = ps.points if ps.params is None else np.column_stack([ps.points, ps.params])
+    lines = [",".join(f"x{i}" for i in range(ps.dim))
+             + (",param" if ps.params is not None else "")]
+    for row in table:
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "   ", "# between rows", "\t"]))
+        lines.append(",".join(
+            (rng.choice(CELL_FORMATS) % v) if np.isfinite(v) else repr(v) for v in row.tolist()
+        ))
+    text = "\n".join(lines) + "\n"
+    path = tmp_path_factory.mktemp("csv") / "pts.csv"
+    path.write_text(text)
+    back = PointSet.from_csv(path, resolution=ps.resolution)
+    loaded = back.points if back.params is None else np.column_stack([back.points, back.params])
+    assert np.array_equal(loaded.view(np.int64), reference_cells(text).view(np.int64))
+
+
+@pytest.mark.parametrize("content, needles", [
+    ("# assouad-lab dim=1 resolution=0.1\nx0\n1\n3,\n", ["line 4", "non-numeric", "'3,'"]),
+    ("0.1,0.2\n0.3,0.4\n0.5,0.6,0.7\n", ["line 3", "columns"]),
+    ("x0,x1\n0.1,0.2\n# note\n\n0.3,x\n", ["line 5", "non-numeric", "'0.3,x'"]),
+    ("0.1,0.2\nabc,0.3\n0.5,0.6\n", ["line 2", "non-numeric"]),
+    ("x0,x1\nx0,x1\n0.1,0.2\n", ["line 2", "non-numeric"]),
+    ("# assouad-lab dim=two\n0.1\n", ["line 1", "'dim=two'"]),
+    ("0.1,0.2\n0.3,1_0\n", ["line 2", "non-numeric"]),
+    ("0.1,0.2\n0.3,\u0661\n", ["line 2", "non-numeric"]),
+], ids=["trailing-empty-cell", "ragged", "non-numeric", "mid-file-header",
+        "second-header", "bad-metadata", "digit-separator", "non-ascii-digit"])
+def test_csv_reader_names_the_bad_line(tmp_path, content, needles):
+    path = tmp_path / "bad.csv"
+    path.write_text(content)
+    with pytest.raises(InvalidParameterError) as info:
+        PointSet.from_csv(path, resolution=0.1)
+    for needle in [str(path), *needles]:
+        assert needle in str(info.value)
+
+
+@pytest.mark.parametrize("content", ["x0,x1\n", "# assouad-lab dim=2 resolution=0.1\nx0,x1\n\n",
+                                     "# only a comment\n", ""])
+def test_csv_without_data_rows_is_empty(tmp_path, capsys, content):
+    path = tmp_path / "hdr.csv"
+    path.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptySetError):
+            PointSet.from_csv(path, resolution=0.1)
+        assert main(["index-stats", str(path), "--res", "0.1"]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: no points found in")
+
+
+def test_csv_blank_and_comment_lines_between_rows(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("# assouad-lab dim=2 resolution=0.01\n\nx0,x1,param\n0.1,0.2,1\n"
+                    "\n   \n# a note\n0.3,0.4,inf # trailing note\n\t\n# end\n")
+    ps = PointSet.from_csv(path)
+    assert ps.points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    assert ps.params.tolist() == [1.0, np.inf]
+    assert ps.resolution == 0.01
