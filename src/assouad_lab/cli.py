@@ -117,10 +117,10 @@ def _load(args):
 def _window_from(args, idx) -> Optional[est.ScaleWindow]:
     if args.rmin is None and args.rmax is None:
         return None
-    default = est.ScaleWindow.default_for(idx)
+    r_min, r_max = est.ScaleWindow.default_bounds(idx)
     return est.ScaleWindow(
-        r_min=args.rmin if args.rmin is not None else default.r_min,
-        r_max=args.rmax if args.rmax is not None else default.r_max,
+        r_min=args.rmin if args.rmin is not None else r_min,
+        r_max=args.rmax if args.rmax is not None else r_max,
     )
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,12 +76,25 @@ class ScaleWindow:
                 f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
             )
 
+    @staticmethod
+    def default_bounds(idx: MultiScaleIndex) -> tuple[float, float]:
+        """Default (r_min, r_max), unchecked.
+
+        Two guard levels at each end: the finest scales are polluted by
+        sampling artifacts, the coarsest by the bounding box itself.
+        """
+        return 4.0 * idx.source.resolution, idx.root_side * math.sqrt(idx.dim) / 4.0
+
     @classmethod
     def default_for(cls, idx: MultiScaleIndex) -> "ScaleWindow":
-        # Two guard levels at each end: the finest scales are polluted by
-        # sampling artifacts, the coarsest by the bounding box itself.
-        return cls(r_min=4.0 * idx.source.resolution,
-                   r_max=idx.root_side * math.sqrt(idx.dim) / 4.0)
+        r_min, r_max = cls.default_bounds(idx)
+        if not r_min < r_max:
+            raise WindowTooNarrowError(
+                f"resolution {idx.source.resolution:.3g} is too coarse for root side "
+                f"{idx.root_side:.3g}: the default window [4*resolution, "
+                f"root side*sqrt(dim)/4] = [{r_min:.3g}, {r_max:.3g}] is empty"
+            )
+        return cls(r_min=r_min, r_max=r_max)
 
     def levels(self, idx: MultiScaleIndex) -> list[int]:
         """Dyadic levels whose cell side falls inside the window."""
@@ -134,14 +146,6 @@ class SpectrumEstimate:
         return buf.getvalue()
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ASSOUAD_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _distances(cols: list[np.ndarray], p: np.ndarray) -> np.ndarray:
     """Euclidean distance from p to every point, given the points' columns.
 
@@ -157,7 +161,22 @@ def _distances(cols: list[np.ndarray], p: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def farthest_point_sample(points: np.ndarray, budget: int) -> np.ndarray:
+#: Points per farthest-point chunk.  Each chunk keeps a bounding box and its
+#: largest current distance, so a round skips every chunk its new center
+#: cannot bring closer.  A round updates at most _FPS_SPAN chunks per pass,
+#: which keeps its temporaries near 1 MB.
+_FPS_CHUNK = 512
+_FPS_SPAN = 128
+
+
+def _runs(mask: np.ndarray):
+    """(start, stop) of each run of True in a boolean array."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return zip(edges[::2].tolist(), edges[1::2].tolist())
+
+
+def farthest_point_sample(points: np.ndarray, budget: int,
+                          order: np.ndarray | None = None) -> np.ndarray:
     """Indices of a deterministic farthest-point subsample.
 
     Seeded at the lexicographically smallest point so repeated runs agree;
@@ -165,33 +184,96 @@ def farthest_point_sample(points: np.ndarray, budget: int) -> np.ndarray:
     covers the extremes of the set first.  Ties go to the first index: among
     equal lexicographic minima for the seed, and among equal maximal
     distances for each later round.
+
+    ``order`` (any permutation of the points; default: as given) only
+    changes the work done, never the result.  The points are visited in
+    that order in chunks of ``_FPS_CHUNK``, and a round updates a chunk only
+    if the distance from the new center to the chunk's bounding box may undercut
+    the chunk's largest current distance, so spatially grouped orders skip
+    most chunks.
     """
     n = len(points)
     if n <= budget:
         return np.arange(n)
-    cols = [np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])]
-    cand = np.flatnonzero(cols[0] == cols[0].min())
+    if order is None:
+        order = np.arange(n)
+    cols = [points[order, j] for j in range(points.shape[1])]
+    pos = np.flatnonzero(cols[0] == cols[0].min())
     for c in cols[1:]:
-        v = c[cand]
-        cand = cand[v == v.min()]
-    seed = int(cand[0])
-    chosen = [seed]
-    dist = _distances(cols, points[seed])
-    for _ in range(budget - 1):
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        np.minimum(dist, _distances(cols, points[nxt]), out=dist)
+        v = c[pos]
+        pos = pos[v == v.min()]
+    at = int(pos[np.argmin(order[pos])])
+
+    starts = np.arange(0, n, _FPS_CHUNK)
+    stops = np.append(starts[1:], n)
+    boxes = [(np.minimum.reduceat(c, starts), np.maximum.reduceat(c, starts)) for c in cols]
+    dist = np.full(n, np.inf)
+    cmax = np.full(len(starts), np.inf)  # largest dist per chunk
+    chosen = [int(order[at])]
+    while len(chosen) < budget:
+        p = np.array([c[at] for c in cols])
+        # Distance from p to each chunk's box, by the same monotone float
+        # ops as _distances, so it never exceeds a member's distance.
+        gap = None
+        for (lo, hi), v in zip(boxes, p):
+            g = np.maximum(lo - v, v - hi)
+            np.maximum(g, 0.0, out=g)
+            g *= g
+            gap = g if gap is None else np.add(gap, g, out=gap)
+        near = np.sqrt(gap, out=gap) * (1.0 - 1e-9) <= cmax
+        for r0, r1 in _runs(near):
+            for c0 in range(r0, r1, _FPS_SPAN):
+                c1 = min(c0 + _FPS_SPAN, r1)
+                seg = slice(starts[c0], stops[c1 - 1])
+                np.minimum(dist[seg], _distances([c[seg] for c in cols], p), out=dist[seg])
+                cmax[c0:c1] = np.maximum.reduceat(dist[seg], starts[c0:c1] - starts[c0])
+        top = cmax.max()
+        hit = np.flatnonzero(cmax == top)
+        first = starts[hit[0]]
+        pos = first + np.flatnonzero(dist[first:stops[hit[-1]]] == top)
+        at = int(pos[np.argmin(order[pos])])
+        chosen.append(int(order[at]))
     return np.asarray(chosen)
 
 
-def _structural_hotspots(idx: MultiScaleIndex, budget: int) -> np.ndarray:
+def _coarse_cells(idx: MultiScaleIndex):
+    """Source points grouped by coarse cell: ``(order, starts, level)``.
+
+    The level ``min(max_level, 16 // dim)`` keeps the row-major cell key in
+    a uint16, which numpy's stable argsort radix-sorts.  The points of
+    coarse cell k are ``order[starts[k]:starts[k + 1]]``, in index order.
+    """
+    level = min(idx.max_level, 16 // idx.dim)
+    side = idx.cell_side(level)
+    low = idx.root.low()
+    keys = np.zeros(len(idx.source), dtype=np.uint16)
+    for j in range(idx.dim):
+        # Same float ops as build_index's leaf address, at a coarser side.
+        a = idx.source.points[:, j] - low[j]
+        a /= side
+        np.floor(a, out=a)
+        np.clip(a, 0, (1 << level) - 1, out=a)
+        keys <<= level
+        keys |= a.astype(np.uint16)
+    order = np.argsort(keys, kind="stable")
+    starts = np.zeros((1 << (level * idx.dim)) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=len(starts) - 1), out=starts[1:])
+    return order, starts, level
+
+
+def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray:
     """Centers placed where the occupancy tree is refining fastest.
 
     Ranks mid-depth cells by how many deepest-level cells they contain, then
     drills each winner down level by level, always following the child with
     the most descendants.  Accumulation points (spiral centers, sequence
     limits) are found this way even when farthest-point sampling never
-    leaves the convex hull.
+    leaves the convex hull.  Each drilled cell snaps to its nearest sample
+    point (first index on ties).  That point lies in the cell's 3^dim leaf
+    neighbourhood: the cell holds a point within s*sqrt(dim)/2 of its
+    center, and every point outside the neighbourhood is at least 1.5*s
+    away (s the leaf side; sqrt(8)/2 < 1.5 for every supported dim).  So
+    only the coarse cells covering that neighbourhood are searched.
     """
     if budget <= 0:
         return np.empty((0, idx.dim))
@@ -203,10 +285,15 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     anc = _encode(deep_addr >> (idx.max_level - hot_level), idx._bits)
     uniq, counts = _unique(anc, return_counts=True)
     top = uniq[np.argsort(counts)[::-1][:budget]]
+    keep = np.isin(anc, top)
+    deep_addr, anc = deep_addr[keep], anc[keep]
 
+    order, starts, level = cells
+    shift = idx.max_level - level
+    last = (1 << idx.max_level) - 1
+    side = idx.cell_side(idx.max_level)
     low = np.asarray(idx.root.center) - idx.root.radius
     points = idx.source.points
-    cols = [np.ascontiguousarray(points[:, j]) for j in range(idx.dim)]
     out = []
     for key in top:
         sub = deep_addr[anc == key]
@@ -214,9 +301,24 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int) -> np.ndarray:
             child = _encode(sub >> (idx.max_level - lev), idx._bits)
             winners, tallies = _unique(child, return_counts=True)
             sub = sub[child == winners[np.argmax(tallies)]]
-        cell_center = low + (sub[0] + 0.5) * idx.cell_side(idx.max_level)
-        nearest = int(np.argmin(_distances(cols, cell_center)))
-        out.append(points[nearest])
+        cell = sub[0]
+        cell_center = low + (cell + 0.5) * side
+        lo = (np.maximum(cell - 1, 0) >> shift).tolist()
+        hi = (np.minimum(cell + 1, last) >> shift).tolist()
+        cand = []
+        # Row-major keys: the last coordinate's range is one contiguous slice.
+        for head in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+            base = 0
+            for a in head:
+                base = (base << level) | a
+            base <<= level
+            members = order[starts[base | lo[-1]]:starts[(base | hi[-1]) + 1]]
+            # Points more than 1.5 leaf sides off in the first coordinate
+            # are farther than the nearest point can be.
+            cand.append(members[np.abs(points[members, 0] - cell_center[0]) <= 1.5 * side])
+        cand = np.sort(np.concatenate(cand))
+        d = _distances([points[cand, j] for j in range(idx.dim)], cell_center)
+        out.append(points[cand[np.argmin(d)]])
     return np.asarray(out)
 
 
@@ -224,8 +326,10 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     """Query centers: half structural hotspots, half farthest-point spread."""
     if budget < 1:
         raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
-    hot = _structural_hotspots(idx, budget // 2)
-    spread = idx.source.points[farthest_point_sample(idx.source.points, budget - len(hot))]
+    cells = _coarse_cells(idx)
+    hot = _structural_hotspots(idx, budget // 2, cells)
+    points = idx.source.points
+    spread = points[farthest_point_sample(points, budget - len(hot), cells[0])]
     if len(hot) == 0:
         return spread
     return np.vstack([hot, spread])
@@ -292,19 +396,9 @@ def _count_rays(idx: MultiScaleIndex, centers: np.ndarray, ks: np.ndarray,
                 radii_by_k: list[np.ndarray]) -> np.ndarray:
     """counts[c, i, j] = occupied level-ks[i] cells meeting B(centers[c], radii_by_k[i][j])."""
     counts = np.zeros((len(centers), len(ks), len(radii_by_k[0])))
-
-    def fill(ci):
-        x = centers[ci]
+    for ci, x in enumerate(centers):
         for i, k in enumerate(ks):
             counts[ci, i] = idx.count_intersecting_many(int(k), x, radii_by_k[i])
-
-    threads = _thread_count()
-    if threads > 1 and len(centers) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(centers))))
-    else:
-        for ci in range(len(centers)):
-            fill(ci)
     return counts
 
 

@@ -212,17 +212,36 @@ class PointSet:
 
     @classmethod
     def from_json(cls, path) -> "PointSet":
+        """Parse a JSON file written by to_json; a malformed file names itself."""
         with open(path) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:  # also bad UTF-8
+                raise InvalidParameterError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(payload, dict):
+            raise InvalidParameterError(f"{path}: expected a JSON object")
+        missing = [k for k in ("dim", "resolution", "points") if k not in payload]
+        if missing:
+            raise InvalidParameterError(f"{path}: missing key(s) {', '.join(missing)}")
+        try:
+            dim = int(payload["dim"])
+            resolution = float(payload["resolution"])
+        except (TypeError, ValueError):
+            raise InvalidParameterError(f"{path}: dim and resolution must be numbers") from None
         params = payload.get("params")
-        if params is not None:
-            params = [np.inf if v is None else v for v in params]
-        return cls(
-            dim=int(payload["dim"]),
-            points=np.asarray(payload["points"], dtype=np.float64),
-            resolution=float(payload["resolution"]),
-            params=params,
-        )
+        try:
+            points = np.asarray(payload["points"], dtype=np.float64)
+            if params is not None:
+                params = np.asarray([np.inf if v is None else v for v in params],
+                                    dtype=np.float64)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"{path}: points and params must be numbers in rows of equal length"
+            ) from None
+        try:
+            return cls(dim=dim, points=points, resolution=resolution, params=params)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{path}: {exc}") from None
 
 
 def _bad_row(path, first: int, ncols: int) -> InvalidParameterError:

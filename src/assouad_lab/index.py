@@ -73,7 +73,7 @@ class MultiScaleIndex:
     level_keys: list  # list of sorted int64 arrays, index = level
     source: PointSet
     _bits: int = 0
-    _low_cache: dict = field(default_factory=dict, repr=False)
+    _bounds_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def root_side(self) -> float:
@@ -97,23 +97,41 @@ class MultiScaleIndex:
                 f"level {level} outside stored range 0..{self.max_level}"
             )
 
-    def _cell_low(self, level: int) -> np.ndarray:
-        """Lower corners of occupied cells at a level (cached float64)."""
-        if level not in self._low_cache:
+    def _cell_bounds(self, level: int) -> tuple[list, list]:
+        """Per-column lower and upper cell edges at a level (cached float64)."""
+        if level not in self._bounds_cache:
             s = self.cell_side(level)
-            self._low_cache[level] = self.root.low() + self.cell_addresses(level) * s
-        return self._low_cache[level]
+            low = self.root.low()
+            addr = self.cell_addresses(level)
+            lows = [low[j] + addr[:, j] * s for j in range(self.dim)]
+            self._bounds_cache[level] = (lows, [c + s for c in lows])
+        return self._bounds_cache[level]
 
     def cell_dist2(self, level: int, x) -> np.ndarray:
-        """Squared Euclidean distance from x to every occupied cell at a level."""
+        """Squared Euclidean distance from x to every occupied cell at a level.
+
+        Column by column, in place.  The squares are summed in the order
+        numpy's ``einsum("ij,ij->i")`` adds a row: two interleaved
+        accumulators (even and odd columns) added at the end, a full block
+        of eight columns folded last to first.  So the result is bit for bit
+        the row-wise ``einsum`` of the clipped gaps.
+        """
         self._check_level(level)
         x = np.asarray(x, dtype=np.float64).reshape(self.dim)
-        low = self._cell_low(level)
-        s = self.cell_side(level)
-        below = low - x
-        above = x - (low + s)
-        gap = np.maximum(np.maximum(below, above), 0.0)
-        return np.einsum("ij,ij->i", gap, gap)
+        lows, highs = self._cell_bounds(level)
+        lanes = [None, None]
+        scratch = None
+        for j in (range(self.dim) if self.dim < 8 else range(7, -1, -1)):
+            gap = np.subtract(lows[j], x[j])
+            scratch = np.subtract(x[j], highs[j], out=scratch)
+            np.maximum(gap, scratch, out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            k = j % 2
+            lanes[k] = gap if lanes[k] is None else np.add(lanes[k], gap, out=lanes[k])
+        if lanes[1] is None:
+            return lanes[0]
+        return np.add(lanes[0], lanes[1], out=lanes[0])
 
     def count_intersecting(self, level: int, x, radius: float) -> int:
         """Occupied cells at a level intersecting the closed ball B(x, radius)."""

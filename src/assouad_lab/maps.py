@@ -61,7 +61,8 @@ class RadialPower:
     def apply(self, z: np.ndarray) -> np.ndarray:
         out = np.zeros_like(z)
         nz = z != 0
-        out[nz] = np.abs(z[nz]) ** (self.power - 1.0) * z[nz]
+        zn = z[nz]
+        out[nz] = np.abs(zn) ** (self.power - 1.0) * zn
         return out
 
     def inverse(self) -> "RadialPower":
@@ -184,8 +185,13 @@ def invert(f: PlanarMap) -> PlanarMap:
     return PlanarMap(ops=tuple(op.inverse() for op in reversed(f.ops)))
 
 
-def _to_complex(points: np.ndarray) -> np.ndarray:
-    return points[:, 0] + 1j * points[:, 1]
+#: Points per block of apply_map: every pass over the sample works block by
+#: block, in place, so temporaries stay a few MB whatever the sample size.
+_BLOCK = 1 << 17
+
+
+def _blocks(n: int):
+    return (slice(s, s + _BLOCK) for s in range(0, n, _BLOCK))
 
 
 def apply_map(f: PlanarMap, ps: PointSet) -> PointSet:
@@ -199,30 +205,41 @@ def apply_map(f: PlanarMap, ps: PointSet) -> PointSet:
     """
     if ps.dim != 2:
         raise DimensionMismatchError(f"planar maps need dim=2 point sets, got dim={ps.dim}")
-    z = _to_complex(ps.points)
+    pts = ps.points
+    z = np.empty(len(pts), dtype=np.complex128)
+    for b in _blocks(len(z)):
+        z[b] = pts[b, 0] + 1j * pts[b, 1]
     resolution = ps.resolution
     for op in f.ops:
-        moduli = np.abs(z)
-        positive = moduli[moduli > 0]
-        lo = float(positive.min()) if len(positive) else 0.0
-        hi = float(positive.max()) if len(positive) else 0.0
-        if isinstance(op, Mobius):
-            if op.pole is not None:
-                gap = float(np.min(np.abs(z - op.pole))) if len(z) else np.inf
-                if gap < POLE_MARGIN * resolution:
-                    raise PoleProximityError(
-                        f"point at distance {gap:.3e} from mobius pole "
-                        f"(need >= {POLE_MARGIN} * resolution = {POLE_MARGIN * resolution:.3e})"
-                    )
-                denom_min = float(np.min(np.abs(op.c * z + op.d)))
-                scale = op.lipschitz(lo, hi, denom_min)
-            else:
-                scale = op.lipschitz(lo, hi)
+        lo, hi = np.inf, 0.0
+        gap = denom_min = np.inf
+        pole = op.pole if isinstance(op, Mobius) else None
+        for b in _blocks(len(z)):
+            moduli = np.abs(z[b])
+            positive = moduli[moduli > 0]
+            if len(positive):
+                lo = min(lo, float(positive.min()))
+                hi = max(hi, float(positive.max()))
+            if pole is not None:
+                gap = min(gap, float(np.min(np.abs(z[b] - pole))))
+                denom_min = min(denom_min, float(np.min(np.abs(op.c * z[b] + op.d))))
+        if lo == np.inf:
+            lo = 0.0
+        if pole is not None:
+            if gap < POLE_MARGIN * resolution:
+                raise PoleProximityError(
+                    f"point at distance {gap:.3e} from mobius pole "
+                    f"(need >= {POLE_MARGIN} * resolution = {POLE_MARGIN * resolution:.3e})"
+                )
+            scale = op.lipschitz(lo, hi, denom_min)
         else:
             scale = op.lipschitz(lo, hi)
-        z = op.apply(z)
+        for b in _blocks(len(z)):
+            z[b] = op.apply(z[b])
         resolution = resolution * scale
-    out = np.column_stack([z.real, z.imag])
+    out = np.empty((len(z), 2))
+    out[:, 0] = z.real
+    out[:, 1] = z.imag
     return PointSet(dim=2, points=out, resolution=float(resolution), params=ps.params)
 
 

@@ -100,14 +100,16 @@ def make_random_set(rng, i, n):
 def point_samples(draw, max_points=400):
     """Small samples in dims 1-3 for exactness checks against reference code.
 
-    Shapes: uniform random; duplicate-heavy (snapped to a quarter grid); and
+    Shapes: uniform random; duplicate-heavy (snapped to a quarter grid);
     half the points tied on the smallest first coordinate, with coarse later
-    coordinates so ties reach past the first column.  A single point, or a
-    set with zero extent, gets resolution 1e-3.
+    coordinates so ties reach past the first column; and points on a
+    1/64 grid spanning [0, 1] in every coordinate, so the root's low corner
+    is 0 and many points lie exactly on dyadic cell boundaries.  A single
+    point, or a set with zero extent, gets resolution 1e-3.
     """
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(1, max_points))
-    shape = draw(st.sampled_from(["random", "coarse", "tied"]))
+    shape = draw(st.sampled_from(["random", "coarse", "tied", "boundary"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.uniform(-1.0, 1.0, size=(n, dim))
     if shape == "coarse":
@@ -116,6 +118,9 @@ def point_samples(draw, max_points=400):
         tied = rng.random(n) < 0.5
         pts[tied, 0] = pts[:, 0].min()
         pts[tied, 1:] = np.round(pts[tied, 1:] * 2.0) / 2.0
+    elif shape == "boundary":
+        pts = rng.integers(0, 65, size=(n, dim)) / 64.0
+        pts[0], pts[-1] = 0.0, 1.0
     extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     res = extent * 2.0 ** -draw(st.integers(1, 10)) if extent > 0 else 1e-3
     return PointSet(dim=dim, points=pts, resolution=res)

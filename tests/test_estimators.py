@@ -1,10 +1,12 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from assouad_lab import estimators
 from assouad_lab.errors import InvalidParameterError, WindowTooNarrowError
 from assouad_lab.estimators import (
     DEFAULT_THETA_GRID,
@@ -15,11 +17,14 @@ from assouad_lab.estimators import (
     estimate_quasi_assouad,
     estimate_rho,
     _distances,
+    _structural_hotspots,
+    _coarse_cells,
     estimate_spectrum,
     farthest_point_sample,
     select_centers,
 )
 from assouad_lab.geometry import PointSet
+from assouad_lab.families import FamilySpec, sample_family
 from assouad_lab.index import _decode, _encode, build_index, deepest_level
 from conftest import index_sample, point_samples
 
@@ -211,7 +216,9 @@ def test_spectrum_json_and_csv(cantor12_idx):
     assert len(lines) == 4
 
 
-# ---- center selection: exactness against the lexsort/norm reference ------
+# ---- center selection: exactness against the full-scan reference ---------
+# The references are the earlier full-scan code: every farthest-point round
+# and every hotspot snap-back takes the distance to all N points.
 
 
 def reference_farthest_point_sample(points, budget):
@@ -269,22 +276,87 @@ def test_column_distances_are_bitwise_norm(ps, pick):
 
 
 SINGLE_POINT = PointSet(dim=2, points=[(0.3, 0.7)], resolution=1e-3)
+# The hotspot cell [-1, -0.75) has its center equidistant from -1 and -0.75,
+# which sit in different coarse cells; the first index (-0.75) must win.
+TIED_ACROSS_CELLS = PointSet(dim=1, points=[0, 1, -0.75, 1, -0.5, -0.25, 0.75, -0.25, 0, -1],
+                             resolution=0.25)
 
 
 @settings(max_examples=80, deadline=None)
-@given(ps=point_samples(), budget=st.integers(1, 40))
-@example(ps=SINGLE_POINT, budget=1)
-def test_farthest_point_sample_matches_reference(ps, budget):
-    got = farthest_point_sample(ps.points, budget)
+@given(ps=point_samples(), budget=st.integers(1, 40), chunk=st.integers(1, 70),
+       span=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(ps=SINGLE_POINT, budget=1, chunk=1, span=1, seed=0)
+def test_farthest_point_sample_matches_reference(ps, budget, chunk, span, seed):
+    # Any visiting order, chunk size and pass length give the reference indices.
     want = reference_farthest_point_sample(ps.points, budget)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    shuffled = np.random.default_rng(seed).permutation(len(ps))
+    with mock.patch.object(estimators, "_FPS_CHUNK", chunk), \
+            mock.patch.object(estimators, "_FPS_SPAN", span):
+        for order in (None, shuffled, _coarse_cells(index_sample(ps))[0]):
+            got = farthest_point_sample(ps.points, budget, order)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ps=point_samples(), extra=st.integers(0, 2))
+def test_farthest_point_sample_budget_at_least_n(ps, extra):
+    got = farthest_point_sample(ps.points, len(ps) + extra)
+    want = reference_farthest_point_sample(ps.points, len(ps) + extra)
+    assert np.array_equal(got, np.arange(len(ps))) and np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
-@given(ps=point_samples(), budget=st.integers(1, 40))
-@example(ps=SINGLE_POINT, budget=24)
-def test_select_centers_matches_reference(ps, budget):
+@given(ps=point_samples(), budget=st.integers(1, 40), chunk=st.integers(1, 70))
+@example(ps=SINGLE_POINT, budget=24, chunk=70)
+@example(ps=TIED_ACROSS_CELLS, budget=2, chunk=1)
+def test_select_centers_matches_reference(ps, budget, chunk):
     idx = index_sample(ps)
-    got = select_centers(idx, budget)
+    with mock.patch.object(estimators, "_FPS_CHUNK", chunk):
+        got = select_centers(idx, budget)
     want = reference_select_centers(idx, budget)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ps=point_samples())
+def test_coarse_cells_group_points_by_leaf_ancestor(ps):
+    idx = index_sample(ps)
+    order, starts, level = _coarse_cells(idx)
+    assert np.array_equal(np.sort(order), np.arange(len(ps)))
+    leaf = np.floor((ps.points - idx.root.low()) / idx.cell_side(idx.max_level)).astype(np.int64)
+    np.clip(leaf, 0, 2**idx.max_level - 1, out=leaf)
+    key = _encode(leaf >> (idx.max_level - level), level)
+    group = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    assert np.array_equal(key[order], group)
+    # Stable: index order inside each coarse cell.
+    same = group[1:] == group[:-1]
+    assert np.all(np.diff(order)[same] > 0)
+
+
+@pytest.mark.parametrize("near", [(0.249, 0.3125), (0.376, 0.3125)], ids=["below", "above"])
+def test_snap_back_reaches_neighbour_cells(near):
+    # Leaf side 1/8.  The drill ends in the leaf cell [0.25, 0.375)^2, whose
+    # own point sits near its far corner; the nearest sample lies across the
+    # lower or the upper x edge, in a neighbouring leaf (and coarse) cell.
+    pts = [(0.0, 0.0), (1.0, 1.0), (0.37, 0.37), (0.26, 0.49), (0.49, 0.49),
+           (0.49, 0.26), near]
+    idx = index_sample(PointSet(dim=2, points=pts, resolution=1.0 / 8.0))
+    got = _structural_hotspots(idx, 1, _coarse_cells(idx))
+    assert got.tolist() == [list(near)]
+    assert got.tobytes() == reference_hotspots(idx, 1).tobytes()
+
+
+@pytest.mark.parametrize("a, x_max, res, shuffle", [
+    (1.0, 1e3, 1e-4, False),  # coarse cells far larger than leaves at the center
+    (1.5, 1e3, 1e-4, True),   # random point order: chunks no longer follow the curve
+])
+def test_select_centers_matches_reference_on_spirals(a, x_max, res, shuffle):
+    ps = sample_family(FamilySpec(kind="poly_spiral", a=a, x_max=x_max, target_resolution=res))
+    if shuffle:
+        perm = np.random.default_rng(5).permutation(len(ps))
+        ps = PointSet(dim=2, points=ps.points[perm], resolution=ps.resolution)
+    idx = index_sample(ps)
+    assert idx.max_level > min(idx.max_level, 16 // idx.dim)
+    got = _structural_hotspots(idx, 12, _coarse_cells(idx))
+    assert got.tobytes() == reference_hotspots(idx, 12).tobytes()
+    assert select_centers(idx, 24).tobytes() == reference_select_centers(idx, 24).tobytes()

@@ -234,3 +234,42 @@ def test_level_keys_match_np_unique_reference(ps):
     assert len(idx.level_keys) == len(ref)
     for got, want in zip(idx.level_keys, ref):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ---- cell_dist2: exactness against the row-wise einsum reference ----------
+
+
+def reference_cell_dist2(idx, level, x):
+    x = np.asarray(x, dtype=np.float64).reshape(idx.dim)
+    s = idx.cell_side(level)
+    low = idx.root.low() + idx.cell_addresses(level) * s
+    gap = np.maximum(np.maximum(low - x, x - (low + s)), 0.0)
+    return np.einsum("ij,ij->i", gap, gap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=point_samples(), pick=st.integers(0, 2**16))
+@example(ps=PointSet(dim=2, points=[(0.3, 0.7)], resolution=1e-3), pick=0)
+def test_cell_dist2_is_bitwise_einsum(ps, pick):
+    idx = index_sample(ps)
+    point = ps.points[pick % len(ps)]
+    for level in range(idx.max_level + 1):
+        # a sample point, a cell corner (on the grid lines) and a far point
+        corner = idx.root.low() + idx.cell_addresses(level)[pick % idx.occupied_count(level)] \
+            * idx.cell_side(level)
+        for x in (point, corner, point + 0.3):
+            got = idx.cell_dist2(level, x)
+            assert got.tobytes() == reference_cell_dist2(idx, level, x).tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_cell_dist2_is_bitwise_einsum_in_every_dimension(dim):
+    # einsum pairs the squares differently from dim 3 on; dim 8 folds a block
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-1.0, 1.0, size=(4000, dim)) * rng.choice([1e-3, 1.0, 1e3], size=dim)
+    ps = PointSet(dim=dim, points=pts, resolution=1e-12)
+    idx = build_index(ps, 62 // dim if dim > 4 else 12)
+    for level in (idx.max_level // 2, idx.max_level):
+        for x in (pts[0], pts[1] + 0.01, rng.uniform(-2e3, 2e3, size=dim)):
+            got = idx.cell_dist2(level, x)
+            assert got.tobytes() == reference_cell_dist2(idx, level, x).tobytes()

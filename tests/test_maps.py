@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from assouad_lab import maps
 
 from assouad_lab.errors import (
     DimensionMismatchError,
@@ -191,6 +195,91 @@ def test_mobius_pole_guard():
     far = PointSet(dim=2, points=[(5.0, 0.0), (0.0, 0.0)], resolution=1e-3)
     img = apply_map(inversion, far)
     assert img.points[0][0] == pytest.approx(0.25)  # 1/(5-1)
+
+
+# The whole-array code apply_map replaced, kept as the reference it must
+# match byte for byte.
+
+
+def reference_radial_apply(op, z):
+    out = np.zeros_like(z)
+    nz = z != 0
+    out[nz] = np.abs(z[nz]) ** (op.power - 1.0) * z[nz]
+    return out
+
+
+def reference_apply_map(f, ps):
+    z = ps.points[:, 0] + 1j * ps.points[:, 1]
+    resolution = ps.resolution
+    for op in f.ops:
+        moduli = np.abs(z)
+        positive = moduli[moduli > 0]
+        lo = float(positive.min()) if len(positive) else 0.0
+        hi = float(positive.max()) if len(positive) else 0.0
+        if isinstance(op, Mobius) and op.pole is not None:
+            gap = float(np.min(np.abs(z - op.pole)))
+            if gap < maps.POLE_MARGIN * resolution:
+                raise PoleProximityError(f"gap {gap:.3e}")
+            scale = op.lipschitz(lo, hi, float(np.min(np.abs(op.c * z + op.d))))
+        else:
+            scale = op.lipschitz(lo, hi)
+        z = reference_radial_apply(op, z) if isinstance(op, RadialPower) else op.apply(z)
+        resolution = resolution * scale
+    return np.column_stack([z.real, z.imag]), resolution
+
+
+MAPS = [parse_map_spec(spec) for spec in (
+    "radial:K=2",
+    "radial:K=3|similarity:s=2i,t=0.25",
+    "similarity:s=-1+0.5i,t=-0.75|radial:K=1.5",
+    "mobius:a=1,b=0,c=0.25,d=2|radial:K=2",
+    "mobius:a=2,b=1,c=0,d=1",
+)]
+# power > 1: the resolution then depends on the largest modulus
+MAPS.append(invert(MAPS[1]))
+
+
+@st.composite
+def planar_samples(draw):
+    """Planar points with planted zeros, signed zeros and repeated rows."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, size=(n, 2)) * 10.0 ** rng.integers(-4, 2, size=(n, 1))
+    planted = rng.integers(0, 5, size=(n, 2))
+    pts[planted == 0] = 0.0
+    pts[planted == 1] = -0.0
+    params = rng.uniform(size=n) if draw(st.booleans()) else None
+    return PointSet(dim=2, points=pts, resolution=1e-6, params=params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=planar_samples(), f=st.sampled_from(MAPS), block=st.integers(1, 70))
+def test_apply_map_matches_whole_array_reference(ps, f, block):
+    try:
+        want, want_res = reference_apply_map(f, ps)
+    except PoleProximityError:
+        with mock.patch.object(maps, "_BLOCK", block), pytest.raises(PoleProximityError):
+            apply_map(f, ps)
+        return
+    with mock.patch.object(maps, "_BLOCK", block):
+        img = apply_map(f, ps)
+    assert img.points.tobytes() == want.tobytes()
+    assert img.resolution == want_res
+    assert img.params is ps.params or np.array_equal(img.params, ps.params)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_apply_map_block_edges_match_reference(offset):
+    # sizes on both sides of the real block size, with the origin planted
+    n = maps._BLOCK + offset
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+    pts[::1000] = 0.0
+    ps = PointSet(dim=2, points=pts, resolution=1e-6)
+    f = MAPS[1]
+    want, want_res = reference_apply_map(f, ps)
+    img = apply_map(f, ps)
+    assert img.points.tobytes() == want.tobytes() and img.resolution == want_res
 
 
 def test_mobius_requires_invertible_coefficients():
