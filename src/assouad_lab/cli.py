@@ -100,13 +100,12 @@ def _emit(payload: dict, out_path: Optional[str]) -> None:
 
 
 def _index_for(ps):
-    level = deepest_level(ps)
-    if level == 0:
-        lo, hi = ps.bounding_box()
-        if float(np.max(hi - lo)) == 0.0:
-            # degenerate extent: give the estimators some levels to fit on
-            level = _MIN_INDEX_LEVELS
-    return build_index(ps, level)
+    box = ps.bounding_box()
+    level = deepest_level(ps, box)
+    if level == 0 and float(np.max(box[1] - box[0])) == 0.0:
+        # degenerate extent: give the estimators some levels to fit on
+        level = _MIN_INDEX_LEVELS
+    return build_index(ps, level, box)
 
 
 def _load(args):
@@ -555,6 +554,7 @@ def cmd_verify(args) -> int:
         # A radial power sends the spiral with exponent a onto the one with
         # exponent a*power, so estimate the image on its own honest sample
         # instead of pushing worst-case Lipschitz factors through the index.
+        del src_ps  # one full-size sample alive at a time
         a_img = a_src * net
         res_img = args.image_res if args.image_res is not None else args.res
         tail_floor = args.xmax ** (-a_img) / fam.TAIL_SLACK
@@ -573,6 +573,7 @@ def cmd_verify(args) -> int:
     else:
         t0 = clock()
         img_ps = qc.apply_map(f, src_ps)
+        del src_ps
         timings["sampleImage"] = clock() - t0
         t0 = clock()
         img_est = _estimate_curve(img_ps, grid, args.centers)

@@ -89,19 +89,33 @@ def _arc_length_parameter(x_max: float, speed, n_dense: int) -> np.ndarray:
     return x, s
 
 
+#: Curve points per block: the spiral is written block by block straight into
+#: its final arrays, so temporaries stay a few MB whatever the sample size.
+_BLOCK = 1 << 17
+
+
 def _curve_points(x_max: float, modulus, speed, step: float) -> tuple:
+    """(N + 1, 2) curve points and their (N + 1) parameters, the origin last."""
     n_dense = int(min(2e6, max(8192, 400 * np.log10(max(x_max, 10.0)) ** 2 * 4)))
     x_dense, s_dense = _arc_length_parameter(x_max, speed, n_dense)
     total = s_dense[-1]
     n_pts = np.floor(total / step) + 1
     _check_budget(n_pts + 1, "this truncation and resolution")  # +1: the origin
     n_pts = int(n_pts)
-    marks = np.arange(n_pts) * step
-    xs = np.interp(marks, s_dense, x_dense)
-    xs[0] = 1.0
-    r = modulus(xs)
-    pts = np.column_stack([r * np.cos(xs), r * np.sin(xs)])
-    return pts, xs
+    pts = np.empty((n_pts + 1, 2))
+    params = np.empty(n_pts + 1)
+    for start in range(0, n_pts, _BLOCK):
+        b = slice(start, min(start + _BLOCK, n_pts))
+        xs = np.interp(np.arange(b.start, b.stop) * step, s_dense, x_dense)
+        if start == 0:
+            xs[0] = 1.0
+        params[b] = xs
+        r = modulus(xs)
+        pts[b, 0] = r * np.cos(xs)
+        pts[b, 1] = r * np.sin(xs)
+    pts[n_pts] = 0.0
+    params[n_pts] = np.inf
+    return pts, params
 
 
 def _sample_poly_spiral(a: float, x_max: float, res: float) -> PointSet:
@@ -123,9 +137,7 @@ def _sample_poly_spiral(a: float, x_max: float, res: float) -> PointSet:
         # |d/dx (x^-a e^{ix})| = x^-a sqrt(1 + a^2/x^2)
         return x**-a * np.sqrt(1.0 + (a / x) ** 2)
 
-    pts, xs = _curve_points(x_max, modulus, speed, 0.49 * res)
-    pts = np.vstack([pts, [0.0, 0.0]])
-    params = np.concatenate([xs, [np.inf]])
+    pts, params = _curve_points(x_max, modulus, speed, 0.49 * res)
     return PointSet(dim=2, points=pts, resolution=res, params=params)
 
 
@@ -147,9 +159,7 @@ def _sample_log_spiral(c: float, x_max: float, res: float) -> PointSet:
     def speed(x):
         return np.exp(-c * x) * np.sqrt(1.0 + c * c)
 
-    pts, xs = _curve_points(x_max, modulus, speed, 0.49 * res)
-    pts = np.vstack([pts, [0.0, 0.0]])
-    params = np.concatenate([xs, [np.inf]])
+    pts, params = _curve_points(x_max, modulus, speed, 0.49 * res)
     return PointSet(dim=2, points=pts, resolution=res, params=params)
 
 

@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import EmptySetError, InvalidParameterError
 
-_FMT = "%.17g"  # shortest format that round-trips float64 exactly
+# 17 significant digits round-trip every float64 exactly.  They are always
+# written in full, so repr (the shortest round-trip form) is often shorter.
+_FMT = "%.17g"
 _BLOCK_ROWS = 1 << 16  # rows formatted per write: flat memory, few calls
 
 
@@ -32,7 +34,8 @@ def _as_points_array(points, dim: int) -> np.ndarray:
         raise InvalidParameterError(
             f"points must be an (N, {dim}) array, got shape {arr.shape}"
         )
-    if arr.size and not np.all(np.isfinite(arr)):
+    # min and max carry any NaN or inf, with no per-point temporary
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise InvalidParameterError("points must be finite")
     return arr
 
@@ -223,11 +226,16 @@ class PointSet:
         missing = [k for k in ("dim", "resolution", "points") if k not in payload]
         if missing:
             raise InvalidParameterError(f"{path}: missing key(s) {', '.join(missing)}")
-        try:
-            dim = int(payload["dim"])
-            resolution = float(payload["resolution"])
-        except (TypeError, ValueError):
-            raise InvalidParameterError(f"{path}: dim and resolution must be numbers") from None
+        dim, resolution = payload["dim"], payload["resolution"]
+        # bool is an int subclass: true would read as dim 1
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise InvalidParameterError(
+                f"{path}: dim must be an integer, got {json.dumps(dim):.40}"
+            )
+        if isinstance(resolution, bool) or not isinstance(resolution, (int, float)):
+            raise InvalidParameterError(
+                f"{path}: resolution must be a number, got {json.dumps(resolution):.40}"
+            )
         params = payload.get("params")
         try:
             points = np.asarray(payload["points"], dtype=np.float64)
@@ -238,8 +246,10 @@ class PointSet:
             raise InvalidParameterError(
                 f"{path}: points and params must be numbers in rows of equal length"
             ) from None
+        if points.ndim >= 1 and len(points) == 0:
+            raise EmptySetError(f"no points found in {path}")
         try:
-            return cls(dim=dim, points=points, resolution=resolution, params=params)
+            return cls(dim=dim, points=points, resolution=float(resolution), params=params)
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{path}: {exc}") from None
 

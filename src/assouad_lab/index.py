@@ -51,7 +51,11 @@ def _decode(keys: np.ndarray, bits: int, n: int) -> np.ndarray:
 
 def _unique(keys: np.ndarray, return_counts: bool = False):
     """np.unique by one sort: numpy >= 2.3 hashes int64 keys, ~15x slower on 2M keys."""
-    keys = np.sort(keys)
+    return _dedup(np.sort(keys), return_counts)
+
+
+def _dedup(keys: np.ndarray, return_counts: bool = False):
+    """Distinct values of a sorted array (and how often each occurs)."""
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -60,6 +64,29 @@ def _unique(keys: np.ndarray, return_counts: bool = False):
         return uniq
     starts = np.flatnonzero(first)
     return uniq, np.diff(starts, append=len(keys))
+
+
+def _leaf_keys(points: np.ndarray, low: np.ndarray, side: float, level: int,
+               bits: int) -> np.ndarray:
+    """Packed key of each point's cell at ``level``, built column by column.
+
+    Per column: ``floor((x - low) / side)`` cast to int64 and clipped to the
+    grid, the same float operations as on the whole array; the cast is done
+    in place through an int64 view of the one float column temporary.
+    """
+    last = (1 << level) - 1
+    col = np.empty(len(points))
+    addr = col.view(np.int64)
+    keys = np.zeros(len(points), dtype=np.int64)
+    for j in range(points.shape[1]):
+        np.subtract(points[:, j], low[j], out=col)
+        col /= side
+        np.floor(col, out=col)
+        addr[...] = col
+        np.clip(addr, 0, last, out=addr)
+        keys <<= bits
+        keys |= addr
+    return keys
 
 
 @dataclass(eq=False)
@@ -142,16 +169,22 @@ class MultiScaleIndex:
         """Same ball-intersection count for a whole ladder of radii at once."""
         d2 = self.cell_dist2(level, x)
         radii = np.asarray(radii, dtype=np.float64)
-        return np.count_nonzero(d2[None, :] <= (radii * radii)[:, None], axis=1)
+        # One pass per radius: a (radii x cells) boolean matrix costs twice the time.
+        return np.array([np.count_nonzero(d2 <= r2) for r2 in radii * radii], dtype=np.intp)
 
 
-def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
+def build_index(ps: PointSet, max_level: int, box=None) -> MultiScaleIndex:
     """Index a point sample down to the requested dyadic level.
 
     The root is the smallest cube centered at the bounding-box midpoint
     that covers the sample; a degenerate (single-point) box is widened so
     the leaf cells sit exactly at the declared resolution.  Building is
-    refused when leaf cells would be finer than the resolution.
+    refused when leaf cells would be finer than the resolution.  ``box`` is
+    ``ps.bounding_box()``, if the caller already has it.
+
+    Per point, building allocates one float64 column, the int64 leaf keys
+    (sorted in place) and a boolean dedup mask; everything else is sized by
+    the occupied cells it returns.
     """
     if len(ps) == 0:
         raise EmptySetError("cannot index an empty point set")
@@ -167,7 +200,7 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
             f"max_level {max_level} at dim {ps.dim} exceeds the packed-address budget"
         )
 
-    lo, hi = ps.bounding_box()
+    lo, hi = ps.bounding_box() if box is None else box
     extent = float(np.max(hi - lo))
     if extent == 0.0:
         # Degenerate sample: widen so the deepest cells match the resolution.
@@ -182,16 +215,18 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
             f"resolution ({ps.resolution:.3g}); lower max_level"
         )
 
-    n_cells = np.int64(1) << max_level
-    addr = np.floor((ps.points - root.low()) / leaf_side).astype(np.int64)
-    np.clip(addr, 0, n_cells - 1, out=addr)
-
     level_keys = [None] * (max_level + 1)
-    keys = _unique(_encode(addr, bits))
-    level_keys[max_level] = keys
+    keys = _leaf_keys(ps.points, root.low(), leaf_side, max_level, bits)
+    keys.sort()
+    level_keys[max_level] = _dedup(keys)
+    # A parent halves every address field of its child's key: one shift, then
+    # clear the top bit of each field, which the field below shifted in.
+    halved = sum(((1 << (bits - 1)) - 1) << (bits * j) for j in range(ps.dim))
     for m in range(max_level - 1, -1, -1):
-        parents = _decode(level_keys[m + 1], bits, ps.dim) >> 1
-        level_keys[m] = _unique(_encode(parents, bits))
+        keys = level_keys[m + 1] >> 1
+        keys &= halved
+        keys.sort()
+        level_keys[m] = _dedup(keys)
     for k in level_keys:
         k.flags.writeable = False
 
@@ -206,9 +241,12 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
     )
 
 
-def deepest_level(ps: PointSet) -> int:
-    """Largest level whose leaf cells are still >= the declared resolution."""
-    lo, hi = ps.bounding_box()
+def deepest_level(ps: PointSet, box=None) -> int:
+    """Largest level whose leaf cells are still >= the declared resolution.
+
+    ``box`` is ``ps.bounding_box()``, if the caller already has it.
+    """
+    lo, hi = ps.bounding_box() if box is None else box
     extent = float(np.max(hi - lo))
     if extent == 0.0:
         return 0

@@ -202,11 +202,15 @@ def apply_map(f: PlanarMap, ps: PointSet) -> PointSet:
     actually occupies at that stage of the pipeline (origin excluded; the
     radial powers fix it exactly).  Moebius stages refuse points within
     POLE_MARGIN resolution units of the pole rather than emit garbage.
+
+    Per point, only the (N, 2) output is allocated: the map works in place
+    on it, viewed as N complex numbers, one block of temporaries at a time.
     """
     if ps.dim != 2:
         raise DimensionMismatchError(f"planar maps need dim=2 point sets, got dim={ps.dim}")
     pts = ps.points
-    z = np.empty(len(pts), dtype=np.complex128)
+    out = np.empty((len(pts), 2))
+    z = out.view(np.complex128).reshape(-1)
     for b in _blocks(len(z)):
         z[b] = pts[b, 0] + 1j * pts[b, 1]
     resolution = ps.resolution
@@ -237,9 +241,6 @@ def apply_map(f: PlanarMap, ps: PointSet) -> PointSet:
         for b in _blocks(len(z)):
             z[b] = op.apply(z[b])
         resolution = resolution * scale
-    out = np.empty((len(z), 2))
-    out[:, 0] = z.real
-    out[:, 1] = z.imag
     return PointSet(dim=2, points=out, resolution=float(resolution), params=ps.params)
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from assouad_lab import cli
 from assouad_lab.cli import main
 from assouad_lab.families import FamilySpec, sample_family
 from assouad_lab.geometry import PointSet, load_points
@@ -95,6 +96,18 @@ def test_index_stats_payload(spiral_s1_coarse, capsys):
     assert sides == sorted(sides, reverse=True)
 
 
+@pytest.mark.parametrize("points, levels", [
+    ([(0.3, 0.7)], 8),  # zero extent: the CLI's fallback level count
+    ([(0.0, 0.0), (1.0, 0.5)], 9),
+])
+def test_index_for_takes_the_bounding_box_once(monkeypatch, points, levels):
+    calls = []
+    box = PointSet.bounding_box
+    monkeypatch.setattr(PointSet, "bounding_box", lambda ps: calls.append(1) or box(ps))
+    idx = cli._index_for(PointSet(dim=2, points=points, resolution=1e-3))
+    assert idx.max_level == levels and len(calls) == 1
+
+
 # ---- estimate ---------------------------------------------------------------
 
 
@@ -179,8 +192,13 @@ def assert_one_error_line(err, *needles):
     ("nope.json", '{"dim": 2, "resolution": 1e-3, "points": [[1, 2], [3]]}', "equal length"),
     ("nope.json", '{"dim": "two", "resolution": 1e-3, "points": [[1, 2]]}', "dim"),
     ("nope.json", "[[1, 2]]", "JSON object"),
+    ("nope.json", '{"dim": 2, "resolution": 1e-3, "points": []}', "no points"),
+    ("nope.json", '{"dim": 2.7, "resolution": 1e-3, "points": [[1, 2]]}', "dim must be an integer"),
+    ("nope.json", '{"dim": true, "resolution": 1e-3, "points": [[1]]}', "dim must be an integer"),
+    ("nope.json", '{"dim": 2, "resolution": true, "points": [[1, 2]]}', "resolution must be a number"),
 ], ids=["missing", "non-numeric", "ragged", "mid-file-header", "json-no-keys",
-        "json-not-json", "json-non-numeric", "json-ragged", "json-bad-dim", "json-not-object"])
+        "json-not-json", "json-non-numeric", "json-ragged", "json-bad-dim", "json-not-object",
+        "json-no-points", "json-float-dim", "json-bool-dim", "json-bool-resolution"])
 def test_estimate_missing_input(tmp_path, capsys, command, name, content, needle):
     path = tmp_path / name
     if content is not None:

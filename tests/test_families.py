@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from assouad_lab import families
 from assouad_lab.errors import InvalidParameterError, TruncationTooCoarseError
 from assouad_lab.families import (
     FamilySpec,
@@ -59,6 +63,64 @@ def test_log_spiral_smoke():
     curve = ps.points[np.isfinite(ps.params)]
     gaps = np.linalg.norm(np.diff(curve, axis=0), axis=1)
     assert gaps.max() <= 1e-3 / 2 * (1 + 1e-9)
+
+
+# The whole-array spiral sampler the block-wise one replaced, kept as the
+# reference it must match bit for bit.
+
+
+def reference_spiral(kind, k, x_max, res):
+    if kind == "poly_spiral":
+        def modulus(x):
+            return x**-k
+
+        def speed(x):
+            return x**-k * np.sqrt(1.0 + (k / x) ** 2)
+    else:
+        def modulus(x):
+            return np.exp(-k * x)
+
+        def speed(x):
+            return np.exp(-k * x) * np.sqrt(1.0 + k * k)
+    step = 0.49 * res
+    n_dense = int(min(2e6, max(8192, 400 * np.log10(max(x_max, 10.0)) ** 2 * 4)))
+    x_dense = np.geomspace(1.0, x_max, n_dense)
+    v = speed(x_dense)
+    s_dense = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(x_dense))])
+    n_pts = int(np.floor(s_dense[-1] / step) + 1)
+    xs = np.interp(np.arange(n_pts) * step, s_dense, x_dense)
+    xs[0] = 1.0
+    r = modulus(xs)
+    pts = np.column_stack([r * np.cos(xs), r * np.sin(xs)])
+    return np.vstack([pts, [0.0, 0.0]]), np.concatenate([xs, [np.inf]])
+
+
+SPIRALS = [
+    ("poly_spiral", 1.0, 100.0, 1e-2),
+    ("poly_spiral", 0.5, 200.0, 1e-2),
+    ("poly_spiral", 2.0, 100.0, 1e-3),
+    ("poly_spiral", 4.0, 1.5, 5e-2),  # a handful of points
+    ("log_spiral", 0.5, 40.0, 1e-3),
+]
+
+
+def assert_matches_reference_spiral(kind, k, x_max, res):
+    ps = sample_family(FamilySpec(kind=kind, a=k, c=k, x_max=x_max, target_resolution=res))
+    pts, params = reference_spiral(kind, k, x_max, res)
+    assert ps.points.tobytes() == pts.tobytes()
+    assert ps.params.tobytes() == params.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(SPIRALS), block=st.integers(1, 70))
+def test_spiral_matches_whole_array_reference(spec, block):
+    with mock.patch.object(families, "_BLOCK", block):
+        assert_matches_reference_spiral(*spec)
+
+
+def test_spiral_matches_whole_array_reference_across_real_blocks():
+    # S_1 to x = 1000 at res 1e-4 has ~141k points: one full block and a partial one
+    assert_matches_reference_spiral("poly_spiral", 1.0, 1e3, 1e-4)
 
 
 def test_cantor_depth2_endpoints():

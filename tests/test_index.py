@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,14 +223,34 @@ def reference_level_keys(ps, max_level):
     return keys
 
 
+def with_signed_zeros(ps, seed):
+    """A copy of the sample with about a quarter of its coordinates set to +-0.0."""
+    rng = np.random.default_rng(seed)
+    pts = ps.points.copy()
+    pick = rng.integers(0, 8, size=pts.shape)
+    pts[pick == 0] = 0.0
+    pts[pick == 1] = -0.0
+    extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    res = min(ps.resolution, extent / 2.0) if extent > 0 else 1e-3
+    return PointSet(dim=ps.dim, points=pts, resolution=res)
+
+
 @settings(max_examples=60, deadline=None)
-@given(ps=point_samples())
-@example(ps=PointSet(dim=2, points=[(0.3, 0.7)], resolution=1e-3))
-def test_level_keys_match_np_unique_reference(ps):
+@given(ps=point_samples(), zeros=st.none() | st.integers(0, 2**32 - 1))
+@example(ps=PointSet(dim=2, points=[(0.3, 0.7)], resolution=1e-3), zeros=None)
+def test_level_keys_match_np_unique_reference(ps, zeros):
+    if zeros is not None:
+        ps = with_signed_zeros(ps, zeros)
     idx = index_sample(ps)
     lo, hi = ps.bounding_box()
-    assert lo.tobytes() == ps.points.min(axis=0).tobytes()
-    assert hi.tobytes() == ps.points.max(axis=0).tobytes()
+    if zeros is None:
+        assert lo.tobytes() == ps.points.min(axis=0).tobytes()
+        assert hi.tobytes() == ps.points.max(axis=0).tobytes()
+    else:
+        # Between 0.0 and -0.0 either reduction may keep either sign; the
+        # root's low corner, center - radius, is the same number both ways.
+        assert np.array_equal(lo, ps.points.min(axis=0))
+        assert np.array_equal(hi, ps.points.max(axis=0))
     ref = reference_level_keys(ps, idx.max_level)
     assert len(idx.level_keys) == len(ref)
     for got, want in zip(idx.level_keys, ref):
@@ -273,3 +294,40 @@ def test_cell_dist2_is_bitwise_einsum_in_every_dimension(dim):
         for x in (pts[0], pts[1] + 0.01, rng.uniform(-2e3, 2e3, size=dim)):
             got = idx.cell_dist2(level, x)
             assert got.tobytes() == reference_cell_dist2(idx, level, x).tobytes()
+
+
+def test_build_index_allocates_per_point_only_a_column_the_keys_and_a_mask():
+    # duplicate-heavy, so the per-point arrays dominate the per-cell ones
+    n = 200_000
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
+    ps = PointSet(dim=2, points=pts, resolution=1e-3)
+    tracemalloc.start()
+    idx = build_index(ps, 7)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    returned = sum(k.nbytes for k in idx.level_keys)
+    # float64 column + int64 keys + bool dedup mask, plus what is returned
+    assert peak <= 8 * n + 8 * n + n + returned + 2**16
+
+
+# ---- count_intersecting_many: the radii x cells matrix it replaced ------
+
+
+def reference_count_many(idx, level, x, radii):
+    d2 = idx.cell_dist2(level, x)
+    radii = np.asarray(radii, dtype=np.float64)
+    return np.count_nonzero(d2[None, :] <= (radii * radii)[:, None], axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=point_samples(), pick=st.integers(0, 2**16),
+       radii=st.lists(st.floats(0.0, 4.0), max_size=12))
+def test_count_intersecting_many_matches_matrix_reference(ps, pick, radii):
+    idx = index_sample(ps)
+    x = ps.points[pick % len(ps)]
+    for level in range(idx.max_level + 1):
+        # unsorted, repeated, and exactly at some cells' distances
+        ladder = radii + radii[:2] + np.sqrt(idx.cell_dist2(level, x)[:3]).tolist()
+        got = idx.count_intersecting_many(level, x, ladder)
+        want = reference_count_many(idx, level, x, ladder)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

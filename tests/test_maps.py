@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -280,6 +281,21 @@ def test_apply_map_block_edges_match_reference(offset):
     want, want_res = reference_apply_map(f, ps)
     img = apply_map(f, ps)
     assert img.points.tobytes() == want.tobytes() and img.resolution == want_res
+
+
+def test_apply_map_allocates_its_output_plus_block_temporaries():
+    n, block = 100_000, 1024
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(n, 2))
+    pts[::100] = 0.0
+    ps = PointSet(dim=2, points=pts, resolution=1e-6)
+    for f in MAPS:
+        with mock.patch.object(maps, "_BLOCK", block):
+            tracemalloc.start()
+            apply_map(f, ps)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # the (N, 2) output, then a few complex temporaries of one block
+        assert peak <= 16 * n + 8 * 16 * block + 2**16, f
 
 
 def test_mobius_requires_invertible_coefficients():
