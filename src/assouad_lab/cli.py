@@ -75,6 +75,9 @@ _MIN_INDEX_LEVELS = 8
 # Most thetas a --theta-step grid may hold; each one is a full count sweep.
 _MAX_THETAS = 1000
 
+# Most query centers --centers may ask for; each one is a full ray sweep.
+_MAX_CENTERS = 1000
+
 
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
@@ -121,6 +124,19 @@ def _window_from(args, idx) -> Optional[est.ScaleWindow]:
         r_min=args.rmin if args.rmin is not None else r_min,
         r_max=args.rmax if args.rmax is not None else r_max,
     )
+
+
+def _center_budget(text: str) -> int:
+    """``--centers`` value: an integer in [1, _MAX_CENTERS], checked at parse time."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= _MAX_CENTERS:
+        raise InvalidParameterError(
+            f"--centers must be an integer in [1, {_MAX_CENTERS}], got {text!r}"
+        )
+    return value
 
 
 def _theta_grid(args, extra=()) -> tuple:
@@ -694,7 +710,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("input")
     e.add_argument("--mode", choices=["box", "spectrum", "assouad", "qa"], default="box")
     e.add_argument("--res", type=float, default=None, help="resolution override for plain CSV")
-    e.add_argument("--centers", type=int, default=est.DEFAULT_CENTER_BUDGET)
+    e.add_argument("--centers", type=_center_budget, default=est.DEFAULT_CENTER_BUDGET)
     _add_grid_flags(e)
     _add_window_flags(e)
     e.add_argument("--out", default=None)
@@ -739,7 +755,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--xmax", type=float, default=1e4)
     v.add_argument("--res", type=float, default=1e-5)
     v.add_argument("--image-res", type=float, default=None)
-    v.add_argument("--centers", type=int, default=est.DEFAULT_CENTER_BUDGET)
+    v.add_argument("--centers", type=_center_budget, default=est.DEFAULT_CENTER_BUDGET)
     v.add_argument("--claim-image-a", type=float, default=None,
                    help="assert the image spectrum equals this spiral oracle")
     _add_grid_flags(v)
@@ -758,8 +774,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        # option types that raise a usage error (``--centers``) do so here
+        args = parser.parse_args(argv)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,104 +162,251 @@ def _distances(cols: list[np.ndarray], p: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-#: Points per farthest-point chunk.  Each chunk keeps a bounding box and its
-#: largest current distance, so a round skips every chunk its new center
-#: cannot bring closer.  A round updates at most _FPS_SPAN chunks per pass,
-#: which keeps its temporaries near 1 MB.
-_FPS_CHUNK = 512
-_FPS_SPAN = 128
+#: Points per block when _coarse_cells computes keys: block-sized float
+#: temporaries, whatever the sample size.
+_BLOCK = 1 << 17
+
+#: Most members per farthest-point block.  The coarse cell at an
+#: accumulation point (the S_1 spiral's core) holds a third of the sample;
+#: cutting it into blocks, each with the bounding box of its own points,
+#: keeps each distance update near the new center.
+_FPS_BLOCK = 1024
+
+#: Untouched blocks pooled per batch in a farthest-point round (doubling
+#: while the round needs more).  Batches larger than the due blocks save
+#: interpreter round trips on later rounds.
+_FPS_BATCH = 64
+
+#: Relative slack on the float distance bounds of the farthest-point
+#: search.  Distances and box gaps carry a few ulps (~1e-16) of rounding;
+#: 1e-9 covers them with room to spare.
+_FPS_SLACK = 1e-9
 
 
-def _runs(mask: np.ndarray):
-    """(start, stop) of each run of True in a boolean array."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    return zip(edges[::2].tolist(), edges[1::2].tolist())
+class CoarseCells(NamedTuple):
+    """Source points grouped by coarse cell; see ``_coarse_cells``."""
+
+    order: np.ndarray
+    starts: np.ndarray
+    level: int
+    low: np.ndarray
+    side: float
 
 
-def farthest_point_sample(points: np.ndarray, budget: int,
-                          order: np.ndarray | None = None) -> np.ndarray:
+def _coarse_cells(idx: MultiScaleIndex) -> CoarseCells:
+    """Source points grouped by coarse cell, with the grid that defines them.
+
+    The level is ``min(max_level, 8, 16 // dim)``: the row-major cell key
+    fits a uint16, which numpy's stable argsort radix-sorts, and an axis
+    has at most 256 cells, so the cells of a 1-d sample do not shrink to a
+    point or two each.  The points of coarse cell k are
+    ``order[starts[k]:starts[k + 1]]``, in index order.  Cell k spans
+    ``low + address * side`` to ``low + (address + 1) * side`` along each
+    axis, up to the rounding of the address, and points on the root's
+    upper face are clipped into the last cell.
+
+    Keys and per-cell counts are built in blocks of ``_BLOCK`` points, by
+    the same float operations as build_index's leaf address at a coarser
+    side.  Per point this allocates the uint16 keys and the returned intp
+    ``order``; everything else is sized by a block or by the grid.
+    """
+    level = min(idx.max_level, 8, 16 // idx.dim)
+    side = idx.cell_side(level)
+    low = idx.root.low()
+    points = idx.source.points
+    keys = np.zeros(len(points), dtype=np.uint16)
+    counts = np.zeros(1 << (level * idx.dim), dtype=np.intp)
+    for s in range(0, len(points), _BLOCK):
+        block = keys[s:s + _BLOCK]
+        for j in range(idx.dim):
+            a = points[s:s + _BLOCK, j] - low[j]
+            a /= side
+            np.floor(a, out=a)
+            np.clip(a, 0, (1 << level) - 1, out=a)
+            block <<= level
+            block |= a.astype(np.uint16)
+        counts += np.bincount(block, minlength=len(counts))
+    order = np.argsort(keys, kind="stable")
+    starts = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=starts[1:])
+    return CoarseCells(order, starts, level, low, side)
+
+
+def _spans(first: np.ndarray, size: np.ndarray):
+    """Concatenation of ``arange(first[i], first[i] + size[i])`` over i, and
+    the offset of each range in it."""
+    offset = np.cumsum(size)
+    offset -= size
+    at = np.repeat(first - offset, size)
+    at += np.arange(len(at))
+    return at, offset
+
+
+def _box_gaps(lo, hi, q, far: bool):
+    """Distances from q to the nearest point of each box and, if ``far``,
+    to its farthest corner (else None).
+
+    ``lo``/``hi`` hold one array of box edges per coordinate, of any common
+    shape; ``q`` holds one coordinate (scalar or broadcastable) per axis.
+    """
+    near2 = far2 = None
+    for l, h, v in zip(lo, hi, q):
+        below, above = v - l, h - v
+        if far:
+            f = np.maximum(below, above)
+            f *= f
+            far2 = f if far2 is None else np.add(far2, f, out=far2)
+        g = np.minimum(below, above, out=below)
+        np.minimum(g, 0.0, out=g)
+        g *= g
+        near2 = g if near2 is None else np.add(near2, g, out=near2)
+    return np.sqrt(near2, out=near2), (np.sqrt(far2, out=far2) if far else None)
+
+
+def farthest_point_sample(points: np.ndarray, budget: int, cells: CoarseCells) -> np.ndarray:
     """Indices of a deterministic farthest-point subsample.
 
     Seeded at the lexicographically smallest point so repeated runs agree;
     each round adds the point farthest from everything chosen so far, which
     covers the extremes of the set first.  Ties go to the first index: among
     equal lexicographic minima for the seed, and among equal maximal
-    distances for each later round.
+    distances for each later round.  ``cells`` is ``_coarse_cells`` of an
+    index over ``points``.
 
-    ``order`` (any permutation of the points; default: as given) only
-    changes the work done, never the result.  The points are visited in
-    that order in chunks of ``_FPS_CHUNK``, and a round updates a chunk only
-    if the distance from the new center to the chunk's bounding box may undercut
-    the chunk's largest current distance, so spatially grouped orders skip
-    most chunks.
+    The search is lazy and exact.  Each occupied coarse cell is cut into
+    blocks of at most ``_FPS_BLOCK`` members.  Distances are evaluated only
+    for the points of touched blocks.  An untouched block has its cell's
+    box, widened by 64 machine epsilons of the root's coordinates to cover
+    the rounding of cell addresses and edges, and an upper bound on its
+    largest distance to the centers: the least farthest-corner distance of
+    a center, times (1 + _FPS_SLACK).  Each round:
+
+    - the new center is folded into every touched block whose box distance
+      times (1 - _FPS_SLACK) is under the block's largest distance; no
+      point of another block can get closer;
+    - E is the largest touched maximum, and untouched blocks are touched,
+      highest bounds first, ``_FPS_BATCH`` at a time (doubling), until no
+      untouched bound reaches E; the others cannot hold a point at E;
+    - the pick is the first index at distance E.
+
+    Touching a block pools its points, shrinks its box to their bounding
+    box, and folds in the centers nearest first, each only while its box
+    distance (times 1 - _FPS_SLACK) is within the block's bound and under
+    its largest distance so far.  A skipped center is never closer to a
+    point than its current distance, and distances come from
+    ``_distances``, the float operations of ``np.linalg.norm``; so every
+    distance, and every pick, is bit for bit the full-scan result.
+
+    Allocates a bool mask over the points (for the seed), arrays sized by
+    the blocks, and the pool: coordinates, distance and index of each
+    touched point (32 bytes a point in the plane).  Untouched blocks cost
+    nothing per point.
     """
-    n = len(points)
+    if budget < 1:
+        raise InvalidParameterError(f"sample budget must be >= 1, got {budget}")
+    n, dim = points.shape
     if n <= budget:
         return np.arange(n)
-    if order is None:
-        order = np.arange(n)
-    cols = [points[order, j] for j in range(points.shape[1])]
-    pos = np.flatnonzero(cols[0] == cols[0].min())
-    for c in cols[1:]:
-        v = c[pos]
+    pos = np.flatnonzero(points[:, 0] == points[:, 0].min())
+    for j in range(1, dim):
+        v = points[pos, j]
         pos = pos[v == v.min()]
-    at = int(pos[np.argmin(order[pos])])
+    chosen = [int(pos[0])]
 
-    starts = np.arange(0, n, _FPS_CHUNK)
-    stops = np.append(starts[1:], n)
-    boxes = [(np.minimum.reduceat(c, starts), np.maximum.reduceat(c, starts)) for c in cols]
-    dist = np.full(n, np.inf)
-    cmax = np.full(len(starts), np.inf)  # largest dist per chunk
-    chosen = [int(order[at])]
-    while len(chosen) < budget:
-        p = np.array([c[at] for c in cols])
-        # Distance from p to each chunk's box, by the same monotone float
-        # ops as _distances, so it never exceeds a member's distance.
-        gap = None
-        for (lo, hi), v in zip(boxes, p):
-            g = np.maximum(lo - v, v - hi)
-            np.maximum(g, 0.0, out=g)
-            g *= g
-            gap = g if gap is None else np.add(gap, g, out=gap)
-        near = np.sqrt(gap, out=gap) * (1.0 - 1e-9) <= cmax
-        for r0, r1 in _runs(near):
-            for c0 in range(r0, r1, _FPS_SPAN):
-                c1 = min(c0 + _FPS_SPAN, r1)
-                seg = slice(starts[c0], stops[c1 - 1])
-                np.minimum(dist[seg], _distances([c[seg] for c in cols], p), out=dist[seg])
-                cmax[c0:c1] = np.maximum.reduceat(dist[seg], starts[c0:c1] - starts[c0])
+    occ = np.flatnonzero(cells.starts[1:] != cells.starts[:-1])
+    nblk = (cells.starts[occ + 1] - cells.starts[occ] + _FPS_BLOCK - 1) // _FPS_BLOCK
+    cell = np.repeat(occ, nblk)
+    # block j of a cell starts j * _FPS_BLOCK members in
+    first = cells.starts[cell] + _FPS_BLOCK * _spans(np.zeros_like(nblk), nblk)[0]
+    size = np.minimum(cells.starts[cell + 1] - first, _FPS_BLOCK)
+    pad = 64 * np.finfo(float).eps * (np.abs(cells.low) + cells.side * (1 << cells.level))
+    lo, hi = [], []
+    for j in range(dim):
+        a = (cell >> (cells.level * (dim - 1 - j))) & ((1 << cells.level) - 1)
+        lo.append(cells.low[j] + a * cells.side - pad[j])
+        hi.append(cells.low[j] + (a + 1) * cells.side + pad[j])
+
+    cmax = np.full(len(cell), -np.inf)  # touched blocks: exact largest distance
+    bound = np.full(len(cell), np.inf)  # untouched blocks: upper bound on it
+    untouched = len(cell)
+    home = np.zeros(len(cell), dtype=np.intp)  # offset of a touched block in the pool
+    # Touched points, block by block: coordinates, distance to the centers,
+    # and index (exact as a float, far below 2**53).
+    pool = np.empty((dim + 2, 0))
+    used = 0
+    centers = np.empty((budget, dim))
+    centers[0] = points[chosen[0]]
+
+    def relax(c, q):
+        """Fold centers q (one, or one per point of blocks c) into blocks c."""
+        at, offset = _spans(home[c], size[c])
+        d = _distances([x[at] for x in pool[:dim]], q)
+        np.minimum(d, pool[dim, at], out=d)
+        pool[dim, at] = d
+        cmax[c] = np.maximum.reduceat(d, offset)
+
+    def touch(new, t):
+        """Pool the points of untouched blocks ``new``; fold in centers[:t]."""
+        nonlocal pool, used, untouched
+        at, offset = _spans(first[new], size[new])
+        grow = len(at)
+        if used + grow > pool.shape[1]:
+            old, pool = pool, np.empty((dim + 2, max(2 * used, used + grow)))
+            pool[:, :used] = old[:, :used]
+            del old
+        x = pool[:, used:used + grow]
+        x[dim + 1] = members = cells.order[at]
+        for j in range(dim):
+            x[j] = points[members, j]
+            lo[j][new] = np.minimum.reduceat(x[j], offset)
+            hi[j][new] = np.maximum.reduceat(x[j], offset)
+        home[new] = offset + used
+        used += grow
+        untouched -= len(new)
+        near = _box_gaps([l[new, None] for l in lo], [h[new, None] for h in hi],
+                         centers[:t].T, far=False)[0]
+        near *= 1.0 - _FPS_SLACK
+        near[near > bound[new, None]] = np.inf
+        bound[new] = -np.inf
+        # The nearest center of each block always counts; the rest while
+        # they can undercut.
+        rows = np.arange(len(new))
+        k = near.argmin(axis=1)
+        near[rows, k] = np.inf
+        x[dim] = _distances(x[:dim], np.repeat(centers[k], size[new], axis=0).T)
+        cmax[new] = np.maximum.reduceat(x[dim], offset)
+        while True:
+            k = near.argmin(axis=1)
+            act = np.flatnonzero(near[rows, k] < cmax[new])
+            if not len(act):
+                return
+            near[act, k[act]] = np.inf
+            c = new[act]
+            relax(c, np.repeat(centers[k[act]], size[c], axis=0).T)
+
+    for t in range(1, budget):
+        near, far = _box_gaps(lo, hi, centers[t - 1], far=untouched > 0)
+        if far is not None:
+            far *= 1.0 + _FPS_SLACK
+            np.minimum(bound, far, out=bound)
+        near *= 1.0 - _FPS_SLACK
+        c = np.flatnonzero(near < cmax)
+        if len(c):
+            relax(c, centers[t - 1])
         top = cmax.max()
+        batch = _FPS_BATCH
+        while untouched and bound.max() >= top:
+            # the highest bounds, due or not: early touches save round trips
+            due = np.argpartition(bound, -min(batch, len(bound)))[-batch:]
+            due = due[bound[due] > -np.inf]
+            touch(due, t)
+            top = max(top, cmax[due].max())
+            batch *= 2
         hit = np.flatnonzero(cmax == top)
-        first = starts[hit[0]]
-        pos = first + np.flatnonzero(dist[first:stops[hit[-1]]] == top)
-        at = int(pos[np.argmin(order[pos])])
-        chosen.append(int(order[at]))
+        at = _spans(home[hit], size[hit])[0]
+        chosen.append(int(pool[dim + 1, at][pool[dim, at] == top].min()))
+        centers[t] = points[chosen[-1]]
     return np.asarray(chosen)
-
-
-def _coarse_cells(idx: MultiScaleIndex):
-    """Source points grouped by coarse cell: ``(order, starts, level)``.
-
-    The level ``min(max_level, 16 // dim)`` keeps the row-major cell key in
-    a uint16, which numpy's stable argsort radix-sorts.  The points of
-    coarse cell k are ``order[starts[k]:starts[k + 1]]``, in index order.
-    """
-    level = min(idx.max_level, 16 // idx.dim)
-    side = idx.cell_side(level)
-    low = idx.root.low()
-    keys = np.zeros(len(idx.source), dtype=np.uint16)
-    for j in range(idx.dim):
-        # Same float ops as build_index's leaf address, at a coarser side.
-        a = idx.source.points[:, j] - low[j]
-        a /= side
-        np.floor(a, out=a)
-        np.clip(a, 0, (1 << level) - 1, out=a)
-        keys <<= level
-        keys |= a.astype(np.uint16)
-    order = np.argsort(keys, kind="stable")
-    starts = np.zeros((1 << (level * idx.dim)) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(keys, minlength=len(starts) - 1), out=starts[1:])
-    return order, starts, level
 
 
 def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray:
@@ -288,7 +436,7 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
     keep = np.isin(anc, top)
     deep_addr, anc = deep_addr[keep], anc[keep]
 
-    order, starts, level = cells
+    order, starts, level = cells.order, cells.starts, cells.level
     shift = idx.max_level - level
     last = (1 << idx.max_level) - 1
     side = idx.cell_side(idx.max_level)
@@ -323,13 +471,24 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
 
 
 def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
-    """Query centers: half structural hotspots, half farthest-point spread."""
+    """Query centers: half structural hotspots, half farthest-point spread.
+
+    ``budget // 2`` hotspots (fewer if the tree has fewer hot cells), then
+    a farthest-point sample fills the budget.  Both read one set of coarse
+    cells: a hotspot's snap-back searches only the cells around its drilled
+    leaf, and the farthest-point search evaluates only the blocks that can
+    hold a round's farthest point.  Each is exact against its full scan
+    (nearest sample point, farthest point, first index on ties), so the
+    centers are bit for bit those of the full-scan code.  Per point this
+    allocates the coarse cells' uint16 keys and intp order, and the
+    farthest-point pool for the points it touches.
+    """
     if budget < 1:
         raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
     cells = _coarse_cells(idx)
     hot = _structural_hotspots(idx, budget // 2, cells)
     points = idx.source.points
-    spread = points[farthest_point_sample(points, budget - len(hot), cells[0])]
+    spread = points[farthest_point_sample(points, budget - len(hot), cells)]
     if len(hot) == 0:
         return spread
     return np.vstack([hot, spread])

@@ -419,3 +419,26 @@ def test_verify_rejects_unknown_scenario(capsys, argv, needles):
     assert rc == 2
     assert_one_error_line(err, *needles)
     assert peak < 16 * 2**20  # refused before any theta grid or sample is built
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "s.csv", "--mode", "spectrum"],
+    ["verify", "--set", "spiral:a=1"],
+], ids=["estimate", "verify"])
+@pytest.mark.parametrize("value", ["0", "-1", "1001", "1000000000", "2.5", "many"])
+def test_centers_outside_the_cap_exit_before_any_sample(monkeypatch, capsys, command, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("points loaded or sampled before --centers was checked")
+
+    monkeypatch.setattr(cli, "load_points", refuse)
+    monkeypatch.setattr(cli.fam, "sample_family", refuse)
+    rc, out, err = run(capsys, *command, "--centers", value)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, "--centers", repr(value), "1000")
+
+
+@pytest.mark.parametrize("command", [["estimate", "s.csv"], ["verify", "--set", "spiral:a=1"]])
+def test_centers_cap_is_inclusive(command):
+    parser = cli._build_parser()
+    for value in (1, 1000):
+        assert parser.parse_args(command + ["--centers", str(value)]).centers == value

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -282,46 +283,103 @@ TIED_ACROSS_CELLS = PointSet(dim=1, points=[0, 1, -0.75, 1, -0.5, -0.25, 0.75, -
                              resolution=0.25)
 
 
+def fps(points, budget):
+    """farthest_point_sample over the coarse cells of an index of ``points``."""
+    idx = index_sample(PointSet(dim=points.shape[1], points=points, resolution=1e-12))
+    return farthest_point_sample(points, budget, _coarse_cells(idx))
+
+
 @settings(max_examples=80, deadline=None)
-@given(ps=point_samples(), budget=st.integers(1, 40), chunk=st.integers(1, 70),
-       span=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-@example(ps=SINGLE_POINT, budget=1, chunk=1, span=1, seed=0)
-def test_farthest_point_sample_matches_reference(ps, budget, chunk, span, seed):
-    # Any visiting order, chunk size and pass length give the reference indices.
-    want = reference_farthest_point_sample(ps.points, budget)
-    shuffled = np.random.default_rng(seed).permutation(len(ps))
-    with mock.patch.object(estimators, "_FPS_CHUNK", chunk), \
-            mock.patch.object(estimators, "_FPS_SPAN", span):
-        for order in (None, shuffled, _coarse_cells(index_sample(ps))[0]):
-            got = farthest_point_sample(ps.points, budget, order)
+@given(ps=point_samples(), budget=st.integers(1, 40), block=st.integers(1, 70),
+       batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(ps=SINGLE_POINT, budget=1, block=1, batch=1, seed=0)
+def test_farthest_point_sample_matches_reference(ps, budget, block, batch, seed):
+    # Any point order, block size and batch size give the reference indices.
+    shuffled = ps.points[np.random.default_rng(seed).permutation(len(ps))]
+    with mock.patch.object(estimators, "_FPS_BLOCK", block), \
+            mock.patch.object(estimators, "_FPS_BATCH", batch):
+        for points in (ps.points, shuffled):
+            sample = PointSet(dim=ps.dim, points=points, resolution=ps.resolution)
+            got = farthest_point_sample(points, budget, _coarse_cells(index_sample(sample)))
+            want = reference_farthest_point_sample(points, budget)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @settings(max_examples=30, deadline=None)
 @given(ps=point_samples(), extra=st.integers(0, 2))
 def test_farthest_point_sample_budget_at_least_n(ps, extra):
-    got = farthest_point_sample(ps.points, len(ps) + extra)
+    got = farthest_point_sample(ps.points, len(ps) + extra, _coarse_cells(index_sample(ps)))
     want = reference_farthest_point_sample(ps.points, len(ps) + extra)
     assert np.array_equal(got, np.arange(len(ps))) and np.array_equal(got, want)
 
 
+def test_farthest_point_sample_refuses_an_empty_budget():
+    with pytest.raises(InvalidParameterError):
+        fps(np.zeros((3, 2)), 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_farthest_point_sample_on_coarse_cell_edges(dim):
+    # The root is [0, 1]^dim.  Points sit exactly on coarse-cell edges
+    # (multiples of the coarse side), one ulp to either side of them, and
+    # on the root's upper face, which the address clip puts in the last cell.
+    level = min(8, 16 // dim)
+    rng = np.random.default_rng(dim)
+    edges = rng.integers(0, 2**level + 1, size=(300, dim)) / 2.0**level
+    nudged = np.nextafter(edges, rng.choice([-np.inf, np.inf], size=edges.shape))
+    pts = np.clip(np.vstack([[np.zeros(dim)], edges, nudged, [np.ones(dim)]]), 0.0, 1.0)
+    pts[rng.random(len(pts)) < 0.2, rng.integers(0, dim)] = 1.0
+    idx = index_sample(PointSet(dim=dim, points=pts, resolution=2.0**-10))
+    cells = _coarse_cells(idx)
+    assert cells.level == level and np.array_equal(idx.root.low(), np.zeros(dim))
+    for block in (1, 3, 1024):
+        with mock.patch.object(estimators, "_FPS_BLOCK", block):
+            for budget in (2, 17, 60, 200):
+                got = farthest_point_sample(pts, budget, cells)
+                assert np.array_equal(got, reference_farthest_point_sample(pts, budget))
+
+
+def test_farthest_point_sample_ties_go_to_the_first_index():
+    # (1, 0) and (0, 1) tie at distance 1 from the seed's and then the
+    # first pick's cell; the coarse cell of (0, 1) comes first in key order
+    # but the first index is that of (1, 0).  Duplicates tie at every round.
+    pts = np.array([(0, 0), (1, 0), (0, 1), (0, 1), (1, 0), (1, 1), (1, 1), (0, 0)], float)
+    assert fps(pts, 4).tolist() == [0, 5, 1, 2]
+    for budget in range(1, len(pts) + 1):
+        assert np.array_equal(fps(pts, budget), reference_farthest_point_sample(pts, budget))
+
+
+@pytest.mark.parametrize("a, res", [(1.0, 1e-3), (0.5, 2e-3)])
+def test_farthest_point_sample_matches_reference_on_spirals(a, res):
+    ps = sample_family(FamilySpec(kind="poly_spiral", a=a, x_max=1e3, target_resolution=res))
+    cells = _coarse_cells(index_sample(ps))
+    want = reference_farthest_point_sample(ps.points, 200)  # each budget's picks are a prefix
+    for block in (64, 1024):
+        with mock.patch.object(estimators, "_FPS_BLOCK", block):
+            for budget in (1, 2, 12, 50, 200):
+                assert np.array_equal(farthest_point_sample(ps.points, budget, cells), want[:budget])
+
+
 @settings(max_examples=60, deadline=None)
-@given(ps=point_samples(), budget=st.integers(1, 40), chunk=st.integers(1, 70))
-@example(ps=SINGLE_POINT, budget=24, chunk=70)
-@example(ps=TIED_ACROSS_CELLS, budget=2, chunk=1)
-def test_select_centers_matches_reference(ps, budget, chunk):
+@given(ps=point_samples(), budget=st.integers(1, 40), block=st.integers(1, 70))
+@example(ps=SINGLE_POINT, budget=24, block=70)
+@example(ps=TIED_ACROSS_CELLS, budget=2, block=1)
+def test_select_centers_matches_reference(ps, budget, block):
     idx = index_sample(ps)
-    with mock.patch.object(estimators, "_FPS_CHUNK", chunk):
+    with mock.patch.object(estimators, "_FPS_BLOCK", block):
         got = select_centers(idx, budget)
     want = reference_select_centers(idx, budget)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
-@given(ps=point_samples())
-def test_coarse_cells_group_points_by_leaf_ancestor(ps):
+@given(ps=point_samples(), block=st.sampled_from([1, 7, 2**17]))
+def test_coarse_cells_group_points_by_leaf_ancestor(ps, block):
     idx = index_sample(ps)
-    order, starts, level = _coarse_cells(idx)
+    with mock.patch.object(estimators, "_BLOCK", block):
+        order, starts, level, low, side = _coarse_cells(idx)
+    assert level == min(idx.max_level, 8, 16 // idx.dim)
+    assert np.array_equal(low, idx.root.low()) and side == idx.cell_side(level)
     assert np.array_equal(np.sort(order), np.arange(len(ps)))
     leaf = np.floor((ps.points - idx.root.low()) / idx.cell_side(idx.max_level)).astype(np.int64)
     np.clip(leaf, 0, 2**idx.max_level - 1, out=leaf)
@@ -331,6 +389,37 @@ def test_coarse_cells_group_points_by_leaf_ancestor(ps):
     # Stable: index order inside each coarse cell.
     same = group[1:] == group[:-1]
     assert np.all(np.diff(order)[same] > 0)
+
+
+# A 202k-point S_1/2 sample: an N-sized float64 array is 1.6 MB, more than
+# all the block-, grid- and cell-sized arrays of these passes together.
+SPIRAL_200K = FamilySpec(kind="poly_spiral", a=0.5, x_max=1e4, target_resolution=2e-3)
+
+
+def test_coarse_cells_allocates_per_point_only_the_keys_and_the_order():
+    ps = sample_family(SPIRAL_200K)
+    n, block = len(ps), 4096
+    idx = index_sample(ps)
+    with mock.patch.object(estimators, "_BLOCK", block):
+        tracemalloc.start()
+        cells = _coarse_cells(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    grid = 8 * len(cells.starts)
+    # returned order and starts, uint16 keys, two grid-sized counts, block temporaries
+    assert peak <= cells.order.nbytes + cells.starts.nbytes + 2 * n + 2 * grid + 32 * block + 2**16
+
+
+def test_farthest_point_sample_allocates_no_point_sized_float_array():
+    ps = sample_family(SPIRAL_200K)
+    n = len(ps)
+    cells = _coarse_cells(index_sample(ps))
+    for budget in (12, 24):
+        tracemalloc.start()
+        farthest_point_sample(ps.points, budget, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * n, (budget, peak / n)
 
 
 @pytest.mark.parametrize("near", [(0.249, 0.3125), (0.376, 0.3125)], ids=["below", "above"])
