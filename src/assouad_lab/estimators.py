@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, WindowTooNarrowError
-from .index import MultiScaleIndex, _decode, _encode, _unique
+from .index import MultiScaleIndex, _ancestor_keys, _decode
 
 __all__ = [
     "ScaleWindow",
@@ -162,10 +162,6 @@ def _distances(cols: list[np.ndarray], p: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-#: Points per block when _coarse_cells computes keys: block-sized float
-#: temporaries, whatever the sample size.
-_BLOCK = 1 << 17
-
 #: Most members per farthest-point block.  The coarse cell at an
 #: accumulation point (the S_1 spiral's core) holds a third of the sample;
 #: cutting it into blocks, each with the bounding box of its own points,
@@ -194,42 +190,18 @@ class CoarseCells(NamedTuple):
 
 
 def _coarse_cells(idx: MultiScaleIndex) -> CoarseCells:
-    """Source points grouped by coarse cell, with the grid that defines them.
+    """Source points grouped by the index's coarse cells, and their grid.
 
-    The level is ``min(max_level, 8, 16 // dim)``: the row-major cell key
-    fits a uint16, which numpy's stable argsort radix-sorts, and an axis
-    has at most 256 cells, so the cells of a 1-d sample do not shrink to a
-    point or two each.  The points of coarse cell k are
-    ``order[starts[k]:starts[k + 1]]``, in index order.  Cell k spans
-    ``low + address * side`` to ``low + (address + 1) * side`` along each
-    axis, up to the rounding of the address, and points on the root's
-    upper face are clipped into the last cell.
-
-    Keys and per-cell counts are built in blocks of ``_BLOCK`` points, by
-    the same float operations as build_index's leaf address at a coarser
-    side.  Per point this allocates the uint16 keys and the returned intp
-    ``order``; everything else is sized by a block or by the grid.
+    The points of coarse cell k are ``order[starts[k]:starts[k + 1]]``, in
+    index order.  Cell k spans ``low + address * side`` to
+    ``low + (address + 1) * side`` along each axis, up to the rounding of
+    the address; points on the root's upper face are in the last cell.
     """
-    level = min(idx.max_level, 8, 16 // idx.dim)
-    side = idx.cell_side(level)
-    low = idx.root.low()
-    points = idx.source.points
-    keys = np.zeros(len(points), dtype=np.uint16)
-    counts = np.zeros(1 << (level * idx.dim), dtype=np.intp)
-    for s in range(0, len(points), _BLOCK):
-        block = keys[s:s + _BLOCK]
-        for j in range(idx.dim):
-            a = points[s:s + _BLOCK, j] - low[j]
-            a /= side
-            np.floor(a, out=a)
-            np.clip(a, 0, (1 << level) - 1, out=a)
-            block <<= level
-            block |= a.astype(np.uint16)
-        counts += np.bincount(block, minlength=len(counts))
-    order = np.argsort(keys, kind="stable")
-    starts = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=starts[1:])
-    return CoarseCells(order, starts, level, low, side)
+    level = idx.coarse_level
+    starts = np.zeros((1 << (level * idx.dim)) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(idx.coarse_keys, minlength=len(starts) - 1), out=starts[1:])
+    order = np.argsort(idx.coarse_keys, kind="stable")
+    return CoarseCells(order, starts, level, idx.root.low(), idx.cell_side(level))
 
 
 def _spans(first: np.ndarray, size: np.ndarray):
@@ -414,27 +386,31 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
 
     Ranks mid-depth cells by how many deepest-level cells they contain, then
     drills each winner down level by level, always following the child with
-    the most descendants.  Accumulation points (spiral centers, sequence
-    limits) are found this way even when farthest-point sampling never
-    leaves the convex hull.  Each drilled cell snaps to its nearest sample
-    point (first index on ties).  That point lies in the cell's 3^dim leaf
-    neighbourhood: the cell holds a point within s*sqrt(dim)/2 of its
-    center, and every point outside the neighbourhood is at least 1.5*s
-    away (s the leaf side; sqrt(8)/2 < 1.5 for every supported dim).  So
-    only the coarse cells covering that neighbourhood are searched.
+    the most descendants (ties to the smaller key at both steps).
+    Accumulation points (spiral centers, sequence limits) are found this way
+    even when farthest-point sampling never leaves the convex hull.  Each
+    drilled cell snaps to its nearest sample point (first index on ties).
+    That point lies in the cell's 3^dim leaf neighbourhood: the cell holds a
+    point within s*sqrt(dim)/2 of its center, and every point outside it is
+    at least 1.5*s away (s the leaf side; sqrt(8)/2 < 1.5 for every
+    supported dim).  So only the coarse cells covering it are searched.
     """
     if budget <= 0:
         return np.empty((0, idx.dim))
-    deep = idx.level_keys[idx.max_level]
-    deep_addr = _decode(deep, idx._bits, idx.dim)
     hot_level = max(_K_LO, idx.max_level // 2)
     if hot_level >= idx.max_level:
         hot_level = max(idx.max_level - 1, 0)
-    anc = _encode(deep_addr >> (idx.max_level - hot_level), idx._bits)
-    uniq, counts = _unique(anc, return_counts=True)
-    top = uniq[np.argsort(counts)[::-1][:budget]]
-    keep = np.isin(anc, top)
-    deep_addr, anc = deep_addr[keep], anc[keep]
+    bits, dim, up = idx._bits, idx.dim, idx.max_level - hot_level
+    deep, hot = idx.level_keys[idx.max_level], idx.level_keys[hot_level]
+    anc = _ancestor_keys(deep, up, bits, dim)
+    anc.sort()
+    counts = np.diff(np.searchsorted(anc, hot), append=len(anc))
+    del anc
+    # hot keys ascend, so a stable sort of -counts breaks ties by key
+    top = hot[np.argsort(-counts, kind="stable")[:budget]]
+    lead = bits * (dim - 1) + up  # leaf keys of one first-axis hot address share key >> lead
+    row = top >> (bits * (dim - 1)) << lead
+    slab = np.searchsorted(deep, [row, row + (1 << lead)])
 
     order, starts, level = cells.order, cells.starts, cells.level
     shift = idx.max_level - level
@@ -443,13 +419,16 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
     low = np.asarray(idx.root.center) - idx.root.radius
     points = idx.source.points
     out = []
-    for key in top:
-        sub = deep_addr[anc == key]
-        for lev in range(hot_level + 1, idx.max_level + 1):
-            child = _encode(sub >> (idx.max_level - lev), idx._bits)
-            winners, tallies = _unique(child, return_counts=True)
-            sub = sub[child == winners[np.argmax(tallies)]]
-        cell = sub[0]
+    for key, first, stop in zip(top, *slab):
+        sub = deep[first:stop]
+        sub = sub[_ancestor_keys(sub, up, bits, dim) == key]
+        for t in range(up - 1, -1, -1):
+            # child slot: bit t of each address field, first field highest,
+            # so the first most-populated slot is the child with the smallest key
+            slot = sum(((sub >> (bits * (dim - 1 - j) + t)) & 1) << (dim - 1 - j)
+                       for j in range(dim))
+            sub = sub[slot == np.bincount(slot, minlength=1 << dim).argmax()]
+        cell = _decode(sub[:1], bits, dim)[0]
         cell_center = low + (cell + 0.5) * side
         lo = (np.maximum(cell - 1, 0) >> shift).tolist()
         hi = (np.minimum(cell + 1, last) >> shift).tolist()
@@ -463,7 +442,8 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
             members = order[starts[base | lo[-1]]:starts[(base | hi[-1]) + 1]]
             # Points more than 1.5 leaf sides off in the first coordinate
             # are farther than the nearest point can be.
-            cand.append(members[np.abs(points[members, 0] - cell_center[0]) <= 1.5 * side])
+            gap = np.subtract(points[members, 0], cell_center[0])
+            cand.append(members[np.abs(gap, out=gap) <= 1.5 * side])
         cand = np.sort(np.concatenate(cand))
         d = _distances([points[cand, j] for j in range(idx.dim)], cell_center)
         out.append(points[cand[np.argmin(d)]])
@@ -480,8 +460,8 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     hold a round's farthest point.  Each is exact against its full scan
     (nearest sample point, farthest point, first index on ties), so the
     centers are bit for bit those of the full-scan code.  Per point this
-    allocates the coarse cells' uint16 keys and intp order, and the
-    farthest-point pool for the points it touches.
+    allocates the coarse cells' intp order and the farthest-point pool for
+    the points it touches.
     """
     if budget < 1:
         raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
@@ -552,12 +532,14 @@ def _ray_value(g: np.ndarray, y: np.ndarray):
 
 
 def _count_rays(idx: MultiScaleIndex, centers: np.ndarray, ks: np.ndarray,
-                radii_by_k: list[np.ndarray]) -> np.ndarray:
-    """counts[c, i, j] = occupied level-ks[i] cells meeting B(centers[c], radii_by_k[i][j])."""
+                radii_by_k: list[np.ndarray], admitted: np.ndarray) -> np.ndarray:
+    """counts[c, i, j]: level-ks[i] cells meeting B(centers[c], radii_by_k[i][j]), if admitted."""
     counts = np.zeros((len(centers), len(ks), len(radii_by_k[0])))
     for ci, x in enumerate(centers):
         for i, k in enumerate(ks):
-            counts[ci, i] = idx.count_intersecting_many(int(k), x, radii_by_k[i])
+            if admitted[i].any():
+                counts[ci, i, admitted[i]] = idx.count_intersecting_many(
+                    int(k), x, radii_by_k[i][admitted[i]])
     return counts
 
 
@@ -628,13 +610,14 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
         ks = np.arange(k_lo, k_hi + 1)
         theta_arr = np.asarray(thetas)
         radii_by_k = [idx.root_side * np.exp2(-(1.0 + theta_arr * k)) for k in ks]
+        u = 1.0 + theta_arr * ks[:, None]  # [level, theta], as for the radii
+        g = ks[:, None] - u + 1.0  # log2(2R / r)
+        admitted = (u >= u_lo - 1e-9) & (g >= 1.0)
         centers = select_centers(idx, center_budget)
-        counts = _count_rays(idx, centers, ks, radii_by_k)
+        counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
 
-        for ti, theta in enumerate(thetas):
-            u = 1.0 + theta * ks
-            g = ks - u + 1.0  # log2(2R / r)
-            base_ok = (u >= u_lo - 1e-9) & (g >= 1.0)
+        for ti in range(len(thetas)):
+            base_ok, g_ti = admitted[:, ti], g[:, ti]
             per_center = []
             best = None
             for ci in range(len(centers)):
@@ -642,7 +625,7 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
                 ok = base_ok & (c >= 1)
                 if ok.sum() < _MIN_RAY_POINTS:
                     continue
-                g_ok = g[ok]
+                g_ok = g_ti[ok]
                 if g_ok.max() - g_ok.min() < _MIN_RAY_SPAN:
                     continue
                 val, fit = _ray_value(g_ok, np.log2(c[ok]))

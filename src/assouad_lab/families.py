@@ -21,16 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, TruncationTooCoarseError
-from .geometry import PointSet
+from .geometry import POINT_BUDGET, PointSet
 
 # The unsampled tail of a truncated family must stay within this many
 # resolution units of the origin; beyond that the declared resolution
 # would be a lie at scales the estimators actually probe.
 TAIL_SLACK = 16.0
-
-# Largest sample any family may generate (about 240 MB for a planar curve
-# with its parameters); larger requests are refused before allocating.
-POINT_BUDGET = 10_000_000
 
 
 def _check_budget(n_points: float, what: str) -> None:
@@ -90,8 +86,8 @@ def _arc_length_parameter(x_max: float, speed, n_dense: int) -> np.ndarray:
 
 
 #: Curve points per block: the spiral is written block by block straight into
-#: its final arrays, so temporaries stay a few MB whatever the sample size.
-_BLOCK = 1 << 17
+#: its final arrays, so temporaries fit in L2 whatever the sample size.
+_BLOCK = 1 << 14
 
 
 def _curve_points(x_max: float, modulus, speed, step: float) -> tuple:

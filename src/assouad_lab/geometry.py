@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,10 @@ from .errors import EmptySetError, InvalidParameterError
 # written in full, so repr (the shortest round-trip form) is often shorter.
 _FMT = "%.17g"
 _BLOCK_ROWS = 1 << 16  # rows formatted per write: flat memory, few calls
+
+# Largest sample a family may generate or a file may hold (about 240 MB for
+# a planar curve with its parameters); larger ones are refused.
+POINT_BUDGET = 10_000_000
 
 
 def _as_points_array(points, dim: int) -> np.ndarray:
@@ -183,10 +188,13 @@ class PointSet:
             # hold only whitespace are blank here but a row to loadtxt.
             rows = (ln for ln in itertools.chain([line], fh) if not ln.isspace())
             try:
-                arr = np.loadtxt(rows, delimiter=",", comments="#",
-                                 dtype=np.float64, ndmin=2)
+                with warnings.catch_warnings():  # loadtxt: comment lines skip max_rows
+                    warnings.filterwarnings("ignore", "Input line", UserWarning)
+                    arr = np.loadtxt(rows, delimiter=",", comments="#", dtype=np.float64,
+                                     ndmin=2, max_rows=POINT_BUDGET + 1)
             except ValueError:
                 raise _bad_row(path, lineno, cells.count(",") + 1) from None
+        _check_size(path, len(arr))
         params = None
         if header is not None and header[-1] == "param":
             params = arr[:, -1]
@@ -236,6 +244,8 @@ class PointSet:
             raise InvalidParameterError(
                 f"{path}: resolution must be a number, got {json.dumps(resolution):.40}"
             )
+        if isinstance(payload["points"], list):
+            _check_size(path, len(payload["points"]))
         params = payload.get("params")
         try:
             points = np.asarray(payload["points"], dtype=np.float64)
@@ -252,6 +262,11 @@ class PointSet:
             return cls(dim=dim, points=points, resolution=float(resolution), params=params)
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{path}: {exc}") from None
+
+
+def _check_size(path, n_points: int) -> None:
+    if n_points > POINT_BUDGET:
+        raise InvalidParameterError(f"{path}: holds over the {POINT_BUDGET:,}-point budget")
 
 
 def _bad_row(path, first: int, ncols: int) -> InvalidParameterError:

@@ -186,8 +186,8 @@ def invert(f: PlanarMap) -> PlanarMap:
 
 
 #: Points per block of apply_map: every pass over the sample works block by
-#: block, in place, so temporaries stay a few MB whatever the sample size.
-_BLOCK = 1 << 17
+#: block, in place, so temporaries fit in L2 whatever the sample size.
+_BLOCK = 1 << 14
 
 
 def _blocks(n: int):

@@ -126,6 +126,14 @@ def point_samples(draw, max_points=400):
     return PointSet(dim=dim, points=pts, resolution=res)
 
 
+def encode(addr, bits):
+    """Row-major packed keys of (N, dim) integer addresses, first axis highest."""
+    key = addr[:, 0].astype(np.int64)
+    for i in range(1, addr.shape[1]):
+        key = (key << bits) | addr[:, i].astype(np.int64)
+    return key
+
+
 def index_sample(ps):
     """Index at the deepest honest level; 8 levels for a zero-extent set, as the CLI does."""
     return build_index(ps, deepest_level(ps) or 8)

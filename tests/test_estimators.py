@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from assouad_lab import estimators
+from assouad_lab import estimators, index
 from assouad_lab.errors import InvalidParameterError, WindowTooNarrowError
 from assouad_lab.estimators import (
     DEFAULT_THETA_GRID,
@@ -26,8 +26,8 @@ from assouad_lab.estimators import (
 )
 from assouad_lab.geometry import PointSet
 from assouad_lab.families import FamilySpec, sample_family
-from assouad_lab.index import _decode, _encode, build_index, deepest_level
-from conftest import index_sample, point_samples
+from assouad_lab.index import _decode, build_index, deepest_level
+from conftest import encode, index_sample, point_samples
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -159,6 +159,28 @@ def test_absent_theta_reported_not_fabricated(cantor12_idx):
         estimate_box_dim(cantor12_idx, window=w).value)
 
 
+def test_spectrum_is_unchanged_when_every_radius_is_counted(cantor12_idx, sequence_idx):
+    # The sweep counts only the (level, theta) radii its admissibility rule
+    # can read; counting every radius must not move any value or diagnostic.
+    count_rays = estimators._count_rays
+    skipped = []
+
+    def every_radius(idx, centers, ks, radii_by_k, admitted):
+        skipped.append(int((~admitted).sum()))
+        return count_rays(idx, centers, ks, radii_by_k, np.ones_like(admitted))
+
+    spiral = index_sample(sample_family(
+        FamilySpec(kind="poly_spiral", a=1.0, x_max=1e3, target_resolution=1e-4)))
+    for idx in (cantor12_idx, sequence_idx, spiral):
+        for grid in (DEFAULT_THETA_GRID, (0.1, 0.5, 0.95)):
+            want = estimate_spectrum(idx, grid)
+            with mock.patch.object(estimators, "_count_rays", every_radius):
+                got = estimate_spectrum(idx, grid)
+            assert got.to_json() == want.to_json()
+            assert got.regularized_values == want.regularized_values
+    assert min(skipped) > 0
+
+
 def test_no_scales_at_all_is_an_error(cantor12_idx):
     w = ScaleWindow(0.01, 0.1)  # three dyadic levels: no floor, no rays
     with pytest.raises(WindowTooNarrowError):
@@ -243,16 +265,16 @@ def reference_hotspots(idx, budget):
     hot_level = max(3, idx.max_level // 2)
     if hot_level >= idx.max_level:
         hot_level = max(idx.max_level - 1, 0)
-    anc = _encode(deep_addr >> (idx.max_level - hot_level), idx._bits)
+    anc = encode(deep_addr >> (idx.max_level - hot_level), idx._bits)
     uniq, counts = np.unique(anc, return_counts=True)
-    top = uniq[np.argsort(counts)[::-1][:budget]]
+    top = uniq[np.lexsort((uniq, -counts))[:budget]]  # most leaves first, then smallest key
     low = np.asarray(idx.root.center) - idx.root.radius
     points = idx.source.points
     out = []
     for key in top:
         sub = deep_addr[anc == key]
         for lev in range(hot_level + 1, idx.max_level + 1):
-            child = _encode(sub >> (idx.max_level - lev), idx._bits)
+            child = encode(sub >> (idx.max_level - lev), idx._bits)
             winners, tallies = np.unique(child, return_counts=True)
             sub = sub[child == winners[np.argmax(tallies)]]
         cell_center = low + (sub[0] + 0.5) * idx.cell_side(idx.max_level)
@@ -372,23 +394,52 @@ def test_select_centers_matches_reference(ps, budget, block):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def reference_coarse_keys(idx):
+    """Row-major uint16 coarse keys by the float formula floor((x - low) / coarse side), clipped."""
+    level = idx.coarse_level
+    addr = np.floor((idx.source.points - idx.root.low()) / idx.cell_side(level))
+    np.clip(addr, 0, 2**level - 1, out=addr)
+    return encode(addr.astype(np.int64), level).astype(np.uint16)
+
+
 @settings(max_examples=40, deadline=None)
-@given(ps=point_samples(), block=st.sampled_from([1, 7, 2**17]))
+@given(ps=point_samples(), block=st.sampled_from([1, 7, 2**14, 2**15]))
 def test_coarse_cells_group_points_by_leaf_ancestor(ps, block):
-    idx = index_sample(ps)
-    with mock.patch.object(estimators, "_BLOCK", block):
-        order, starts, level, low, side = _coarse_cells(idx)
-    assert level == min(idx.max_level, 8, 16 // idx.dim)
+    with mock.patch.object(index, "_BLOCK", block):
+        idx = index_sample(ps)
+    order, starts, level, low, side = _coarse_cells(idx)
+    assert level == idx.coarse_level == min(idx.max_level, 8, 16 // idx.dim)
     assert np.array_equal(low, idx.root.low()) and side == idx.cell_side(level)
     assert np.array_equal(np.sort(order), np.arange(len(ps)))
     leaf = np.floor((ps.points - idx.root.low()) / idx.cell_side(idx.max_level)).astype(np.int64)
     np.clip(leaf, 0, 2**idx.max_level - 1, out=leaf)
-    key = _encode(leaf >> (idx.max_level - level), level)
+    key = encode(leaf >> (idx.max_level - level), level)
     group = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
     assert np.array_equal(key[order], group)
+    assert idx.coarse_keys.dtype == np.uint16
+    assert np.array_equal(idx.coarse_keys, reference_coarse_keys(idx))
     # Stable: index order inside each coarse cell.
     same = group[1:] == group[:-1]
     assert np.all(np.diff(order)[same] > 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coarse_keys_match_the_float_formula_on_cell_edges(dim):
+    # The root is [0, 1]^dim.  Points sit on coarse-cell edges, one ulp to
+    # either side of them, and on the root's upper face, where the float
+    # formula's clip and the shifted leaf address must agree.
+    level = min(8, 16 // dim)
+    rng = np.random.default_rng(10 + dim)
+    edges = rng.integers(0, 2**level + 1, size=(500, dim)) / 2.0**level
+    below, above = np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)
+    pts = np.clip(np.vstack([[np.zeros(dim)], edges, below, above, [np.ones(dim)]]), 0.0, 1.0)
+    pts[rng.random(len(pts)) < 0.2, rng.integers(0, dim)] = 1.0
+    ps = PointSet(dim=dim, points=pts, resolution=2.0**-12)
+    for block in (1, 7, 2**14, 2**15):
+        with mock.patch.object(index, "_BLOCK", block):
+            idx = index_sample(ps)
+        assert idx.coarse_level == level and np.array_equal(idx.root.low(), np.zeros(dim))
+        assert np.array_equal(idx.coarse_keys, reference_coarse_keys(idx))
 
 
 # A 202k-point S_1/2 sample: an N-sized float64 array is 1.6 MB, more than
@@ -397,17 +448,15 @@ SPIRAL_200K = FamilySpec(kind="poly_spiral", a=0.5, x_max=1e4, target_resolution
 
 
 def test_coarse_cells_allocates_per_point_only_the_keys_and_the_order():
+    # The keys live on the index; bincount's intp copy of them is freed
+    # before the order is allocated.
     ps = sample_family(SPIRAL_200K)
-    n, block = len(ps), 4096
     idx = index_sample(ps)
-    with mock.patch.object(estimators, "_BLOCK", block):
-        tracemalloc.start()
-        cells = _coarse_cells(idx)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    grid = 8 * len(cells.starts)
-    # returned order and starts, uint16 keys, two grid-sized counts, block temporaries
-    assert peak <= cells.order.nbytes + cells.starts.nbytes + 2 * n + 2 * grid + 32 * block + 2**16
+    tracemalloc.start()
+    cells = _coarse_cells(idx)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= cells.order.nbytes + 2 * cells.starts.nbytes + 2**16
 
 
 def test_farthest_point_sample_allocates_no_point_sized_float_array():
@@ -433,6 +482,43 @@ def test_snap_back_reaches_neighbour_cells(near):
     got = _structural_hotspots(idx, 1, _coarse_cells(idx))
     assert got.tolist() == [list(near)]
     assert got.tobytes() == reference_hotspots(idx, 1).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hot_cells_tie_to_the_smaller_key(dim):
+    # Root [0, 1]^dim, 6 levels (leaf side 1/64), hot cells at level 3.  Hot
+    # cells 5 and 1 (per axis) hold two leaves each and are listed in that
+    # order; cell 3 holds three; the corners hold one leaf each, in hot
+    # cells 0 and 7.  Inside cells 5 and 1, and in cell 3 one level down,
+    # two leaves fall in children of equal count: the smaller key wins.
+    def leaf(first):
+        return [(first + 0.5) / 64.0] + [(8 * (first // 8) + 0.5) / 64.0] * (dim - 1)
+
+    pts = [leaf(44), leaf(40), leaf(12), leaf(8), leaf(24), leaf(28), leaf(31),
+           [0.0] * dim, [1.0] * dim]
+    idx = build_index(PointSet(dim=dim, points=pts, resolution=1.0 / 64.0), 6)
+    assert np.array_equal(idx.root.low(), np.zeros(dim)) and idx.max_level == 6
+    want = np.array([leaf(28), leaf(8), leaf(40), [0.0] * dim, [1.0] * dim])
+    for budget in (1, 2, 3, 5, 6, 40):
+        got = _structural_hotspots(idx, budget, _coarse_cells(idx))
+        assert got.tobytes() == want[:budget].tobytes()
+        assert got.tobytes() == reference_hotspots(idx, budget).tobytes()
+
+
+def test_hotspots_allocate_no_cells_by_dim_array():
+    # The ranking shifts the sorted leaf keys field by field: no decoded
+    # (leaf cells x dim) int64 addresses, at a budget under and one over the
+    # number of hot cells.
+    ps = sample_family(SPIRAL_200K)
+    idx = index_sample(ps)
+    cells = _coarse_cells(idx)
+    leaves = idx.occupied_count(idx.max_level)
+    for budget in (12, 500):
+        tracemalloc.start()
+        _structural_hotspots(idx, budget, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * idx.dim * leaves, (budget, peak / leaves)
 
 
 @pytest.mark.parametrize("a, x_max, res, shuffle", [

@@ -119,7 +119,7 @@ def test_spiral_matches_whole_array_reference(spec, block):
 
 
 def test_spiral_matches_whole_array_reference_across_real_blocks():
-    # S_1 to x = 1000 at res 1e-4 has ~141k points: one full block and a partial one
+    # S_1 to x = 1000 at res 1e-4 has ~141k points: eight full blocks and a partial one
     assert_matches_reference_spiral("poly_spiral", 1.0, 1e3, 1e-4)
 
 

@@ -268,3 +268,28 @@ def test_csv_blank_and_comment_lines_between_rows(tmp_path):
     assert ps.points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
     assert ps.params.tolist() == [1.0, np.inf]
     assert ps.resolution == 0.01
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_loaded_inputs_over_the_point_budget_exit_2(tmp_path, capsys, suffix):
+    # Comments, blank lines and a header do not count; rows past the budget
+    # + 1 are never parsed (the longest CSV ends in a row that is not numeric).
+    budget = 5
+    for n in (budget, budget + 1, budget + 40):
+        ps = PointSet(dim=2, points=np.arange(2.0 * n).reshape(n, 2), resolution=0.1,
+                      params=np.arange(float(n)))
+        path = tmp_path / f"p{n}{suffix}"
+        if suffix == ".csv":
+            ps.to_csv(path)
+            text = path.read_text().replace("\n", "\n\n# note\n")
+            path.write_text(text + ("x,y,z\n" if n > budget + 1 else ""))
+        else:
+            ps.to_json(path)
+        with mock.patch.object(geometry, "POINT_BUDGET", budget):
+            code = main(["index-stats", str(path)])
+        err = capsys.readouterr().err.strip().split("\n")
+        if n <= budget:
+            assert code == 0 and err == [""]
+        else:
+            assert code == 2 and len(err) == 1
+            assert err[0] == f"error: {path}: holds over the 5-point budget"

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from assouad_lab import index
+
 from assouad_lab.errors import (
     EmptySetError,
     InvalidParameterError,
@@ -16,14 +18,16 @@ from assouad_lab.families import cantor_intervals
 from assouad_lab.geometry import PointSet
 from assouad_lab.index import (
     _decode,
-    _encode,
+    _leaf_keys,
     build_index,
     deepest_level,
     local_dyadic_count,
     occupied_count,
     snap_level,
 )
-from conftest import center_aligned_count, index_sample, make_random_set, point_samples
+from conftest import (
+    center_aligned_count, encode, index_sample, make_random_set, point_samples,
+)
 
 
 # ---- build_index ------------------------------------------------------
@@ -216,10 +220,10 @@ def reference_level_keys(ps, max_level):
     leaf_side = extent * 2.0**-max_level
     addr = np.floor((ps.points - low) / leaf_side).astype(np.int64)
     np.clip(addr, 0, (np.int64(1) << max_level) - 1, out=addr)
-    keys = [np.unique(_encode(addr, bits))]
+    keys = [np.unique(encode(addr, bits))]
     for _ in range(max_level):
         parents = _decode(keys[0], bits, ps.dim) >> 1
-        keys.insert(0, np.unique(_encode(parents, bits)))
+        keys.insert(0, np.unique(encode(parents, bits)))
     return keys
 
 
@@ -331,3 +335,90 @@ def test_count_intersecting_many_matches_matrix_reference(ps, pick, radii):
         got = idx.count_intersecting_many(level, x, ladder)
         want = reference_count_many(idx, level, x, ladder)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ---- count_intersecting_many: the slab against the full scan ---------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(ps=point_samples(), pick=st.integers(0, 2**16),
+       radii=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6),
+       where=st.floats(-0.2, 1.2), sign=st.sampled_from([-1.0, 1.0]),
+       ulps=st.sampled_from([-1, 0, 1]), off=st.sampled_from([0.0, 2.5, -1e3]))
+def test_slab_count_matches_full_scan_at_slab_edges(ps, pick, radii, where, sign, ulps, off):
+    # x0 + R or x0 - R (R the largest radius) on a first-axis cell edge, or
+    # one ulp to either side; edges reach a few cells past the root, and the
+    # other coordinates may lie far outside it.
+    idx = index_sample(ps)
+    rmax = max(radii)
+    x = ps.points[pick % len(ps)] + off
+    for level in range(idx.max_level + 1):
+        s, low = idx.cell_side(level), idx.root.low()[0]
+        edge = low + round(where * (2**level + 4) - 2) * s
+        x[0] = edge + sign * rmax
+        if ulps:
+            x[0] = np.nextafter(x[0], ulps * np.inf)
+        got = idx.count_intersecting_many(level, x, radii)
+        want = reference_count_many(idx, level, x, radii)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_slab_count_matches_full_scan_in_dims_1_and_3(dim):
+    # dim 1 has no key fields below the first axis; dim 3 has two
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-1.0, 1.0, size=(3000, dim))
+    idx = build_index(PointSet(dim=dim, points=pts, resolution=1e-4), 12 if dim == 1 else 6)
+    for level in range(idx.max_level + 1):
+        s = idx.cell_side(level)
+        for x in (pts[0], rng.uniform(-3.0, 3.0, size=dim), idx.root.low() + s):
+            radii = [0.0, s / 2, s, 3 * s, 0.7, 5.0]
+            got = idx.count_intersecting_many(level, x, radii)
+            assert np.array_equal(got, reference_count_many(idx, level, x, radii))
+            assert idx.count_intersecting(level, x, s) == got[2]
+
+
+def test_slab_count_when_cells_near_the_float_resolution_of_the_coordinates():
+    # 56 levels over [0.1, 1.1]: leaf cells (2^-56) are finer than the ulp of
+    # the coordinates (2^-53 near 0.6), so float cell edges round by several
+    # cells; the slab widens to cover them.
+    pts = np.concatenate([[0.1, 1.1], 0.6 + np.arange(-3000, 3000) * 2.0**-55])
+    idx = build_index(PointSet(dim=1, points=pts[:, None], resolution=2.0**-56), 56)
+    low = idx.root.low()[0]
+    for level in (54, 56):
+        s = idx.cell_side(level)
+        middle = int((0.6 - low) / s)
+        for r in (s, 5 * s):
+            for a in range(middle - 1000, middle + 1000, 13):
+                for x0 in (low + a * s - r, low + a * s + r):
+                    got = idx.count_intersecting_many(level, [x0], [r, r / 2])
+                    assert np.array_equal(got, reference_count_many(idx, level, [x0], [r, r / 2]))
+
+
+# ---- leaf and coarse keys --------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_leaf_keys_below_the_low_corner_match_floor(dim):
+    # A point a few ulps below the root's low corner has (x - low) / side in
+    # (-1, 0): floor gives -1 and the cast 0, and the clip sends both to 0.
+    level, bits, coarse = 10, 10, min(8, 16 // dim)
+    low = np.full(dim, 0.3)
+    side = 2.0**-level
+    rng = np.random.default_rng(dim)
+    pts = low + rng.integers(0, 2**level, size=(200, dim)) * side
+    for k in range(1, 5):
+        pts[rng.random(len(pts)) < 0.3, rng.integers(0, dim)] = 0.3 - k * np.spacing(0.3)
+    pts[:5] = 0.3 - np.arange(1, 6)[:, None] * np.spacing(0.3)
+    for block in (1, 7, 2**14, 2**15):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(index, "_BLOCK", block)
+            keys, coarse_keys = _leaf_keys(pts, low, side, level, bits, coarse)
+        addr = np.floor((pts - low) / side).astype(np.int64)
+        np.clip(addr, 0, 2**level - 1, out=addr)
+        assert (addr[:5] == 0).all() and ((pts - low) / side < 0).any()
+        # runs of one key in a block are kept once
+        blocks = [encode(addr[i:i + block], bits) for i in range(0, len(pts), block)]
+        assert np.array_equal(keys, np.concatenate(
+            [b[np.r_[True, b[1:] != b[:-1]]] for b in blocks]))
+        assert np.array_equal(coarse_keys, encode(addr >> (level - coarse), coarse))
