@@ -10,9 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
+import signal
 import sys
+import threading
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -465,43 +469,6 @@ def cmd_classify(args) -> int:
 # ---- verify ------------------------------------------------------------
 
 
-@dataclass
-class VerifyReport:
-    """Everything one scenario produced: estimates, oracles, bounds, verdicts."""
-
-    scenario: dict
-    source_spectrum: est.SpectrumEstimate
-    image_spectrum: est.SpectrumEstimate
-    bound_report: bnd.BoundReport
-    oracle_curves: Optional[dict] = None
-    oracle_verdicts: list = field(default_factory=list)
-    eps: float = 0.2
-    oracle_eps: float = 0.15
-    timings: dict = field(default_factory=dict)
-
-    @property
-    def all_passed(self) -> bool:
-        if not self.bound_report.all_passed:
-            return False
-        return all(v["passed"] for v in self.oracle_verdicts if v["passed"] is not None)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "command": "verify",
-            "scenario": self.scenario,
-            "eps": self.eps,
-            "oracleEps": self.oracle_eps,
-            "sourceSpectrum": json.loads(self.source_spectrum.to_json()),
-            "imageSpectrum": json.loads(self.image_spectrum.to_json()),
-            "oracleCurves": self.oracle_curves,
-            "bounds": self.bound_report.to_json(),
-            "oracleVerdicts": self.oracle_verdicts,
-            "allPassed": self.all_passed,
-            "timings": {k: round(v, 3) for k, v in self.timings.items()},
-        }
-
-
 def _parse_set(text: str) -> dict:
     """Parse a scenario selector like "spiral:a=1"."""
     head, _, rest = text.partition(":")
@@ -535,7 +502,70 @@ def _net_radial_power(f: qc.PlanarMap) -> Optional[float]:
 
 
 def _estimate_curve(ps, grid, centers):
-    return est.estimate_spectrum(_index_for(ps), theta_grid=grid, center_budget=centers)
+    """The spectrum estimate of ``ps`` and the seconds it took."""
+    t0 = time.perf_counter()
+    spec = est.estimate_spectrum(_index_for(ps), theta_grid=grid, center_budget=centers)
+    return spec, time.perf_counter() - t0
+
+
+@contextmanager
+def _forked(fn):
+    """Run ``fn()`` in a forked child process while the ``with`` body runs.
+
+    Yields ``join``, which returns ``fn()``'s value or raises what it raised.
+    ``fn`` runs here, before the body, when no second process can overlap
+    it: fewer than two usable CPUs, or another thread alive (a fork copies
+    only the calling thread).  If the body raises, the child's own error
+    still comes first, as it would inline; the child is always reaped.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or threading.active_count() > 1:
+        value = fn()
+        yield lambda: value
+        return
+    sys.stdout.flush()  # else the child would write the buffered text again
+    sys.stderr.flush()
+    fd_read, fd_write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            try:
+                out = (True, fn())
+            except BaseException as exc:
+                out = (False, exc)
+            with open(fd_write, "wb") as fh:
+                pickle.dump(out, fh)
+            sys.stdout.flush()
+            sys.stderr.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(fd_write)
+    status = None
+    with open(fd_read, "rb") as reader:
+        def join():
+            nonlocal status
+            data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            if status:  # a negative code is the signal that ended the child
+                code = os.waitstatus_to_exitcode(status)
+                raise ChildProcessError(f"the forked estimate process ended with code {code}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            return value
+
+        try:
+            yield join
+        except Exception:
+            if status is None:
+                join()
+            raise
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def cmd_verify(args) -> int:
@@ -545,7 +575,8 @@ def cmd_verify(args) -> int:
     K = f.dilatation_bound
     extra = (bnd.theta_of_t(args.t),) if args.t is not None else ()
     grid = _theta_grid(args, extra=extra)
-    timings: dict = {}
+    stages = ("sampleSource", "estimateSource", "sampleImage", "estimateImage", "bounds")
+    timings = dict.fromkeys(stages, 0.0)
 
     clock = time.perf_counter
     t0 = clock()
@@ -554,46 +585,41 @@ def cmd_verify(args) -> int:
     )
     timings["sampleSource"] = clock() - t0
 
-    t0 = clock()
-    src_est = _estimate_curve(src_ps, grid, args.centers)
-    timings["estimateSource"] = clock() - t0
-
     net = _net_radial_power(f)
     a_img = None
     img_res_used = args.res
-    if net is not None and net == 1.0:
+    if net == 1.0:
         a_img = a_src
+        src_est, timings["estimateSource"] = _estimate_curve(src_ps, grid, args.centers)
         img_est = src_est
-        timings["sampleImage"] = 0.0
-        timings["estimateImage"] = 0.0
-    elif net is not None:
-        # A radial power sends the spiral with exponent a onto the one with
-        # exponent a*power, so estimate the image on its own honest sample
-        # instead of pushing worst-case Lipschitz factors through the index.
-        del src_ps  # one full-size sample alive at a time
-        a_img = a_src * net
-        res_img = args.image_res if args.image_res is not None else args.res
-        tail_floor = args.xmax ** (-a_img) / fam.TAIL_SLACK
-        if res_img < tail_floor:
-            res_img = tail_floor * (1.0 + 1e-9)
-            _warn(f"image resolution raised to {res_img:.3g} to keep the truncation tail honest")
-        img_res_used = res_img
-        t0 = clock()
-        img_ps = fam.sample_family(
-            fam.FamilySpec(kind="poly_spiral", a=a_img, x_max=args.xmax, target_resolution=res_img)
-        )
-        timings["sampleImage"] = clock() - t0
-        t0 = clock()
-        img_est = _estimate_curve(img_ps, grid, args.centers)
-        timings["estimateImage"] = clock() - t0
     else:
-        t0 = clock()
-        img_ps = qc.apply_map(f, src_ps)
-        del src_ps
-        timings["sampleImage"] = clock() - t0
-        t0 = clock()
-        img_est = _estimate_curve(img_ps, grid, args.centers)
-        timings["estimateImage"] = clock() - t0
+        # The two estimates share no state: a child process makes the
+        # source's while this one makes and estimates the image.
+        with _forked(lambda: _estimate_curve(src_ps, grid, args.centers)) as source:
+            t0 = clock()
+            if net is not None:
+                # A radial power sends the spiral with exponent a onto the one with
+                # exponent a*power, so estimate the image on its own honest sample
+                # instead of pushing worst-case Lipschitz factors through the index.
+                del src_ps  # one full-size sample alive at a time
+                a_img = a_src * net
+                res_img = args.image_res if args.image_res is not None else args.res
+                tail_floor = args.xmax ** (-a_img) / fam.TAIL_SLACK
+                if res_img < tail_floor:
+                    res_img = tail_floor * (1.0 + 1e-9)
+                    _warn(f"image resolution raised to {res_img:.3g} "
+                          "to keep the truncation tail honest")
+                img_res_used = res_img
+                img_ps = fam.sample_family(
+                    fam.FamilySpec(kind="poly_spiral", a=a_img, x_max=args.xmax,
+                                   target_resolution=res_img)
+                )
+            else:
+                img_ps = qc.apply_map(f, src_ps)
+                del src_ps
+            timings["sampleImage"] = clock() - t0
+            img_est, timings["estimateImage"] = _estimate_curve(img_ps, grid, args.centers)
+            src_est, timings["estimateSource"] = source()
 
     t0 = clock()
     ctx = bnd.ExponentContext(n=2, K=K)
@@ -648,19 +674,23 @@ def cmd_verify(args) -> int:
         "thetaGrid": list(grid),
         "claimImageA": args.claim_image_a,
     }
-    verify = VerifyReport(
-        scenario=scenario,
-        source_spectrum=src_est,
-        image_spectrum=img_est,
-        bound_report=report,
-        oracle_curves=oracle_curves,
-        oracle_verdicts=oracle_verdicts,
-        eps=args.eps,
-        oracle_eps=args.oracle_eps,
-        timings=timings,
-    )
-    _emit(verify.to_json(), args.out)
-    return EXIT_OK if verify.all_passed else EXIT_VERIFY
+    all_passed = report.all_passed and all(
+        v["passed"] for v in oracle_verdicts if v["passed"] is not None)
+    _emit({
+        "schema": SCHEMA,
+        "command": "verify",
+        "scenario": scenario,
+        "eps": args.eps,
+        "oracleEps": args.oracle_eps,
+        "sourceSpectrum": json.loads(src_est.to_json()),
+        "imageSpectrum": json.loads(img_est.to_json()),
+        "oracleCurves": oracle_curves,
+        "bounds": report.to_json(),
+        "oracleVerdicts": oracle_verdicts,
+        "allPassed": all_passed,
+        "timings": {k: round(v, 3) for k, v in timings.items()},
+    }, args.out)
+    return EXIT_OK if all_passed else EXIT_VERIFY
 
 
 # ---- parser ------------------------------------------------------------

@@ -70,9 +70,7 @@ class PointSet:
             )
         self.points = _as_points_array(self.points, self.dim)
         if len(self.points) == 0:
-            raise EmptySetError(
-                "point set is empty; use PointSet.empty() if that is intended"
-            )
+            raise EmptySetError("point set is empty")
         if self.params is not None:
             self.params = np.asarray(self.params, dtype=np.float64).reshape(-1)
             if len(self.params) != len(self.points):
@@ -80,16 +78,6 @@ class PointSet:
         self.points.flags.writeable = False
         if self.params is not None:
             self.params.flags.writeable = False
-
-    @classmethod
-    def empty(cls, dim: int, resolution: float) -> "PointSet":
-        """Explicitly empty sample (bypasses the nonempty check)."""
-        ps = cls.__new__(cls)
-        ps.dim = dim
-        ps.points = np.empty((0, dim), dtype=np.float64)
-        ps.resolution = float(resolution)
-        ps.params = None
-        return ps
 
     def __len__(self) -> int:
         return len(self.points)
@@ -184,9 +172,11 @@ class PointSet:
                     header = cells.split(",")
             else:
                 raise EmptySetError(f"no points found in {path}")
-            # The file iterator resumes after the first data row.  Lines that
-            # hold only whitespace are blank here but a row to loadtxt.
-            rows = (ln for ln in itertools.chain([line], fh) if not ln.isspace())
+            # The file iterator resumes after the first data row.  loadtxt
+            # reads a line of whitespace, or of whitespace then a comment, as
+            # a row, so strip the leading whitespace and drop what is left
+            # empty; both steps run in C, and a row is its own lstrip.
+            rows = filter(None, map(str.lstrip, itertools.chain([line], fh)))
             try:
                 with warnings.catch_warnings():  # loadtxt: comment lines skip max_rows
                     warnings.filterwarnings("ignore", "Input line", UserWarning)
@@ -320,19 +310,3 @@ class Cube:
 
     def low(self) -> np.ndarray:
         return np.asarray(self.center, dtype=np.float64) - self.radius
-
-    def contains(self, pts: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        c = np.asarray(self.center, dtype=np.float64)
-        return np.all(np.abs(pts - c) <= self.radius + slack, axis=1)
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Closed Euclidean ball."""
-
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0):
-            raise InvalidParameterError(f"radius must be > 0, got {self.radius}")

@@ -282,11 +282,6 @@ def deepest_level(ps: PointSet, box=None) -> int:
     return min(level, bits_budget)
 
 
-def occupied_count(idx: MultiScaleIndex, level: int) -> int:
-    """Number of occupied cells at a stored level."""
-    return idx.occupied_count(level)
-
-
 def snap_level(idx: MultiScaleIndex, target_side: float) -> int:
     """The unique level whose cell side s satisfies s <= target < 2s."""
     if target_side <= 0:

@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from assouad_lab import cli
 from assouad_lab.cli import main
+from assouad_lab.errors import PoleProximityError
 from assouad_lab.families import FamilySpec, sample_family
 from assouad_lab.geometry import PointSet, load_points
 
@@ -419,6 +425,147 @@ def test_verify_rejects_unknown_scenario(capsys, argv, needles):
     assert rc == 2
     assert_one_error_line(err, *needles)
     assert peak < 16 * 2**20  # refused before any theta grid or sample is built
+
+
+# ---- verify in two processes ----------------------------------------------------
+
+# Small scenario: S_1 to x = 1000 at res 1e-4 (145,588 points)
+SMALL = ["--set", "spiral:a=1", "--xmax", "1e3", "--res", "1e-4"]
+# The pushforward maps of perfbench seeds 1, 3 and 7
+PUSHFORWARDS = ["radial:K=2|similarity:s=1,t=0-1.25i",
+                "radial:K=2|similarity:s=1i,t=0.75+1.75i",
+                "radial:K=2|similarity:s=2i,t=1-1.75i"]
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the source estimate forks only with two usable CPUs")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the child processes forked while the test runs."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def verify_run(capsys, tmp_path, *argv):
+    """Exit code, report without timings (None if not written) and stderr."""
+    out = tmp_path / "verify.json"
+    out.unlink(missing_ok=True)
+    rc, _, err = run(capsys, "verify", *argv, "--out", str(out))
+    report = json.loads(out.read_text()) if out.exists() else None
+    if report is not None:
+        assert set(report.pop("timings")) == {
+            "sampleSource", "estimateSource", "sampleImage", "estimateImage", "bounds"}
+    return rc, json.dumps(report), err
+
+
+@two_cpus
+@pytest.mark.parametrize("spec", ["radial:K=2", *PUSHFORWARDS, None],
+                         ids=["radial", "seed1", "seed3", "seed7", "identity"])
+def test_verify_report_is_the_same_in_one_process_and_two(monkeypatch, capsys, tmp_path,
+                                                          forks, spec):
+    argv = [*SMALL, *(["--map", spec] if spec else [])]
+    forked = verify_run(capsys, tmp_path, *argv)
+    assert len(forks) == (1 if spec else 0)
+    one_cpu(monkeypatch)
+    assert verify_run(capsys, tmp_path, *argv) == forked
+    assert len(forks) == (1 if spec else 0)
+    assert forked[0] in (0, 4) and forked[1] != "null"  # a verdict, not an error
+
+
+@two_cpus
+@pytest.mark.parametrize("argv", [
+    # the source estimate fails in the child; the image's would not
+    ["--map", "radial:K=2", "--xmax", "100", "--res", "0.1", "--image-res", "0.01"],
+    # both fail: the source's error comes first, as it does inline
+    ["--map", "similarity:s=4", "--xmax", "10", "--res", "0.1"],
+], ids=["source-only", "both"])
+def test_verify_error_in_the_child_matches_inline(monkeypatch, capsys, tmp_path, forks, argv):
+    argv = ["--set", "spiral:a=1", *argv]
+    forked = verify_run(capsys, tmp_path, *argv)
+    assert len(forks) == 1
+    one_cpu(monkeypatch)
+    assert verify_run(capsys, tmp_path, *argv) == forked
+    rc, report, err = forked
+    assert rc == 3 and report == "null"
+    assert_one_error_line(err, "root side 1.06")
+
+
+@two_cpus
+@pytest.mark.parametrize("error", [PoleProximityError("pole too close"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_verify_error_in_the_parent_leaves_no_child(monkeypatch, capsys, tmp_path, forks,
+                                                    error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli.qc, "apply_map", fail)
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", *SMALL, "--map", PUSHFORWARDS[0]])
+    else:
+        rc, report, err = verify_run(capsys, tmp_path, *SMALL, "--map", PUSHFORWARDS[0])
+        assert rc == 3 and report == "null"
+        assert_one_error_line(err, "pole too close")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@two_cpus
+def test_verify_child_killed_by_a_signal_exits_with_one_line(tmp_path):
+    script = (
+        "import os, signal, sys\n"
+        "from assouad_lab import cli\n"
+        "parent, curve = os.getpid(), cli._estimate_curve\n"
+        "def estimate(*args):\n"
+        "    if os.getpid() != parent:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return curve(*args)\n"
+        "cli._estimate_curve = estimate\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["verify", *SMALL, "--map", PUSHFORWARDS[0]]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: the forked estimate process ended with code -9"]
+
+
+@pytest.mark.parametrize("case", ["identity", "one-cpu", "second-thread"])
+def test_verify_runs_in_one_process_when_a_fork_cannot_overlap(monkeypatch, capsys, tmp_path,
+                                                                case):
+    def refuse():
+        raise AssertionError("verify forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    argv = SMALL if case == "identity" else [*SMALL, "--map", PUSHFORWARDS[0]]
+    if case == "one-cpu":
+        one_cpu(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    if case == "second-thread":
+        waiter.start()
+    try:
+        rc, report, _ = verify_run(capsys, tmp_path, *argv)
+    finally:
+        release.set()
+    if case == "second-thread":
+        waiter.join(timeout=60)
+        assert not waiter.is_alive()
+    assert rc in (0, 4) and report != "null"
 
 
 @pytest.mark.parametrize("command", [

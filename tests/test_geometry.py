@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from assouad_lab import geometry
 from assouad_lab.cli import main
 from assouad_lab.errors import EmptySetError, InvalidParameterError
-from assouad_lab.geometry import Ball, Cube, PointSet, load_points
+from assouad_lab.geometry import Cube, PointSet, load_points
 
 from conftest import point_samples
 
@@ -44,13 +44,6 @@ def test_pointset_rejects_bad_resolution(res):
 def test_pointset_rejects_implicit_empty():
     with pytest.raises(EmptySetError):
         PointSet(dim=2, points=np.empty((0, 2)), resolution=0.1)
-
-
-def test_explicit_empty():
-    ps = PointSet.empty(dim=3, resolution=0.5)
-    assert len(ps) == 0
-    with pytest.raises(EmptySetError):
-        ps.bounding_box()
 
 
 def test_params_must_align():
@@ -125,16 +118,12 @@ def test_cube():
     q = Cube(center=(0.0, 0.0), radius=0.5)
     assert q.side == 1.0
     assert np.array_equal(q.low(), [-0.5, -0.5])
-    inside = q.contains(np.array([[0.25, 0.25], [0.75, 0.0]]))
-    assert inside.tolist() == [True, False]
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.25])
-def test_cube_and_ball_reject_nonpositive_radius(bad):
+def test_cube_rejects_nonpositive_radius(bad):
     with pytest.raises(InvalidParameterError):
         Cube(center=(0.0,), radius=bad)
-    with pytest.raises(InvalidParameterError):
-        Ball(center=(0.0,), radius=bad)
 
 
 # ---- CSV exactness against per-row reference code ------------------------
@@ -214,7 +203,7 @@ def test_csv_reader_matches_float_bit_for_bit(tmp_path_factory, ps, data):
              + (",param" if ps.params is not None else "")]
     for row in table:
         if rng.random() < 0.1:
-            lines.append(rng.choice(["", "   ", "# between rows", "\t"]))
+            lines.append(rng.choice(["", "   ", "# between rows", "\t", "  # indented", "\t#"]))
         lines.append(",".join(
             (rng.choice(CELL_FORMATS) % v) if np.isfinite(v) else repr(v) for v in row.tolist()
         ))
@@ -263,7 +252,8 @@ def test_csv_without_data_rows_is_empty(tmp_path, capsys, content):
 def test_csv_blank_and_comment_lines_between_rows(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("# assouad-lab dim=2 resolution=0.01\n\nx0,x1,param\n0.1,0.2,1\n"
-                    "\n   \n# a note\n0.3,0.4,inf # trailing note\n\t\n# end\n")
+                    "\n   \n# a note\n  # indented note\n0.3,0.4,inf # trailing note\n\t\n"
+                    "\t# tab-indented\n# end\n")
     ps = PointSet.from_csv(path)
     assert ps.points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
     assert ps.params.tolist() == [1.0, np.inf]

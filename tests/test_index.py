@@ -22,7 +22,6 @@ from assouad_lab.index import (
     build_index,
     deepest_level,
     local_dyadic_count,
-    occupied_count,
     snap_level,
 )
 from conftest import (
@@ -58,7 +57,10 @@ def test_uniform_grid_fills_level_six():
 
 def test_empty_set_refused():
     with pytest.raises(EmptySetError):
-        build_index(PointSet.empty(dim=2, resolution=0.1), 3)
+        # PointSet refuses no points, so empty a valid one after the fact
+        ps = PointSet(dim=2, points=[(0.0, 0.0)], resolution=0.1)
+        ps.points = ps.points[:0]
+        build_index(ps, 3)
 
 
 def test_indexing_below_resolution_refused():
@@ -91,7 +93,7 @@ def test_segment_counts_match_1d_bucketing(unit_segment_idx):
     idx = unit_segment_idx
     for m in range(1, 8):
         s = idx.cell_side(m)
-        c = occupied_count(idx, m)
+        c = idx.occupied_count(m)
         assert 1 / s <= c <= 1 / s + 2
 
 
