@@ -14,7 +14,7 @@ the contracting side forces the image bound to 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -162,6 +162,12 @@ def _dim_from_gap(gap: float, n: int) -> float:
     return 1.0 / (gap + 1.0 / n)
 
 
+def _inner_coeff(ctx: ExponentContext, inner_p: Optional[float]) -> float:
+    """Coefficient (1 - n/p')^{-1} of the expanding side; 1 at p' = +inf."""
+    p_inner = ctx.inner_exponent(inner_p)
+    return 1.0 if p_inner == math.inf else 1.0 / (1.0 - ctx.n / p_inner)
+
+
 def spectrum_bounds(
     t: float,
     ctx: ExponentContext,
@@ -181,10 +187,7 @@ def spectrum_bounds(
     d_expand = source_spectrum(theta_of_t(K * t))
 
     upper = _dim_from_gap(symmetric_coeff(ctx) * _recip_gap(d_contract, ctx.n), ctx.n)
-
-    p_inner = ctx.inner_exponent(inner_p)
-    coeff = 1.0 if p_inner == math.inf else 1.0 / (1.0 - ctx.n / p_inner)
-    lower = _dim_from_gap(coeff * _recip_gap(d_expand, ctx.n), ctx.n)
+    lower = _dim_from_gap(_inner_coeff(ctx, inner_p) * _recip_gap(d_expand, ctx.n), ctx.n)
     return lower, upper
 
 
@@ -200,9 +203,7 @@ def assouad_bounds(
         )
     gap = _recip_gap(alpha_source, ctx.n)
     upper = _dim_from_gap(symmetric_coeff(ctx) * gap, ctx.n)
-    p_inner = ctx.inner_exponent(inner_p)
-    coeff = 1.0 if p_inner == math.inf else 1.0 / (1.0 - ctx.n / p_inner)
-    lower = _dim_from_gap(coeff * gap, ctx.n)
+    lower = _dim_from_gap(_inner_coeff(ctx, inner_p) * gap, ctx.n)
     return lower, upper
 
 
@@ -314,8 +315,10 @@ def classify_spirals(a: float, b: float) -> SpiralClassification:
     Stated for a > b; the a < b case goes through the inverse map (same
     dilatation in the plane) and is flagged as inverted.
     """
-    if not (a > 0 and b > 0):
-        raise InvalidParameterError(f"spiral exponents must be positive, got a={a}, b={b}")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise InvalidParameterError(
+            f"spiral exponents must be finite and positive, got a={a}, b={b}"
+        )
     return SpiralClassification(
         a=a, b=b, dilatation=max(a, b) / min(a, b), inverted=a < b
     )
@@ -357,15 +360,7 @@ class ThetaVerdict:
     reason: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "theta": self.theta,
-            "estimate": self.estimate,
-            "lower": self.lower,
-            "upper": self.upper,
-            "feasible": self.feasible,
-            "passed": self.passed,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

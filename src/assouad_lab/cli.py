@@ -26,20 +26,14 @@ from . import estimators as est
 from . import families as fam
 from . import maps as qc
 from .errors import (
-    DimensionMismatchError,
-    EmptySetError,
-    InvalidDilatationError,
+    AssouadLabError,
     InvalidParameterError,
-    LevelOutOfRangeError,
     PoleProximityError,
     ResolutionExceededError,
     ScaleBelowResolutionError,
-    SpectrumUndefinedError,
-    ThetaOutOfRangeError,
-    TruncationTooCoarseError,
     WindowTooNarrowError,
 )
-from .geometry import load_points
+from .geometry import load_points, save_points
 from .index import build_index, deepest_level
 
 SCHEMA = "assouad-lab/1"
@@ -49,16 +43,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-_USAGE_ERRORS = (
-    InvalidParameterError,
-    TruncationTooCoarseError,
-    InvalidDilatationError,
-    DimensionMismatchError,
-    EmptySetError,
-    ThetaOutOfRangeError,
-    SpectrumUndefinedError,
-    LevelOutOfRangeError,
-)
+# Every other AssouadLabError is a usage or parameter error.
 _NUMERIC_ERRORS = (
     WindowTooNarrowError,
     PoleProximityError,
@@ -97,10 +82,11 @@ def _num(v):
     return v
 
 
-def _emit(payload: dict, out_path: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
+def _emit(args, payload: dict) -> None:
+    """Print the report, or write it to ``--out``, under the schema and command."""
+    text = json.dumps({"schema": SCHEMA, "command": args.command, **payload}, indent=2)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -180,14 +166,7 @@ def cmd_gen(args) -> int:
         m_max=args.mmax,
         target_resolution=args.res,
     )
-    ps = fam.sample_family(spec)
-    if args.out:
-        if args.out.endswith(".json"):
-            ps.to_json(args.out)
-        else:
-            ps.to_csv(args.out)
-    else:
-        ps.to_csv(sys.stdout)
+    save_points(fam.sample_family(spec), args.out)
     return EXIT_OK
 
 
@@ -197,8 +176,6 @@ def cmd_gen(args) -> int:
 def cmd_index_stats(args) -> int:
     ps, idx = _load(args)
     payload = {
-        "schema": SCHEMA,
-        "command": "index-stats",
         "input": args.input,
         "points": len(ps),
         "dim": ps.dim,
@@ -210,7 +187,7 @@ def cmd_index_stats(args) -> int:
             for m in range(idx.max_level + 1)
         ],
     }
-    _emit(payload, args.out)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -218,20 +195,14 @@ def cmd_index_stats(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.plot and args.mode != "spectrum":
+        raise InvalidParameterError("--plot is only available in spectrum mode")
     ps, idx = _load(args)
     window = _window_from(args, idx)
     started = time.perf_counter()
+    payload = {"mode": args.mode, "input": args.input, "points": len(ps)}
 
-    if args.mode == "box":
-        e = est.estimate_box_dim(idx, window=window)
-        payload = _dim_payload(args, ps, e)
-    elif args.mode == "qa":
-        e = est.estimate_quasi_assouad(idx, window=window, center_budget=args.centers)
-        payload = _dim_payload(args, ps, e)
-    elif args.mode == "assouad":
-        e = est.estimate_assouad(idx, window=window, center_budget=args.centers)
-        payload = _dim_payload(args, ps, e)
-    else:
+    if args.mode == "spectrum":
         spec = est.estimate_spectrum(
             idx, theta_grid=_theta_grid(args), window=window, center_budget=args.centers
         )
@@ -242,38 +213,27 @@ def cmd_estimate(args) -> int:
                 + ", ".join(f"{t:g}" for t in absent)
                 + "; raw value reported absent"
             )
-        payload = {
-            "schema": SCHEMA,
-            "command": "estimate",
-            "mode": "spectrum",
-            "input": args.input,
-            "points": len(ps),
-            "rhoHat": est.estimate_rho(spec, ambient_dim=ps.dim),
-            **json.loads(spec.to_json()),
-        }
+        payload["rhoHat"] = est.estimate_rho(spec, ambient_dim=ps.dim)
+        payload.update(spec.to_json())
         if args.plot:
             with open(args.plot, "w") as fh:
                 fh.write(spec.to_csv())
+    else:
+        if args.mode == "box":
+            e = est.estimate_box_dim(idx, window=window)
+        else:
+            limit = est.estimate_quasi_assouad if args.mode == "qa" else est.estimate_assouad
+            e = limit(idx, window=window, center_budget=args.centers)
+        payload.update(
+            value=e.value,
+            method=e.method,
+            window={"rMin": e.window.r_min, "rMax": e.window.r_max},
+            diagnostics=e.slope_diagnostics,
+        )
 
     payload["elapsedSeconds"] = round(time.perf_counter() - started, 3)
-    _emit(payload, args.out)
+    _emit(args, payload)
     return EXIT_OK
-
-
-def _dim_payload(args, ps, e: est.DimEstimate) -> dict:
-    if args.plot:
-        raise InvalidParameterError("--plot is only available in spectrum mode")
-    return {
-        "schema": SCHEMA,
-        "command": "estimate",
-        "mode": args.mode,
-        "input": args.input,
-        "points": len(ps),
-        "value": e.value,
-        "method": e.method,
-        "window": {"rMin": e.window.r_min, "rMax": e.window.r_max},
-        "diagnostics": e.slope_diagnostics,
-    }
 
 
 # ---- map ---------------------------------------------------------------
@@ -282,25 +242,22 @@ def _dim_payload(args, ps, e: est.DimEstimate) -> dict:
 def cmd_map(args) -> int:
     f = qc.parse_map_spec(args.spec)
     ps = load_points(args.input, resolution=args.res)
-    image = qc.apply_map(f, ps)
-    if args.out:
-        if args.out.endswith(".json"):
-            image.to_json(args.out)
-        else:
-            image.to_csv(args.out)
-    else:
-        image.to_csv(sys.stdout)
+    save_points(qc.apply_map(f, ps), args.out)
     return EXIT_OK
 
 
 # ---- bounds ------------------------------------------------------------
 
 
-def _context_from(args) -> bnd.ExponentContext:
-    p = args.p
-    if isinstance(p, str):
-        p = math.inf if p.lower() in ("inf", "+inf", "infinity") else float(p)
-    return bnd.ExponentContext(n=args.n, K=args.K, p=p, lam=args.lam if args.lam else 1.0)
+# The flag each formula needs, checked and echoed into the report's inputs.
+_FORMULA_INPUT = {
+    "beta-upper": "alpha",
+    "assouad": "alpha",
+    "spectrum": "t",
+    "biholder": "theta",
+    "ours": "t",
+    "compare": "t",
+}
 
 
 def _oracle_source(args) -> bnd.SpectrumFn:
@@ -316,28 +273,34 @@ def _oracle_source(args) -> bnd.SpectrumFn:
 def _read_curve(path: str) -> tuple:
     grid, vals = [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            first = line.split(",")[0]
+            cells = line.split(",")
             try:
-                float(first)
+                t = float(cells[0])
             except ValueError:
-                continue
-            t, v = line.split(",")[:2]
-            grid.append(float(t))
-            vals.append(float(v))
+                continue  # a header row
+            try:
+                v = float(cells[1])
+            except (IndexError, ValueError):
+                raise InvalidParameterError(
+                    f"{path} line {lineno}: expected theta,value numbers, got {line!r}"
+                ) from None
+            grid.append(t)
+            vals.append(v)
     if not grid:
         raise InvalidParameterError(f"no curve rows in {path}")
     return grid, vals
 
 
 def cmd_bounds(args) -> int:
+    lam = args.lam or 1.0
     if args.formula == "rh-exponent" and args.p is None and args.n >= 3:
         # this formula is how one finds an exponent, so don't demand one
-        args.p = bnd.rh_exponent_floor(args.n, args.K, args.lam if args.lam else 1.0)
-    ctx = _context_from(args)
+        args.p = bnd.rh_exponent_floor(args.n, args.K, lam)
+    ctx = bnd.ExponentContext(n=args.n, K=args.K, p=args.p, lam=lam)
     assumptions = []
     if ctx.K == 1.0:
         assumptions.append("conformal case: p = +inf, all coefficients collapse to 1")
@@ -347,26 +310,27 @@ def cmd_bounds(args) -> int:
     inputs = {
         "n": ctx.n,
         "K": ctx.K,
-        "p": _num(ctx.p),
+        "p": ctx.p,
         "lambda": ctx.lam,
         "formula": args.formula,
     }
+    need = _FORMULA_INPUT.get(args.formula)
+    if need is not None:
+        if getattr(args, need) is None:
+            raise InvalidParameterError(f"--{need} is required")
+        inputs[need] = getattr(args, need)
     values: dict = {}
 
     if args.formula == "beta-upper":
-        _require(args.alpha is not None, "--alpha is required")
         values["value"] = bnd.beta_upper(args.alpha, ctx)
-        inputs["alpha"] = args.alpha
     elif args.formula == "symmetric-coeff":
         values["value"] = bnd.symmetric_coeff(ctx)
     elif args.formula == "rh-exponent":
         if ctx.n == 2:
-            values["planar"] = _num(bnd.planar_rh_exponent(ctx.K))
-        values["floor"] = _num(bnd.rh_exponent_floor(ctx.n, ctx.K, ctx.lam))
+            values["planar"] = bnd.planar_rh_exponent(ctx.K)
+        values["floor"] = bnd.rh_exponent_floor(ctx.n, ctx.K, ctx.lam)
         assumptions.append("floor = n*lambda*K/(lambda*K - 1), a lower bound in every dimension")
     elif args.formula == "assouad":
-        _require(args.alpha is not None, "--alpha is required")
-        inputs["alpha"] = args.alpha
         lower, upper = bnd.assouad_bounds(args.alpha, ctx, inner_p=args.inner_p)
         values["lower"], values["upper"] = lower, upper
         if args.lam:
@@ -375,8 +339,6 @@ def cmd_bounds(args) -> int:
             assumptions.append("lambda form uses coefficients 1/(lambda*K) and lambda*K")
         assumptions.append(_inner_note(ctx, args.inner_p))
     elif args.formula == "spectrum":
-        _require(args.t is not None, "--t is required")
-        inputs["t"] = args.t
         src = _oracle_source(args)
         lower, upper = bnd.spectrum_bounds(args.t, ctx, src, inner_p=args.inner_p)
         values.update(
@@ -388,8 +350,6 @@ def cmd_bounds(args) -> int:
         )
         assumptions.append(_inner_note(ctx, args.inner_p))
     elif args.formula == "biholder":
-        _require(args.theta is not None, "--theta is required")
-        inputs["theta"] = args.theta
         if args.source_value is not None:
             src_val = args.source_value
         else:
@@ -398,14 +358,10 @@ def cmd_bounds(args) -> int:
         values["value"] = bnd.biholder_upper(args.theta, ctx.K, src_val)
         assumptions.append("value clamped at ambient dimension 2")
     elif args.formula == "ours":
-        _require(args.t is not None, "--t is required")
-        inputs["t"] = args.t
         d = args.d if args.d is not None else _oracle_source(args)(bnd.theta_of_t(args.t / ctx.K))
         inputs["d"] = d
         values["value"] = bnd.ours_upper(args.t, ctx.K, d)
     else:  # compare
-        _require(args.t is not None, "--t is required")
-        inputs["t"] = args.t
         cmp = bnd.compare_bounds(args.t, ctx.K, _oracle_source(args))
         values.update(
             theta=cmp.theta,
@@ -417,19 +373,12 @@ def cmd_bounds(args) -> int:
         )
 
     payload = {
-        "schema": SCHEMA,
-        "command": "bounds",
         "inputs": {k: _num(v) for k, v in inputs.items()},
         "values": {k: _num(v) for k, v in values.items()},
         "assumptions": [a for a in assumptions if a],
     }
-    _emit(payload, args.out)
+    _emit(args, payload)
     return EXIT_OK
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidParameterError(msg)
 
 
 def _inner_note(ctx: bnd.ExponentContext, inner_p) -> str:
@@ -446,18 +395,13 @@ def _inner_note(ctx: bnd.ExponentContext, inner_p) -> str:
 def cmd_classify(args) -> int:
     c = bnd.classify_spirals(args.a, args.b)
     if args.json:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "command": "classify",
-                "a": c.a,
-                "b": c.b,
-                "dilatation": c.dilatation,
-                "witness": c.witness_spec(),
-                "inverted": c.inverted,
-            },
-            args.out,
-        )
+        _emit(args, {
+            "a": c.a,
+            "b": c.b,
+            "dilatation": c.dilatation,
+            "witness": c.witness_spec(),
+            "inverted": c.inverted,
+        })
     else:
         line = f"{c.dilatation}, witness {c.witness_spec()}"
         if c.inverted:
@@ -676,20 +620,18 @@ def cmd_verify(args) -> int:
     }
     all_passed = report.all_passed and all(
         v["passed"] for v in oracle_verdicts if v["passed"] is not None)
-    _emit({
-        "schema": SCHEMA,
-        "command": "verify",
+    _emit(args, {
         "scenario": scenario,
         "eps": args.eps,
         "oracleEps": args.oracle_eps,
-        "sourceSpectrum": json.loads(src_est.to_json()),
-        "imageSpectrum": json.loads(img_est.to_json()),
+        "sourceSpectrum": src_est.to_json(),
+        "imageSpectrum": img_est.to_json(),
         "oracleCurves": oracle_curves,
         "bounds": report.to_json(),
         "oracleVerdicts": oracle_verdicts,
         "allPassed": all_passed,
         "timings": {k: round(v, 3) for k, v in timings.items()},
-    }, args.out)
+    })
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
@@ -763,7 +705,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument("--n", type=int, default=2)
     b.add_argument("--K", type=float, default=1.0)
-    b.add_argument("--p", default=None, help='Sobolev exponent, a float or "inf"')
+    b.add_argument("--p", type=float, default=None, help='Sobolev exponent, a float or "inf"')
     b.add_argument("--lambda", dest="lam", type=float, default=None)
     b.add_argument("--inner-p", type=float, default=None)
     b.add_argument("--alpha", type=float, default=None)
@@ -811,10 +753,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (AssouadLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

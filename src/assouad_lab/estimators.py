@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -126,17 +125,13 @@ class SpectrumEstimate:
     regularized_values: list[float]
     diagnostics: list
 
-    def to_json(self) -> str:
-        def clean(v):
-            return None if v is None or (isinstance(v, float) and math.isnan(v)) else v
-
-        payload = {
+    def to_json(self) -> dict:
+        return {
             "theta": list(self.theta_grid),
-            "value": [clean(v) for v in self.values],
+            "value": [None if math.isnan(v) else v for v in self.values],
             "regularized": list(self.regularized_values),
-            "diagnostics": [clean(d) for d in self.diagnostics],
+            "diagnostics": list(self.diagnostics),
         }
-        return json.dumps(payload, indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -670,48 +665,46 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
     )
 
 
-def estimate_quasi_assouad(idx: MultiScaleIndex, window: ScaleWindow | None = None,
-                           center_budget: int = DEFAULT_CENTER_BUDGET,
-                           theta_hi: float = 0.9) -> DimEstimate:
-    """Quasi-Assouad dimension: the regularized spectrum evaluated at theta_hi.
+def _limit_sweep(idx: MultiScaleIndex, window: ScaleWindow | None,
+                 center_budget: int) -> tuple[SpectrumEstimate, ScaleWindow]:
+    """The default-grid sweep that both Assouad-type dimensions read.
 
-    The theta -> 1 limit is unreachable in a finite scale window; theta_hi
-    defaults to 0.9 and is carried in the returned estimate.
+    Its last regularized value is the answer of both.  The grid stops at
+    0.9 because no larger grid theta is ever admitted: a ray at theta spans
+    (1 - theta) * k octaves at level k, over levels _K_LO..k_hi with k_hi at
+    most the index's 62 address bits, so its span is at most
+    (1 - theta) * (62 - 3), which is 2.95 < _MIN_RAY_SPAN at theta = 0.95.
     """
-    if not (0.0 < theta_hi < 1.0):
-        raise InvalidParameterError(f"theta_hi must be in (0, 1), got {theta_hi}")
-    grid = [t for t in DEFAULT_THETA_GRID if t < theta_hi - 1e-12]
-    grid.append(theta_hi)
-    spec = estimate_spectrum(idx, grid, window, center_budget)
-    window = window or ScaleWindow.default_for(idx)
-    diag = [(spec.theta_grid[i], spec.regularized_values[i]) for i in range(len(grid))]
+    spec = estimate_spectrum(idx, DEFAULT_THETA_GRID, window, center_budget)
+    return spec, window or ScaleWindow.default_for(idx)
+
+
+def estimate_quasi_assouad(idx: MultiScaleIndex, window: ScaleWindow | None = None,
+                           center_budget: int = DEFAULT_CENTER_BUDGET) -> DimEstimate:
+    """Quasi-Assouad dimension: the regularized spectrum at the grid's top, 0.9.
+
+    The theta -> 1 limit is unreachable in a finite scale window; the
+    diagnostics are the regularized curve, as (theta, value) pairs.
+    """
+    spec, window = _limit_sweep(idx, window, center_budget)
     return DimEstimate(
         value=spec.regularized_values[-1],
         method=METHOD_SPECTRUM_LIMIT,
         window=window,
-        slope_diagnostics=diag,
+        slope_diagnostics=list(zip(spec.theta_grid, spec.regularized_values)),
     )
-
-
-#: Extended grid for the Assouad estimator: push theta as close to 1 as the
-#: window allows; infeasible thetas simply drop out as absent.
-_ASSOUAD_THETA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 
 def estimate_assouad(idx: MultiScaleIndex, window: ScaleWindow | None = None,
                      center_budget: int = DEFAULT_CENTER_BUDGET) -> DimEstimate:
     """Assouad dimension: supremum of the localized statistics over all
-    admissible scale pairs, realized as the maximum of the spectrum sweep
-    over the extended theta grid (plus the box floor)."""
-    spec = estimate_spectrum(idx, _ASSOUAD_THETA_GRID, window, center_budget)
-    window = window or ScaleWindow.default_for(idx)
-    value = max(spec.regularized_values)
-    finite = [v for v in spec.values if not math.isnan(v)]
+    admissible scale pairs, which is the quasi-Assouad value: the running
+    maximum of the clipped raw values (plus the box floor) ends at it.  The
+    diagnostics are the raw values where present, as (theta, value) pairs."""
+    spec, window = _limit_sweep(idx, window, center_budget)
     diag = [(t, v) for t, v in zip(spec.theta_grid, spec.values) if not math.isnan(v)]
-    if finite:
-        value = max(value, max(finite))
     return DimEstimate(
-        value=float(np.clip(value, 0.0, idx.dim)),
+        value=spec.regularized_values[-1],
         method=METHOD_ASSOUAD_WINDOW,
         window=window,
         slope_diagnostics=diag,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -291,6 +292,16 @@ def load_points(path, resolution: float | None = None) -> PointSet:
     if path.endswith(".json"):
         return PointSet.from_json(path)
     return PointSet.from_csv(path, resolution=resolution)
+
+
+def save_points(ps: PointSet, path=None) -> None:
+    """Write ``ps`` by file extension (.json or anything-CSV); CSV to stdout without a path."""
+    if not path:
+        ps.to_csv(sys.stdout)
+    elif str(path).endswith(".json"):
+        ps.to_json(path)
+    else:
+        ps.to_csv(path)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,15 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from assouad_lab import cli
+from assouad_lab import estimators as est
 from assouad_lab.cli import main
-from assouad_lab.errors import PoleProximityError
+from assouad_lab.errors import AssouadLabError, PoleProximityError
 from assouad_lab.families import FamilySpec, sample_family
 from assouad_lab.geometry import PointSet, load_points
 
@@ -242,6 +244,35 @@ def test_estimate_plot_writes_curve(spiral_s1_coarse, tmp_path, capsys):
     assert len(lines) == 19
 
 
+@pytest.mark.parametrize("mode", ["box", "qa", "assouad"])
+def test_estimate_plot_outside_spectrum_is_refused_before_loading(mode, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran past the --plot check")
+
+    with mock.patch.object(cli, "load_points", must_not_run), \
+            mock.patch.object(est, "estimate_spectrum", must_not_run):
+        rc, out, err = run(capsys, "estimate", "missing.csv", "--mode", mode,
+                           "--plot", "curve.csv")
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, "--plot is only available in spectrum mode")
+
+
+@pytest.mark.parametrize("mode", ["qa", "assouad"])
+def test_estimate_limit_modes_run_one_default_sweep(spiral_s1_coarse, mode, capsys):
+    grids = []
+    sweep = est.estimate_spectrum
+
+    def recorded(idx, theta_grid=est.DEFAULT_THETA_GRID, *args, **kwargs):
+        grids.append(theta_grid)
+        return sweep(idx, theta_grid, *args, **kwargs)
+
+    with mock.patch.object(est, "estimate_spectrum", recorded):
+        rc, out, _ = run(capsys, "estimate", str(spiral_s1_coarse), "--mode", mode)
+    assert rc == 0
+    assert grids == [est.DEFAULT_THETA_GRID]
+    assert json.loads(out)["value"] == pytest.approx(1.62, abs=0.01)
+
+
 # ---- map --------------------------------------------------------------------
 
 
@@ -352,6 +383,32 @@ def test_bounds_missing_required_flag(capsys):
     assert "--alpha" in err
 
 
+@pytest.mark.parametrize("row", ["0.5", "0.5,abc", "0.5,"])
+def test_bounds_bad_source_csv_row(tmp_path, capsys, row):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(f"theta,value\n0.1,1.0\n{row}\n0.9,1.5\n")
+    rc, out, err = run(capsys, "bounds", "--formula", "spectrum", "--K", "2", "--t", "1",
+                       "--source-csv", str(curve))
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, str(curve), "line 3")
+
+
+def test_bounds_p_must_be_a_number(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--formula", "beta-upper", "--n", "3", "--K", "2",
+              "--p", "abc", "--alpha", "1"])
+    assert exc.value.code == 2
+    assert "--p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["inf", "+inf", "Infinity"])
+def test_bounds_p_reads_infinity(capsys, text):
+    payload = bounds_values(capsys, "--formula", "beta-upper", "--n", "3", "--K", "2",
+                            "--p", text, "--alpha", "1")
+    assert payload["inputs"]["p"] == "inf"
+    assert payload["values"]["value"] == 1.0
+
+
 # ---- classify -----------------------------------------------------------------
 
 
@@ -374,6 +431,26 @@ def test_classify_json(capsys):
     assert payload["dilatation"] == 2.0
     assert payload["witness"] == "radial:K=2"
     assert payload["inverted"] is False
+
+
+@pytest.mark.parametrize("a, b", [("inf", "1"), ("1", "inf"), ("nan", "1"), ("0", "1")])
+def test_classify_needs_finite_positive_exponents(capsys, a, b):
+    rc, out, err = run(capsys, "classify", "--a", a, "--b", b)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, "finite and positive")
+
+
+def test_every_library_error_exits_2(capsys):
+    class NewError(AssouadLabError):
+        pass
+
+    def raises(args):
+        raise NewError("a new kind of refusal")
+
+    with mock.patch.object(cli, "cmd_classify", raises):
+        rc, out, err = run(capsys, "classify", "--a", "1", "--b", "2")
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, "a new kind of refusal")
 
 
 # ---- verify ---------------------------------------------------------------------

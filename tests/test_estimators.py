@@ -104,6 +104,31 @@ def test_sequence_assouad_one_sided(sequence_idx):
     assert estimate_assouad(sequence_idx).value >= 0.85
 
 
+def test_qa_and_assouad_read_the_last_regularized_value(cantor12_idx, sequence_idx):
+    spiral = index_sample(sample_family(
+        FamilySpec(kind="poly_spiral", a=1.0, x_max=1e3, target_resolution=1e-3)))
+    for idx in (cantor12_idx, sequence_idx, spiral):
+        spec = estimate_spectrum(idx)
+        qa, assouad = estimate_quasi_assouad(idx), estimate_assouad(idx)
+        assert qa.value == assouad.value == spec.regularized_values[-1]
+        assert qa.slope_diagnostics == list(zip(spec.theta_grid, spec.regularized_values))
+        assert assouad.slope_diagnostics == [
+            (t, v) for t, v in zip(spec.theta_grid, spec.values) if not math.isnan(v)]
+
+
+def test_no_ray_at_theta_095_even_on_62_levels():
+    # The deepest index there is: a ray at 0.95 spans at most
+    # 0.05 * (62 - 3) = 2.95 octaves, under the 3 a ray needs.
+    pts = np.concatenate([[0.0], 2.0 ** (-np.arange(248) / 4)])
+    idx = index_sample(PointSet(dim=1, points=pts, resolution=2.0**-62))
+    assert idx.max_level == 62
+    grid = DEFAULT_THETA_GRID + (0.95,)
+    for window in (None, ScaleWindow(2.0**-63, 0.5)):
+        values = estimate_spectrum(idx, grid, window=window).values
+        assert not math.isnan(values[-2])  # 0.9 is admitted
+        assert math.isnan(values[-1])
+
+
 # ---- spectrum structure -------------------------------------------------
 
 
@@ -231,7 +256,7 @@ def test_rho_sits_at_grid_top_while_curve_still_rising():
 def test_spectrum_json_and_csv(cantor12_idx):
     spec = estimate_spectrum(cantor12_idx, theta_grid=(0.2, 0.5, 0.99),
                              window=ScaleWindow(0.004, 0.2))
-    payload = json.loads(spec.to_json())
+    payload = json.loads(json.dumps(spec.to_json()))
     assert set(payload) == {"theta", "value", "regularized", "diagnostics"}
     assert payload["value"][2] is None  # NaN must not leak into JSON
     lines = spec.to_csv().strip().splitlines()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from assouad_lab import geometry
 from assouad_lab.cli import main
 from assouad_lab.errors import EmptySetError, InvalidParameterError
-from assouad_lab.geometry import Cube, PointSet, load_points
+from assouad_lab.geometry import Cube, PointSet, load_points, save_points
 
 from conftest import point_samples
 
@@ -112,6 +112,17 @@ def test_load_points_dispatch(tmp_path):
     ps.to_json(tmp_path / "a.json")
     assert load_points(tmp_path / "a.csv") == ps
     assert load_points(tmp_path / "a.json") == ps
+
+
+def test_save_points_dispatch(tmp_path, capsys):
+    ps = PointSet(dim=2, points=[(0.25, 0.5)], resolution=0.1, params=[np.inf])
+    save_points(ps, tmp_path / "b.json")
+    save_points(ps, str(tmp_path / "b.csv"))
+    assert (tmp_path / "b.json").read_text().startswith("{")
+    assert load_points(tmp_path / "b.json") == ps
+    assert load_points(tmp_path / "b.csv") == ps
+    save_points(ps)
+    assert capsys.readouterr().out == (tmp_path / "b.csv").read_text()
 
 
 def test_cube():
