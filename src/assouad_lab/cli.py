@@ -10,13 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import pickle
-import signal
 import sys
-import threading
 import time
-from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -33,6 +28,7 @@ from .errors import (
     ScaleBelowResolutionError,
     WindowTooNarrowError,
 )
+from .forking import forked
 from .geometry import load_points, save_points
 from .index import build_index, deepest_level
 
@@ -271,19 +267,21 @@ def _oracle_source(args) -> bnd.SpectrumFn:
 
 
 def _read_curve(path: str) -> tuple:
-    grid, vals = [], []
+    grid, vals, header = [], [], False
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             cells = line.split(",")
+            if not (grid or header):
+                try:
+                    float(cells[0])
+                except ValueError:
+                    header = True  # one header row, before the first data row
+                    continue
             try:
-                t = float(cells[0])
-            except ValueError:
-                continue  # a header row
-            try:
-                v = float(cells[1])
+                t, v = float(cells[0]), float(cells[1])
             except (IndexError, ValueError):
                 raise InvalidParameterError(
                     f"{path} line {lineno}: expected theta,value numbers, got {line!r}"
@@ -296,7 +294,7 @@ def _read_curve(path: str) -> tuple:
 
 
 def cmd_bounds(args) -> int:
-    lam = args.lam or 1.0
+    lam = args.lam if args.lam is not None else 1.0
     if args.formula == "rh-exponent" and args.p is None and args.n >= 3:
         # this formula is how one finds an exponent, so don't demand one
         args.p = bnd.rh_exponent_floor(args.n, args.K, lam)
@@ -333,7 +331,7 @@ def cmd_bounds(args) -> int:
     elif args.formula == "assouad":
         lower, upper = bnd.assouad_bounds(args.alpha, ctx, inner_p=args.inner_p)
         values["lower"], values["upper"] = lower, upper
-        if args.lam:
+        if args.lam is not None:
             ll, lu = bnd.assouad_bounds_lambda(args.alpha, ctx)
             values["lambdaLower"], values["lambdaUpper"] = ll, lu
             assumptions.append("lambda form uses coefficients 1/(lambda*K) and lambda*K")
@@ -452,66 +450,6 @@ def _estimate_curve(ps, grid, centers):
     return spec, time.perf_counter() - t0
 
 
-@contextmanager
-def _forked(fn):
-    """Run ``fn()`` in a forked child process while the ``with`` body runs.
-
-    Yields ``join``, which returns ``fn()``'s value or raises what it raised.
-    ``fn`` runs here, before the body, when no second process can overlap
-    it: fewer than two usable CPUs, or another thread alive (a fork copies
-    only the calling thread).  If the body raises, the child's own error
-    still comes first, as it would inline; the child is always reaped.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or threading.active_count() > 1:
-        value = fn()
-        yield lambda: value
-        return
-    sys.stdout.flush()  # else the child would write the buffered text again
-    sys.stderr.flush()
-    fd_read, fd_write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            try:
-                out = (True, fn())
-            except BaseException as exc:
-                out = (False, exc)
-            with open(fd_write, "wb") as fh:
-                pickle.dump(out, fh)
-            sys.stdout.flush()
-            sys.stderr.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(fd_write)
-    status = None
-    with open(fd_read, "rb") as reader:
-        def join():
-            nonlocal status
-            data = reader.read()
-            status = os.waitpid(pid, 0)[1]
-            if status:  # a negative code is the signal that ended the child
-                code = os.waitstatus_to_exitcode(status)
-                raise ChildProcessError(f"the forked estimate process ended with code {code}")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            return value
-
-        try:
-            yield join
-        except Exception:
-            if status is None:
-                join()
-            raise
-        finally:
-            if status is None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def cmd_verify(args) -> int:
     params = _parse_set(args.set)
     a_src = params["a"]
@@ -539,7 +477,7 @@ def cmd_verify(args) -> int:
     else:
         # The two estimates share no state: a child process makes the
         # source's while this one makes and estimates the image.
-        with _forked(lambda: _estimate_curve(src_ps, grid, args.centers)) as source:
+        with forked(lambda: _estimate_curve(src_ps, grid, args.centers), "estimate") as source:
             t0 = clock()
             if net is not None:
                 # A radial power sends the spiral with exponent a onto the one with

@@ -12,20 +12,27 @@ trips and map application.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
+import os
+import shutil
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptySetError, InvalidParameterError
+from .forking import can_overlap, forked
 
 # 17 significant digits round-trip every float64 exactly.  They are always
 # written in full, so repr (the shortest round-trip form) is often shorter.
 _FMT = "%.17g"
-_BLOCK_ROWS = 1 << 16  # rows formatted per write: flat memory, few calls
+_BLOCK_ROWS = 1 << 16  # rows formatted per write: flat memory, few calls; more use two CPUs
+_SPLIT_BYTES = 1 << 22  # a CSV of more bytes is read on two CPUs
+_CHUNK_BYTES = 1 << 20  # text read, or copied, per call
 
 # Largest sample a family may generate or a file may hold (about 240 MB for
 # a planar curve with its parameters); larger ones are refused.
@@ -122,16 +129,19 @@ class PointSet:
                 self._write_csv(fh, cols, data)
 
     def _write_csv(self, fh, cols, data) -> None:
-        fh.write(
-            f"# assouad-lab dim={self.dim} resolution={_FMT % self.resolution}\n"
-        )
-        fh.write(",".join(cols) + "\n")
-        # One %-operation per block of rows; each value is still a Python
-        # float under %.17g, so the text round-trips bit for bit.
+        fh.write(f"# assouad-lab dim={self.dim} resolution={_FMT % self.resolution}\n"
+                 + ",".join(cols) + "\n")
         row = ",".join([_FMT] * data.shape[1]) + "\n"
-        for start in range(0, len(data), _BLOCK_ROWS):
-            block = data[start:start + _BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        if len(data) <= _BLOCK_ROWS or not can_overlap():
+            return _write_rows(fh, row, data)
+        # A child writes the second half to an unlinked file, copied in bounded chunks.
+        half = len(data) // 2
+        with (tempfile.TemporaryFile("w+", 1, encoding="ascii", newline="") as tail,
+              forked(lambda: _write_rows(tail, row, data[half:]), "CSV write") as join):
+            _write_rows(fh, row, data[:half])
+            join()
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh, _CHUNK_BYTES)
 
     @classmethod
     def from_csv(cls, path, resolution: float | None = None) -> "PointSet":
@@ -173,16 +183,10 @@ class PointSet:
                     header = cells.split(",")
             else:
                 raise EmptySetError(f"no points found in {path}")
-            # The file iterator resumes after the first data row.  loadtxt
-            # reads a line of whitespace, or of whitespace then a comment, as
-            # a row, so strip the leading whitespace and drop what is left
-            # empty; both steps run in C, and a row is its own lstrip.
-            rows = filter(None, map(str.lstrip, itertools.chain([line], fh)))
-            try:
-                with warnings.catch_warnings():  # loadtxt: comment lines skip max_rows
-                    warnings.filterwarnings("ignore", "Input line", UserWarning)
-                    arr = np.loadtxt(rows, delimiter=",", comments="#", dtype=np.float64,
-                                     ndmin=2, max_rows=POINT_BUDGET + 1)
+            big = os.fstat(fh.fileno()).st_size > _SPLIT_BYTES  # a pipe's size is 0
+            try:  # the file iterator resumes after the first data row
+                arr = (_load_halves(path, lineno) if big and can_overlap()
+                       else _load_rows(itertools.chain([line], fh)))
             except ValueError:
                 raise _bad_row(path, lineno, cells.count(",") + 1) from None
         _check_size(path, len(arr))
@@ -253,6 +257,53 @@ class PointSet:
             return cls(dim=dim, points=points, resolution=float(resolution), params=params)
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{path}: {exc}") from None
+
+
+def _write_rows(fh, row: str, data: np.ndarray) -> None:
+    # One %-operation per block of rows; each value is still a Python
+    # float under %.17g, so the text round-trips bit for bit.
+    for start in range(0, len(data), _BLOCK_ROWS):
+        block = data[start:start + _BLOCK_ROWS]
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _load_rows(lines) -> np.ndarray:
+    # loadtxt reads a line of whitespace, or of whitespace then a comment, as
+    # a row, so strip the leading whitespace and drop what is left empty;
+    # both steps run in C, and a row is its own lstrip.
+    rows = filter(None, map(str.lstrip, lines))
+    with warnings.catch_warnings():  # comment lines skip max_rows; a half may hold none
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(rows, delimiter=",", comments="#", dtype=np.float64,
+                          ndmin=2, max_rows=POINT_BUDGET + 1)
+
+
+def _load_range(path, start: int, stop: int) -> np.ndarray:
+    """Parse bytes [start, stop) of ``path``, opened here: forks share file offsets."""
+    def chunk():  # whole lines, split in C as open(path) splits them; stop is a line end
+        text = fh.read(max(0, min(_CHUNK_BYTES, stop - fh.tell())))
+        if text and not text.endswith(b"\n"):
+            text += fh.readline()
+        return io.TextIOWrapper(io.BytesIO(text)).readlines()
+
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return _load_rows(itertools.chain.from_iterable(iter(chunk, [])))
+
+
+def _load_halves(path, first: int) -> np.ndarray:
+    """The data rows from line ``first`` on, cut at the first line end after
+    their byte midpoint; each half is parsed by its own process."""
+    with open(path, newline="") as fh:  # line ends kept, so lengths are bytes
+        start = sum(len(s.encode(fh.encoding)) for s in itertools.islice(fh, first - 1))
+    with open(path, "rb") as fh:
+        size = fh.seek(0, io.SEEK_END)
+        cut = fh.seek((start + size) // 2) + len(fh.readline())
+    with forked(lambda: _load_range(path, cut, size), "CSV read") as join:
+        head = _load_range(path, start, cut)
+        tail = join()
+    # Halves of different widths raise ValueError, as a ragged file does in one pass.
+    return np.concatenate([head, tail]) if len(tail) else head  # comments add no rows
 
 
 def _check_size(path, n_points: int) -> None:

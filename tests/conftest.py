@@ -1,5 +1,7 @@
 """Shared fixtures: expensive samples are built once per session."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -155,3 +157,22 @@ def center_aligned_count(ps, x, radius, m):
     addr = np.floor((inside - (x - radius)) / sigma).astype(np.int64)
     np.clip(addr, 0, 2**m - 1, out=addr)
     return len(np.unique(addr, axis=0))
+
+
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="work is split between two processes only with two usable CPUs")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the child processes forked while the test runs."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids

@@ -20,6 +20,8 @@ from assouad_lab.errors import AssouadLabError, PoleProximityError
 from assouad_lab.families import FamilySpec, sample_family
 from assouad_lab.geometry import PointSet, load_points
 
+from conftest import two_cpus
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -393,6 +395,29 @@ def test_bounds_bad_source_csv_row(tmp_path, capsys, row):
     assert_one_error_line(err, str(curve), "line 3")
 
 
+@pytest.mark.parametrize("formula", ["beta-upper", "assouad"])
+@pytest.mark.parametrize("value", ["0", "0.5"])
+def test_bounds_lambda_below_one_exits_2(capsys, formula, value):
+    rc, out, err = run(capsys, "bounds", "--formula", formula, "--K", "2", "--alpha", "1",
+                       "--lambda", value)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, f"lambda must be >= 1, got {value}")
+
+
+@pytest.mark.parametrize("content, line, row", [
+    ("theta,value\n0.1,1.0\nx,5\n0.5,1.2\nzzz,9\n0.9,1.5\n", 3, "x,5"),
+    ("theta,value\ntheta,value\n0.1,1.0\n", 2, "theta,value"),
+], ids=["rows-between-data", "second-header"])
+def test_bounds_source_csv_takes_one_header_before_the_data(tmp_path, capsys, content, line,
+                                                            row):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(content)
+    rc, out, err = run(capsys, "bounds", "--formula", "spectrum", "--K", "2", "--t", "1",
+                       "--source-csv", str(curve))
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, str(curve), f"line {line}", repr(row))
+
+
 def test_bounds_p_must_be_a_number(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--formula", "beta-upper", "--n", "3", "--K", "2",
@@ -512,23 +537,6 @@ SMALL = ["--set", "spiral:a=1", "--xmax", "1e3", "--res", "1e-4"]
 PUSHFORWARDS = ["radial:K=2|similarity:s=1,t=0-1.25i",
                 "radial:K=2|similarity:s=1i,t=0.75+1.75i",
                 "radial:K=2|similarity:s=2i,t=1-1.75i"]
-two_cpus = pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="the source estimate forks only with two usable CPUs")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Pids of the child processes forked while the test runs."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
 
 
 def one_cpu(monkeypatch):
@@ -619,6 +627,33 @@ def test_verify_child_killed_by_a_signal_exits_with_one_line(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: the forked estimate process ended with code -9"]
+
+
+@two_cpus
+@pytest.mark.parametrize("task", ["write", "read"])
+def test_csv_child_killed_by_a_signal_exits_with_one_line(tmp_path, task):
+    sample_family(FamilySpec(kind="poly_spiral", a=1.0, x_max=100.0,
+                             target_resolution=1e-3)).to_csv(tmp_path / "s.csv")
+    step = "_write_rows" if task == "write" else "_load_range"
+    script = (
+        "import os, signal, sys\n"
+        "from assouad_lab import cli, geometry\n"
+        "geometry._BLOCK_ROWS = geometry._SPLIT_BYTES = 1000  # small files split\n"
+        f"parent, step = os.getpid(), geometry.{step}\n"
+        "def die(*args):\n"
+        "    if os.getpid() != parent:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return step(*args)\n"
+        f"geometry.{step} = die\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = (["gen", "--family", "spiral", "--xmax", "100", "-o", "out.csv"] if task == "write"
+            else ["index-stats", "s.csv"])
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: the forked CSV {task} process ended with code -9"]
 
 
 @pytest.mark.parametrize("case", ["identity", "one-cpu", "second-thread"])

@@ -1,5 +1,10 @@
+import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +17,7 @@ from assouad_lab.cli import main
 from assouad_lab.errors import EmptySetError, InvalidParameterError
 from assouad_lab.geometry import Cube, PointSet, load_points, save_points
 
-from conftest import point_samples
+from conftest import point_samples, two_cpus
 
 
 def test_pointset_basic():
@@ -294,3 +299,174 @@ def test_loaded_inputs_over_the_point_budget_exit_2(tmp_path, capsys, suffix):
         else:
             assert code == 2 and len(err) == 1
             assert err[0] == f"error: {path}: holds over the 5-point budget"
+
+
+# ---- CSV on two processes ----------------------------------------------------
+
+def one_cpu():
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)
+
+
+def split_at(block_rows=8, split_bytes=64):
+    """Thresholds low enough that a few rows take the two-process path, and
+    chunks small enough that they end inside lines and line ends."""
+    return mock.patch.multiple(geometry, _BLOCK_ROWS=block_rows, _SPLIT_BYTES=split_bytes,
+                               _CHUNK_BYTES=5)
+
+
+def csv_text(ps, sink, capfd, tmp_path) -> str:
+    if sink == "path":
+        path = tmp_path / "out.csv"
+        ps.to_csv(path)
+        return path.read_text()
+    if sink == "stringio":
+        return written(ps)
+    capfd.readouterr()
+    save_points(ps)  # stdout
+    out, err = capfd.readouterr()
+    assert err == ""
+    return out
+
+
+@two_cpus
+@pytest.mark.parametrize("sink", ["path", "stringio", "stdout"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("with_params", [False, True], ids=["points", "params"])
+@pytest.mark.parametrize("block, extra", [(8, -1), (8, 0), (8, 1), (9, -1), (9, 0), (9, 1)],
+                         ids=["7-of-8", "8-of-8", "9-of-8", "8-of-9", "9-of-9", "10-of-9"])
+def test_split_csv_write_matches_one_cpu(tmp_path, capfd, forks, sink, dim, with_params,
+                                         block, extra):
+    n = block + extra
+    rng = np.random.default_rng(n * 10 + dim)
+    ps = PointSet(dim=dim, points=rng.uniform(-1, 1, size=(n, dim)), resolution=1e-3,
+                  params=rng.normal(size=n) if with_params else None)
+    with split_at(block_rows=block):
+        text = csv_text(ps, sink, capfd, tmp_path)
+        assert len(forks) == (1 if n > block else 0)
+        with one_cpu():
+            assert csv_text(ps, sink, capfd, tmp_path) == text
+    assert len(forks) == (1 if n > block else 0)
+    assert text == reference_write_csv(ps)
+
+
+@two_cpus
+def test_split_csv_write_to_a_piped_stdout(tmp_path):
+    # A pipe block-buffers stdout: text buffered at the fork must not be written twice.
+    script = (
+        "import numpy as np\n"
+        "from assouad_lab import geometry\n"
+        "geometry._BLOCK_ROWS = 8\n"
+        "pts = np.arange(60.0).reshape(20, 3) / 7\n"
+        "geometry.save_points(geometry.PointSet(dim=3, points=pts, resolution=1e-3))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(geometry.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    ps = PointSet(dim=3, points=np.arange(60.0).reshape(20, 3) / 7, resolution=1e-3)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == reference_write_csv(ps)
+
+
+def split_rows(path):
+    """The loaded table (params as a last column) on two processes, and on one CPU."""
+    tables = []
+    for patch in (contextlib.nullcontext(), one_cpu()):
+        with split_at(), patch:
+            ps = PointSet.from_csv(path, resolution=0.1)
+        tables.append(ps.points if ps.params is None else np.column_stack([ps.points, ps.params]))
+    return tables
+
+
+ROWS = [f"{i}.5,{-i}.25" for i in range(12)]
+
+
+@two_cpus
+@pytest.mark.parametrize("special, newline", [
+    ("# a note", "\n"), ("", "\n"), ("   \t", "\n"), ("  # indented note", "\n"),
+    (ROWS[5], "\r\n"), ("# a note", "\r\n"), ("", "\r\n"),
+], ids=["comment", "blank", "whitespace", "indented-comment", "crlf-row", "crlf-comment",
+        "crlf-blank"])
+def test_split_csv_read_matches_one_cpu_around_the_cut(tmp_path, forks, special, newline):
+    # Leading zeros on the first cell shift the byte midpoint of the data
+    # across the special line (and its line end), two pad bytes per byte.
+    header = newline.join(["# assouad-lab dim=2 resolution=0.1", "", "x0,x1", "# rows", ""])
+    header = header.encode()
+    seen = set()
+    for pad in range(120):
+        rows = ["0" * pad + ROWS[0], *ROWS[1:4], special, *ROWS[4:]]
+        body = newline.join(rows).encode() + newline.encode()
+        first = len(header)
+        a = first + len(newline.join(rows[:4]).encode() + newline.encode())
+        b = a + len(special) + len(newline)  # the special line with its line end
+        where = (first + first + len(body)) // 2 - a
+        if not -2 <= where <= b - a + 1:
+            continue
+        seen.add(where)
+        path = tmp_path / f"pad{pad}.csv"
+        path.write_bytes(header + body)
+        del forks[:]
+        split, one = split_rows(path)
+        assert len(forks) == 1
+        assert len(split) >= 12 and np.array_equal(split.view(np.int64), one.view(np.int64))
+    assert seen == set(range(-2, len(special) + len(newline) + 2))
+
+
+@two_cpus
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_split_csv_read_of_a_tail_of_comments(tmp_path, forks, width):
+    row = ",".join(["0.25"] * width)
+    path = tmp_path / "tail.csv"
+    path.write_text("x0,x1,x2"[:3 * width - 1] + "\n" + f"{row}\n" * 3 + "# note\n" * 40)
+    split, one = split_rows(path)
+    assert len(forks) == 1
+    assert split.shape == (3, width) and np.array_equal(split, one)
+
+
+def run_both(capsys, path):
+    """Exit code and stderr of index-stats on two processes, and on one CPU."""
+    results = []
+    for patch in (contextlib.nullcontext(), one_cpu()):
+        with split_at(), patch:
+            rc = main(["index-stats", str(path), "--res", "0.1"])
+        results.append((rc, capsys.readouterr().err))
+    return results
+
+
+def cut_row(header: str, rows: list) -> int:
+    """Index of the first row after the cut the reader makes in ``header + rows``."""
+    text = (header + "".join(rows)).encode()
+    mid = (len(header) + len(text)) // 2
+    return text[:text.index(b"\n", mid) + 1].count(b"\n") - header.count("\n")
+
+
+@two_cpus
+@pytest.mark.parametrize("case", ["bad-cell", "columns-at-the-cut", "mid-file-header"])
+def test_split_csv_read_errors_match_one_cpu(tmp_path, capsys, forks, case):
+    header = "x0,x1\n"
+    rows = [f"{i}.5,{i}.25\n" for i in range(20)]
+    if case == "bad-cell":
+        rows[16] = "0.3,x\n"
+    elif case == "mid-file-header":
+        rows[15] = "x0,x1\n"
+    else:  # "i,25" for "i.25" adds a column and keeps every byte in place
+        k = cut_row(header, rows)
+        rows[k:] = [row.replace(".25", ",25") for row in rows[k:]]
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "".join(rows))
+    split, one = run_both(capsys, path)
+    assert len(forks) == 1
+    assert split == one and split[0] == 2
+    assert len(split[1].strip().split("\n")) == 1
+    assert (("columns" in split[1]) if case == "columns-at-the-cut"
+            else ("non-numeric" in split[1]))
+
+
+@two_cpus
+def test_split_csv_read_keeps_the_point_budget(tmp_path, capsys, forks):
+    path = tmp_path / "big.csv"
+    path.write_text("x0,x1\n" + "".join(f"{i}.5,{i}.25\n" for i in range(8)))
+    with mock.patch.object(geometry, "POINT_BUDGET", 5):
+        split, one = run_both(capsys, path)
+    assert len(forks) == 1
+    assert split == one == (2, f"error: {path}: holds over the 5-point budget\n")

@@ -119,6 +119,18 @@ def test_golden_cli_output(records, name):
     assert json.dumps(records[name], indent=2) == json.dumps(want, indent=2)
 
 
+def test_golden_sized_files_are_written_and_read_in_one_process(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.chdir(tmp_path)
+    for name, argv, files in CASES:
+        if "--map" not in argv:  # verify with a map estimates its source in a child
+            want = json.loads((GOLDEN / f"{name}.json").read_text())
+            assert json.dumps(_record(argv, files), indent=2) == json.dumps(want, indent=2)
+
+
 if __name__ == "__main__":
     import tempfile
 
