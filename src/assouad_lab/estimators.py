@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, WindowTooNarrowError
+from .forking import forked
 from .index import MultiScaleIndex, _ancestor_keys, _decode
 
 __all__ = [
@@ -44,6 +45,11 @@ METHOD_ASSOUAD_WINDOW = "assouadWindow"
 DEFAULT_THETA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 19))
 
 DEFAULT_CENTER_BUDGET = 24
+
+#: A sweep over more points than this splits its centers over two
+#: processes; below it the fork costs more than it saves (about 650k points
+#: break even on a 2-CPU machine).
+_SPLIT_POINTS = 1 << 20
 
 # Ray admissibility: outer radius at least two levels below the root, at
 # least one octave between 2R and r, and enough points to regress on.
@@ -376,6 +382,12 @@ def farthest_point_sample(points: np.ndarray, budget: int, cells: CoarseCells) -
     return np.asarray(chosen)
 
 
+def _hot_level(idx: MultiScaleIndex) -> int:
+    """The mid-depth level whose cells the hotspots rank."""
+    hot_level = max(_K_LO, idx.max_level // 2)
+    return hot_level if hot_level < idx.max_level else max(idx.max_level - 1, 0)
+
+
 def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray:
     """Centers placed where the occupancy tree is refining fastest.
 
@@ -392,9 +404,7 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
     """
     if budget <= 0:
         return np.empty((0, idx.dim))
-    hot_level = max(_K_LO, idx.max_level // 2)
-    if hot_level >= idx.max_level:
-        hot_level = max(idx.max_level - 1, 0)
+    hot_level = _hot_level(idx)
     bits, dim, up = idx._bits, idx.dim, idx.max_level - hot_level
     deep, hot = idx.level_keys[idx.max_level], idx.level_keys[hot_level]
     anc = _ancestor_keys(deep, up, bits, dim)
@@ -445,6 +455,23 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
     return np.asarray(out)
 
 
+def _center_halves(idx: MultiScaleIndex, budget: int):
+    """The two halves of ``select_centers``, as functions of no arguments:
+    the hotspots, then the farthest-point spread.
+
+    Both read one set of coarse cells, built here.  The hotspot count (at
+    most one per cell at the hot level) is known before either half runs,
+    so the two can run in either order, or at once.
+    """
+    if budget < 1:
+        raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
+    cells = _coarse_cells(idx)
+    n_hot = min(budget // 2, len(idx.level_keys[_hot_level(idx)]))
+    points = idx.source.points
+    return (lambda: _structural_hotspots(idx, n_hot, cells),
+            lambda: points[farthest_point_sample(points, budget - n_hot, cells)])
+
+
 def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     """Query centers: half structural hotspots, half farthest-point spread.
 
@@ -458,15 +485,8 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     allocates the coarse cells' intp order and the farthest-point pool for
     the points it touches.
     """
-    if budget < 1:
-        raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
-    cells = _coarse_cells(idx)
-    hot = _structural_hotspots(idx, budget // 2, cells)
-    points = idx.source.points
-    spread = points[farthest_point_sample(points, budget - len(hot), cells)]
-    if len(hot) == 0:
-        return spread
-    return np.vstack([hot, spread])
+    hot, spread = _center_halves(idx, budget)
+    return np.vstack([hot(), spread()])
 
 
 def _linear_fit(g: np.ndarray, y: np.ndarray):
@@ -538,6 +558,27 @@ def _count_rays(idx: MultiScaleIndex, centers: np.ndarray, ks: np.ndarray,
     return counts
 
 
+def _center_rays(counts: np.ndarray, admitted: np.ndarray, g: np.ndarray) -> list:
+    """One center's ray at each theta, from its ``counts[level, theta]``.
+
+    None where the ray has too few points or too short a span, else
+    (value, deepest level row, fit, points, span, count at the deepest).
+    """
+    out = []
+    for ti in range(counts.shape[1]):
+        c = counts[:, ti]
+        ok = admitted[:, ti] & (c >= 1)
+        g_ok = g[ok, ti]
+        if len(g_ok) < _MIN_RAY_POINTS or g_ok.max() - g_ok.min() < _MIN_RAY_SPAN:
+            out.append(None)
+            continue
+        val, fit = _ray_value(g_ok, np.log2(c[ok]))
+        deepest = int(np.flatnonzero(ok)[-1])
+        out.append((val, deepest, fit, len(g_ok), float(g_ok.max() - g_ok.min()),
+                    int(c[deepest])))
+    return out
+
+
 def estimate_box_dim(idx: MultiScaleIndex, window: ScaleWindow | None = None) -> DimEstimate:
     """Upper box dimension from the global occupancy counts.
 
@@ -584,6 +625,16 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
     ray are reported absent (NaN), never fabricated; the regularized curve
     is the running maximum floored by the box-dimension estimate, which is
     a lower bound for the spectrum at every theta.
+
+    Over ``_SPLIT_POINTS`` points, and with two CPUs free (``forked``), the
+    centers run in two processes: a forked child places the hotspots and
+    fits their rays while this one does the farthest-point half.  A ray
+    depends on its own center alone, and the child sends back its centers
+    and their ray results, which are small.  They are merged in
+    ``select_centers``' order, hotspots first, so the maximum (its first
+    center on ties) and the p95 read the same list as in one process, and
+    the result is the same bit for bit.  An error in the child comes first,
+    as the hotspots do.
     """
     thetas = [float(t) for t in theta_grid]
     if not thetas or any(not (0.0 < t < 1.0) for t in thetas):
@@ -608,40 +659,36 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
         u = 1.0 + theta_arr * ks[:, None]  # [level, theta], as for the radii
         g = ks[:, None] - u + 1.0  # log2(2R / r)
         admitted = (u >= u_lo - 1e-9) & (g >= 1.0)
-        centers = select_centers(idx, center_budget)
-        counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
+
+        def rays(centers):
+            counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
+            return centers, [_center_rays(c, admitted, g) for c in counts]
+
+        if len(idx.source) > _SPLIT_POINTS:
+            hot, spread = _center_halves(idx, center_budget)
+            with forked(lambda: rays(hot()), "hotspot") as join:
+                far = rays(spread())
+                near = join()
+            centers, found = np.vstack([near[0], far[0]]), near[1] + far[1]
+        else:
+            centers, found = rays(select_centers(idx, center_budget))
 
         for ti in range(len(thetas)):
-            base_ok, g_ti = admitted[:, ti], g[:, ti]
-            per_center = []
-            best = None
-            for ci in range(len(centers)):
-                c = counts[ci, :, ti]
-                ok = base_ok & (c >= 1)
-                if ok.sum() < _MIN_RAY_POINTS:
-                    continue
-                g_ok = g_ti[ok]
-                if g_ok.max() - g_ok.min() < _MIN_RAY_SPAN:
-                    continue
-                val, fit = _ray_value(g_ok, np.log2(c[ok]))
-                per_center.append(val)
-                if best is None or val > best[0]:
-                    deepest = int(np.flatnonzero(ok)[-1])
-                    best = (val, ci, deepest, fit, int(ok.sum()),
-                            float(g_ok.max() - g_ok.min()))
-            if best is None:
+            at = [(ray[ti], x) for x, ray in zip(centers, found) if ray[ti] is not None]
+            if not at:
                 continue
-            val, ci, di, fit, npts, span = best
+            # the first center of the largest value, as a running maximum keeps it
+            (val, di, fit, npts, span, count), x = max(at, key=lambda a: a[0][0])
             values[ti] = float(np.clip(val, 0.0, idx.dim))
             diagnostics[ti] = {
                 "R": float(radii_by_k[di][ti]),
                 "r": float(idx.cell_side(int(ks[di]))),
-                "center": [float(v) for v in centers[ci]],
-                "count": int(counts[ci, di, ti]),
+                "center": [float(v) for v in x],
+                "count": count,
                 "fit": fit,
                 "points": npts,
                 "span": span,
-                "p95": float(np.clip(np.percentile(per_center, 95), 0.0, idx.dim)),
+                "p95": float(np.clip(np.percentile([a[0][0] for a in at], 95), 0.0, idx.dim)),
             }
 
     if all(math.isnan(v) for v in values) and box_floor is None:

@@ -2,15 +2,24 @@
 
 import os
 import pickle
+import select
 import signal
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+
+
+_live = 0  # children forked here and not yet reaped; each keeps a CPU busy
+_waits = None  # in a forked child: a pipe that turns readable once the parent waits for it
 
 
 def can_overlap() -> bool:
+    """A usable CPU for this process, for each child it has not reaped and,
+    in a forked child, for the parent until it waits; and no other thread
+    (a fork copies only this one)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return cpus >= 2 and threading.active_count() == 1  # a fork copies only this thread
+    parent = _waits is not None and not select.select([_waits], [], [], 0)[0]
+    return cpus >= 2 + _live + parent and threading.active_count() == 1
 
 
 @contextmanager
@@ -28,11 +37,16 @@ def forked(fn, task: str):
         return
     sys.stdout.flush()  # else the child would write the buffered text again
     sys.stderr.flush()
+    global _live, _waits
     fd_read, fd_write = os.pipe()
+    wait_read, wait_write = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
+            _live, _waits = 0, wait_read
+            os.close(fd_read)  # a reader that dies must not leave the write blocked
+            os.close(wait_write)
             try:
                 out = (True, fn())
             except BaseException as exc:
@@ -45,12 +59,16 @@ def forked(fn, task: str):
         finally:
             os._exit(code)
     os.close(fd_write)
+    os.close(wait_read)
+    _live += 1
     status = None
-    with open(fd_read, "rb") as reader:
+    with open(fd_read, "rb") as reader, open(wait_write, "wb", buffering=0) as waiting:
         def join():
             nonlocal status
+            with suppress(BrokenPipeError):  # the child may be gone already
+                waiting.write(b"w")  # this CPU is free for the child's own forks
             data = reader.read()
-            status = os.waitpid(pid, 0)[1]
+            status = _reap(pid)
             if status:  # a negative code is the signal that ended the child
                 code = os.waitstatus_to_exitcode(status)
                 raise ChildProcessError(f"the forked {task} process ended with code {code}")
@@ -68,4 +86,11 @@ def forked(fn, task: str):
         finally:
             if status is None:
                 os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                _reap(pid)
+
+
+def _reap(pid: int) -> int:
+    global _live
+    status = os.waitpid(pid, 0)[1]
+    _live -= 1
+    return status

@@ -155,39 +155,42 @@ class PointSet:
         meta_res = None
         header = None
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                text = line.strip()
-                if text.startswith("#"):
-                    for tok in text[1:].split():
-                        try:
-                            if tok.startswith("dim="):
-                                meta_dim = int(tok[4:])
-                            elif tok.startswith("resolution="):
-                                meta_res = float(tok[11:])
-                        except ValueError:
+            try:  # a byte that is not text stops the scan
+                for lineno, line in enumerate(fh, 1):
+                    text = line.strip()
+                    if text.startswith("#"):
+                        for tok in text[1:].split():
+                            try:
+                                if tok.startswith("dim="):
+                                    meta_dim = int(tok[4:])
+                                elif tok.startswith("resolution="):
+                                    meta_res = float(tok[11:])
+                            except ValueError:
+                                raise InvalidParameterError(
+                                    f"{path} line {lineno}: bad metadata {tok!r}"
+                                ) from None
+                        continue
+                    cells = text.split("#", 1)[0].rstrip()
+                    if not cells:
+                        continue
+                    try:
+                        float(cells.split(",", 1)[0])
+                        break
+                    except ValueError:
+                        if header is not None:
                             raise InvalidParameterError(
-                                f"{path} line {lineno}: bad metadata {tok!r}"
+                                f"{path} line {lineno}: non-numeric cell in {text!r}"
                             ) from None
-                    continue
-                cells = text.split("#", 1)[0].rstrip()
-                if not cells:
-                    continue
-                try:
-                    float(cells.split(",", 1)[0])
-                    break
-                except ValueError:
-                    if header is not None:
-                        raise InvalidParameterError(
-                            f"{path} line {lineno}: non-numeric cell in {text!r}"
-                        ) from None
-                    header = cells.split(",")
-            else:
-                raise EmptySetError(f"no points found in {path}")
+                        header = cells.split(",")
+                else:
+                    raise EmptySetError(f"no points found in {path}")
+            except UnicodeDecodeError:
+                raise _bad_row(path) from None
             big = os.fstat(fh.fileno()).st_size > _SPLIT_BYTES  # a pipe's size is 0
             try:  # the file iterator resumes after the first data row
                 arr = (_load_halves(path, lineno) if big and can_overlap()
                        else _load_rows(itertools.chain([line], fh)))
-            except ValueError:
+            except ValueError:  # also a UnicodeDecodeError, from either half
                 raise _bad_row(path, lineno, cells.count(",") + 1) from None
         _check_size(path, len(arr))
         params = None
@@ -311,12 +314,17 @@ def _check_size(path, n_points: int) -> None:
         raise InvalidParameterError(f"{path}: holds over the {POINT_BUDGET:,}-point budget")
 
 
-def _bad_row(path, first: int, ncols: int) -> InvalidParameterError:
-    """Name the first data row (from line ``first`` on) that loadtxt rejected."""
-    with open(path) as fh:
+def _bad_row(path, first: int | None = None, ncols: int = 0) -> InvalidParameterError:
+    """Name the first line that is not text or, from line ``first`` on, the
+    first data row that loadtxt rejected."""
+    with open(path, errors="surrogateescape") as fh:  # a bad byte reads as a lone surrogate
         for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode(fh.encoding)
+            except UnicodeEncodeError:
+                return InvalidParameterError(f"{path} line {lineno}: not {fh.encoding} text")
             cells = line.split("#", 1)[0].strip()
-            if lineno < first or not cells:
+            if first is None or lineno < first or not cells:
                 continue
             cells = cells.split(",")
             try:

@@ -164,14 +164,30 @@ two_cpus = pytest.mark.skipif(
     reason="work is split between two processes only with two usable CPUs")
 
 
+class Forks(list):
+    """Pids of the child processes this process forked while the test runs.
+
+    ``nested()`` also counts the forks those children made in turn.
+    """
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def nested(self) -> int:
+        return len(self.log.read_text().split()) if self.log.exists() else 0
+
+
 @pytest.fixture
-def forks(monkeypatch):
-    """Pids of the child processes forked while the test runs."""
-    pids, fork = [], os.fork
+def forks(monkeypatch, tmp_path):
+    pids, fork = Forks(tmp_path / "forks.log"), os.fork
 
     def counted():
         pid = fork()
         pids.append(pid)
+        if pid:
+            with open(pids.log, "a") as fh:  # one short append: whole lines from any process
+                fh.write(f"{pid}\n")
         return pid
 
     monkeypatch.setattr(os, "fork", counted)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 import threading
@@ -13,12 +14,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from assouad_lab import cli
+from assouad_lab import cli, forking, index
 from assouad_lab import estimators as est
+from assouad_lab import maps as qc
 from assouad_lab.cli import main
 from assouad_lab.errors import AssouadLabError, PoleProximityError
 from assouad_lab.families import FamilySpec, sample_family
-from assouad_lab.geometry import PointSet, load_points
+from assouad_lab.geometry import POINT_BUDGET, PointSet, load_points
 
 from conftest import two_cpus
 
@@ -543,6 +545,19 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
+def child_starts_once_the_parent_waits(monkeypatch):
+    """Hold verify's source estimate, in its child, until the parent waits
+    for it: from then on the child may fork in turn."""
+    parent, curve = os.getpid(), cli._estimate_curve
+
+    def estimate(*args):
+        if os.getpid() != parent:
+            select.select([forking._waits], [], [], 60)
+        return curve(*args)
+
+    monkeypatch.setattr(cli, "_estimate_curve", estimate)
+
+
 def verify_run(capsys, tmp_path, *argv):
     """Exit code, report without timings (None if not written) and stderr."""
     out = tmp_path / "verify.json"
@@ -560,13 +575,20 @@ def verify_run(capsys, tmp_path, *argv):
                          ids=["radial", "seed1", "seed3", "seed7", "identity"])
 def test_verify_report_is_the_same_in_one_process_and_two(monkeypatch, capsys, tmp_path,
                                                           forks, spec):
+    # Every sweep splits its centers where a CPU is free: the identity's
+    # here, and a map's source in the verify child once this process waits
+    # for it.  The image's runs here in one process while the child runs.
+    monkeypatch.setattr(est, "_SPLIT_POINTS", 0)
+    child_starts_once_the_parent_waits(monkeypatch)
     argv = [*SMALL, *(["--map", spec] if spec else [])]
     forked = verify_run(capsys, tmp_path, *argv)
-    assert len(forks) == (1 if spec else 0)
+    assert (len(forks), forks.nested()) == ((1, 2) if spec else (1, 1))
     one_cpu(monkeypatch)
     assert verify_run(capsys, tmp_path, *argv) == forked
-    assert len(forks) == (1 if spec else 0)
+    assert (len(forks), forks.nested()) == ((1, 2) if spec else (1, 1))
     assert forked[0] in (0, 4) and forked[1] != "null"  # a verdict, not an error
+    monkeypatch.setattr(est, "_SPLIT_POINTS", 1 << 62)  # and the same with no split
+    assert verify_run(capsys, tmp_path, *argv) == forked
 
 
 @two_cpus
@@ -630,6 +652,64 @@ def test_verify_child_killed_by_a_signal_exits_with_one_line(tmp_path):
 
 
 @two_cpus
+@pytest.mark.parametrize("command", [["estimate", "s.csv", "--mode", "spectrum"],
+                                     ["verify", *SMALL, "--map", PUSHFORWARDS[0]]],
+                         ids=["estimate", "verify"])
+def test_split_child_killed_by_a_signal_exits_with_one_line(tmp_path, command):
+    # In verify the split child is the verify child's own child.
+    sample_family(FamilySpec(kind="poly_spiral", a=1.0, x_max=100.0,
+                             target_resolution=1e-3)).to_csv(tmp_path / "s.csv")
+    script = (
+        "import os, select, signal, sys\n"
+        "from assouad_lab import cli, estimators, forking\n"
+        "estimators._SPLIT_POINTS = 0\n"
+        "parent, curve, real = os.getpid(), cli._estimate_curve, estimators.forked\n"
+        "def estimate(*args):  # the source child may fork once the parent waits\n"
+        "    if os.getpid() != parent:\n"
+        "        select.select([forking._waits], [], [], 60)\n"
+        "    return curve(*args)\n"
+        "cli._estimate_curve = estimate\n"
+        "def forked(fn, task):\n"
+        "    caller = os.getpid()\n"
+        "    def die():\n"
+        "        if os.getpid() != caller:\n"
+        "            os.kill(os.getpid(), signal.SIGKILL)\n"
+        "        return fn()\n"
+        "    return real(die, task)\n"
+        "estimators.forked = forked\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *command], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: the forked hotspot process ended with code -9"]
+
+
+@two_cpus
+@pytest.mark.parametrize("failing", [("hotspots",), ("spread",), ("hotspots", "spread")],
+                         ids=["hotspots", "spread", "both"])
+def test_split_child_error_matches_inline(monkeypatch, capsys, tmp_path, forks, failing):
+    def fail(name, fn):
+        def raising(*args):
+            raise AssouadLabError(f"{name} failed")
+        return raising if name in failing else fn
+
+    monkeypatch.setattr(est, "_SPLIT_POINTS", 0)
+    monkeypatch.setattr(est, "_structural_hotspots", fail("hotspots", est._structural_hotspots))
+    monkeypatch.setattr(est, "farthest_point_sample", fail("spread", est.farthest_point_sample))
+    split = verify_run(capsys, tmp_path, *SMALL)
+    assert len(forks) == 1
+    one_cpu(monkeypatch)
+    assert verify_run(capsys, tmp_path, *SMALL) == split
+    rc, report, err = split
+    assert rc == 2 and report == "null"
+    assert_one_error_line(err, f"{failing[0]} failed")  # the hotspots' error comes first
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@two_cpus
 @pytest.mark.parametrize("task", ["write", "read"])
 def test_csv_child_killed_by_a_signal_exits_with_one_line(tmp_path, task):
     sample_family(FamilySpec(kind="poly_spiral", a=1.0, x_max=100.0,
@@ -656,6 +736,27 @@ def test_csv_child_killed_by_a_signal_exits_with_one_line(tmp_path, task):
     assert proc.stderr.splitlines() == [f"error: the forked CSV {task} process ended with code -9"]
 
 
+@pytest.mark.parametrize("patches", [
+    [(index, "_BLOCK", 777)],
+    [(qc, "_BLOCK", 333)],
+    [(est, "_FPS_BLOCK", 100)],
+    [(est, "_FPS_BATCH", 1)],
+    [(est, "_SPLIT_POINTS", 0)],
+    [(est, "_SPLIT_POINTS", POINT_BUDGET + 1)],
+    [(index, "_BLOCK", 1000), (qc, "_BLOCK", 1000), (est, "_FPS_BLOCK", 7),
+     (est, "_FPS_BATCH", 3), (est, "_SPLIT_POINTS", 0)],
+], ids=["index-block", "maps-block", "fps-block", "fps-batch", "split-all", "split-none", "all"])
+def test_verify_report_is_the_same_whatever_the_block_sizes(monkeypatch, capsys, tmp_path,
+                                                            patches):
+    argv = [*SMALL, "--map", PUSHFORWARDS[0]]
+    want = verify_run(capsys, tmp_path, *argv)
+    for module, name, value in patches:
+        assert hasattr(module, name)
+        monkeypatch.setattr(module, name, value)
+    assert verify_run(capsys, tmp_path, *argv) == want
+    assert want[0] in (0, 4) and want[1] != "null"
+
+
 @pytest.mark.parametrize("case", ["identity", "one-cpu", "second-thread"])
 def test_verify_runs_in_one_process_when_a_fork_cannot_overlap(monkeypatch, capsys, tmp_path,
                                                                 case):
@@ -664,6 +765,8 @@ def test_verify_runs_in_one_process_when_a_fork_cannot_overlap(monkeypatch, caps
 
     monkeypatch.setattr(os, "fork", refuse)
     argv = SMALL if case == "identity" else [*SMALL, "--map", PUSHFORWARDS[0]]
+    if case != "identity":  # the identity's one sweep is below the split threshold
+        monkeypatch.setattr(est, "_SPLIT_POINTS", 0)
     if case == "one-cpu":
         one_cpu(monkeypatch)
     release = threading.Event()

@@ -26,6 +26,7 @@ from assouad_lab.estimators import (
 )
 from assouad_lab.geometry import PointSet
 from assouad_lab.families import FamilySpec, sample_family
+from assouad_lab.forking import can_overlap
 from assouad_lab.index import _decode, build_index, deepest_level
 from conftest import encode, index_sample, point_samples
 
@@ -560,3 +561,77 @@ def test_select_centers_matches_reference_on_spirals(a, x_max, res, shuffle):
     got = _structural_hotspots(idx, 12, _coarse_cells(idx))
     assert got.tobytes() == reference_hotspots(idx, 12).tobytes()
     assert select_centers(idx, 24).tobytes() == reference_select_centers(idx, 24).tobytes()
+
+
+# ---- exact invariances -------------------------------------------------------
+
+# S_1 to x = 1000 at res 1e-4 (145,588 points).  The invariances below hold
+# byte for byte on this sample; they are not a theorem about every sample
+# (an axis swap moves the values of S_1 to x = 100 at res 1e-3).
+S1_SMALL = FamilySpec(kind="poly_spiral", a=1.0, x_max=1e3, target_resolution=1e-4)
+
+
+def spectrum_invariants(points, resolution) -> str:
+    """Values, regularized values and the diagnostics no similarity moves."""
+    spec = estimate_spectrum(index_sample(PointSet(dim=2, points=points, resolution=resolution)))
+    keep = ("fit", "points", "span", "count", "p95")
+    return json.dumps([spec.values, spec.regularized_values,
+                       [d and [d[k] for k in keep] for d in spec.diagnostics]])
+
+
+@pytest.fixture(scope="module")
+def s1_small_invariants():
+    ps = sample_family(S1_SMALL)
+    return ps, spectrum_invariants(ps.points, ps.resolution)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-sweep", "split"])
+@pytest.mark.parametrize("transform", [
+    lambda p, r: (p * 4, r * 4),
+    lambda p, r: (p / 8, r / 8),
+    lambda p, r: (p + [0.25, -1.5], r),
+    lambda p, r: (np.ascontiguousarray(p[:, ::-1]), r),
+    lambda p, r: (np.ascontiguousarray(p[::-1]), r),
+], ids=["scale-4", "scale-1/8", "translate", "swap-axes", "reverse-order"])
+def test_spectrum_is_exactly_invariant(s1_small_invariants, forks, split, transform):
+    ps, want = s1_small_invariants
+    overlap = can_overlap()
+    with mock.patch.object(estimators, "_SPLIT_POINTS", 0 if split else 1 << 62):
+        assert spectrum_invariants(*transform(ps.points, ps.resolution)) == want
+    assert len(forks) == (split and overlap)
+
+
+def test_spectrum_reports_the_first_center_of_the_largest_value(cantor12_idx, sequence_idx):
+    # Self-similar sets tie: several centers reach a theta's largest value.
+    rays, center_rays = [], estimators._center_rays
+
+    def recorded(*args):
+        rays.append(center_rays(*args))
+        return rays[-1]
+
+    ties = 0
+    for idx in (cantor12_idx, sequence_idx):
+        del rays[:]
+        with mock.patch.object(estimators, "_center_rays", recorded):
+            spec = estimate_spectrum(idx)
+        centers = select_centers(idx, estimators.DEFAULT_CENTER_BUDGET)
+        assert len(rays) == len(centers)
+        for ti, diag in enumerate(spec.diagnostics):
+            found = [(ray[ti][0], ci) for ci, ray in enumerate(rays) if ray[ti] is not None]
+            assert (diag is None) == (not found)
+            if found:
+                top = max(v for v, _ in found)
+                first = [ci for v, ci in found if v == top]
+                ties += len({tuple(centers[ci]) for ci in first}) > 1
+                assert diag["center"] == centers[first[0]].tolist()
+    assert ties
+
+
+@pytest.mark.parametrize("which", ["cantor", "sequence"])
+def test_split_sweep_keeps_the_tie_order(cantor12_idx, sequence_idx, forks, which):
+    idx = cantor12_idx if which == "cantor" else sequence_idx
+    want = estimate_spectrum(idx).to_json()
+    overlap = can_overlap()
+    with mock.patch.object(estimators, "_SPLIT_POINTS", 0):
+        assert estimate_spectrum(idx).to_json() == want
+    assert len(forks) == overlap

@@ -251,6 +251,22 @@ def test_csv_reader_names_the_bad_line(tmp_path, content, needles):
         assert needle in str(info.value)
 
 
+@pytest.mark.parametrize("content, line", [
+    (b"1,2\n\xff,3\n", 2),
+    (b"# assouad-lab dim=2 \xfe resolution=0.1\nx0,x1\n1,2\n", 1),
+    (b"x0,x1\n\xc3\n1,2\n", 2),
+    (b"x0,x1\n1,2\n3,4 # caf\xe9\n", 3),
+    (b"x0,x1\n1,x\n" + b"5,6\n" * 4000 + b"\xff,7\n", 2),
+], ids=["data", "prelude", "header-then-bad-line", "data-comment", "bad-cell-first"])
+def test_csv_bytes_that_are_not_text_exit_2_naming_the_line(tmp_path, capsys, content, line):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(content)
+    assert main(["index-stats", str(path), "--res", "0.1"]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith(f"error: {path} line {line}: ")
+    assert ("non-numeric" in err[0]) == (line == 2 and b"1,x" in content)
+
+
 @pytest.mark.parametrize("content", ["x0,x1\n", "# assouad-lab dim=2 resolution=0.1\nx0,x1\n\n",
                                      "# only a comment\n", ""])
 def test_csv_without_data_rows_is_empty(tmp_path, capsys, content):
@@ -441,7 +457,8 @@ def cut_row(header: str, rows: list) -> int:
 
 
 @two_cpus
-@pytest.mark.parametrize("case", ["bad-cell", "columns-at-the-cut", "mid-file-header"])
+@pytest.mark.parametrize("case", ["bad-cell", "columns-at-the-cut", "mid-file-header",
+                                  "not-text-after-the-cut"])
 def test_split_csv_read_errors_match_one_cpu(tmp_path, capsys, forks, case):
     header = "x0,x1\n"
     rows = [f"{i}.5,{i}.25\n" for i in range(20)]
@@ -449,17 +466,22 @@ def test_split_csv_read_errors_match_one_cpu(tmp_path, capsys, forks, case):
         rows[16] = "0.3,x\n"
     elif case == "mid-file-header":
         rows[15] = "x0,x1\n"
+    elif case == "not-text-after-the-cut":
+        # past the text the header scan decodes, and past the cut
+        rows = [f"{i}.5,{i}.25\n" for i in range(2000)]
+        rows[1990] = "0.3,0.4 # \udcff\n"  # written as the lone byte 0xff
     else:  # "i,25" for "i.25" adds a column and keeps every byte in place
         k = cut_row(header, rows)
         rows[k:] = [row.replace(".25", ",25") for row in rows[k:]]
     path = tmp_path / "bad.csv"
-    path.write_text(header + "".join(rows))
+    path.write_bytes((header + "".join(rows)).encode("utf-8", "surrogateescape"))
     split, one = run_both(capsys, path)
     assert len(forks) == 1
     assert split == one and split[0] == 2
     assert len(split[1].strip().split("\n")) == 1
-    assert (("columns" in split[1]) if case == "columns-at-the-cut"
-            else ("non-numeric" in split[1]))
+    assert {"bad-cell": "line 18: non-numeric", "mid-file-header": "line 17: non-numeric",
+            "not-text-after-the-cut": "line 1992: not utf-8 text",
+            "columns-at-the-cut": "columns"}[case] in split[1].lower()  # UTF-8 or utf-8
 
 
 @two_cpus
