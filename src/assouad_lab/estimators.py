@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, WindowTooNarrowError
-from .forking import forked
+from .forking import can_overlap, forked
 from .index import MultiScaleIndex, _ancestor_keys, _decode
 
 __all__ = [
@@ -47,8 +47,9 @@ DEFAULT_THETA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 19))
 DEFAULT_CENTER_BUDGET = 24
 
 #: A sweep over more points than this splits its centers over two
-#: processes; below it the fork costs more than it saves (about 650k points
-#: break even on a 2-CPU machine).
+#: processes.  Below about 1M points the split saves nothing measurable on
+#: a 2-CPU machine; 2^20 also keeps a 404k-point spiral CSV and verify's
+#: 647k-point radial image in one process.
 _SPLIT_POINTS = 1 << 20
 
 # Ray admissibility: outer radius at least two levels below the root, at
@@ -569,13 +570,13 @@ def _center_rays(counts: np.ndarray, admitted: np.ndarray, g: np.ndarray) -> lis
         c = counts[:, ti]
         ok = admitted[:, ti] & (c >= 1)
         g_ok = g[ok, ti]
-        if len(g_ok) < _MIN_RAY_POINTS or g_ok.max() - g_ok.min() < _MIN_RAY_SPAN:
+        span = float(g_ok.max() - g_ok.min()) if len(g_ok) >= _MIN_RAY_POINTS else 0.0
+        if span < _MIN_RAY_SPAN:
             out.append(None)
             continue
         val, fit = _ray_value(g_ok, np.log2(c[ok]))
         deepest = int(np.flatnonzero(ok)[-1])
-        out.append((val, deepest, fit, len(g_ok), float(g_ok.max() - g_ok.min()),
-                    int(c[deepest])))
+        out.append((val, deepest, fit, len(g_ok), span, int(c[deepest])))
     return out
 
 
@@ -626,15 +627,15 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
     is the running maximum floored by the box-dimension estimate, which is
     a lower bound for the spectrum at every theta.
 
-    Over ``_SPLIT_POINTS`` points, and with two CPUs free (``forked``), the
-    centers run in two processes: a forked child places the hotspots and
-    fits their rays while this one does the farthest-point half.  A ray
-    depends on its own center alone, and the child sends back its centers
-    and their ray results, which are small.  They are merged in
-    ``select_centers``' order, hotspots first, so the maximum (its first
-    center on ties) and the p95 read the same list as in one process, and
-    the result is the same bit for bit.  An error in the child comes first,
-    as the hotspots do.
+    Over ``_SPLIT_POINTS`` points, and with a CPU free for a child
+    (``can_overlap``), the centers run in two processes: a forked child
+    places the hotspots and fits their rays while this one does the
+    farthest-point half.  A ray depends on its own center alone, and the
+    child sends back its centers and their ray results, which are small.
+    They are merged in ``select_centers``' order, hotspots first, so the
+    maximum (its first center on ties) and the p95 read the same list as in
+    one process, and the result is the same bit for bit.  An error in the
+    child comes first, as the hotspots do.
     """
     thetas = [float(t) for t in theta_grid]
     if not thetas or any(not (0.0 < t < 1.0) for t in thetas):
@@ -664,7 +665,9 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
             counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
             return centers, [_center_rays(c, admitted, g) for c in counts]
 
-        if len(idx.source) > _SPLIT_POINTS:
+        # In one process the halves are not run one after the other: that
+        # order made verify-pushforward's image sweep 15-20% slower.
+        if len(idx.source) > _SPLIT_POINTS and can_overlap():
             hot, spread = _center_halves(idx, center_budget)
             with forked(lambda: rays(hot()), "hotspot") as join:
                 far = rays(spread())

@@ -2,24 +2,21 @@
 
 import os
 import pickle
-import select
 import signal
 import sys
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 
 
 _live = 0  # children forked here and not yet reaped; each keeps a CPU busy
-_waits = None  # in a forked child: a pipe that turns readable once the parent waits for it
+_result = None  # in a forked child: the write end of its own result pipe
 
 
 def can_overlap() -> bool:
-    """A usable CPU for this process, for each child it has not reaped and,
-    in a forked child, for the parent until it waits; and no other thread
-    (a fork copies only this one)."""
+    """A usable CPU for this process and for each child it has not reaped,
+    and no other thread (a fork copies only this one)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parent = _waits is not None and not select.select([_waits], [], [], 0)[0]
-    return cpus >= 2 + _live + parent and threading.active_count() == 1
+    return cpus >= 2 + _live and threading.active_count() == 1
 
 
 @contextmanager
@@ -30,6 +27,8 @@ def forked(fn, task: str):
     or ``ChildProcessError`` naming ``task`` if the child died.  ``fn`` runs
     here, before the body, unless ``can_overlap()``.  If the body raises, the
     child's own error still comes first, as inline; the child is always reaped.
+    A child may fork in turn; if it is killed, its own child runs on until it
+    writes its result, but the caller sees the death at once.
     """
     if not can_overlap():
         value = fn()
@@ -37,16 +36,16 @@ def forked(fn, task: str):
         return
     sys.stdout.flush()  # else the child would write the buffered text again
     sys.stderr.flush()
-    global _live, _waits
+    global _live, _result
     fd_read, fd_write = os.pipe()
-    wait_read, wait_write = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            _live, _waits = 0, wait_read
+            if _result is not None:  # forked from a forked child:
+                os.close(_result)  # that child's death must reach its reader at once
+            _live, _result = 0, fd_write
             os.close(fd_read)  # a reader that dies must not leave the write blocked
-            os.close(wait_write)
             try:
                 out = (True, fn())
             except BaseException as exc:
@@ -59,14 +58,11 @@ def forked(fn, task: str):
         finally:
             os._exit(code)
     os.close(fd_write)
-    os.close(wait_read)
     _live += 1
     status = None
-    with open(fd_read, "rb") as reader, open(wait_write, "wb", buffering=0) as waiting:
+    with open(fd_read, "rb") as reader:
         def join():
             nonlocal status
-            with suppress(BrokenPipeError):  # the child may be gone already
-                waiting.write(b"w")  # this CPU is free for the child's own forks
             data = reader.read()
             status = _reap(pid)
             if status:  # a negative code is the signal that ended the child

@@ -3,10 +3,10 @@
 import json
 import math
 import os
-import select
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from assouad_lab import cli, forking, index
+from assouad_lab import cli, index
 from assouad_lab import estimators as est
 from assouad_lab import maps as qc
 from assouad_lab.cli import main
@@ -545,19 +545,6 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
-def child_starts_once_the_parent_waits(monkeypatch):
-    """Hold verify's source estimate, in its child, until the parent waits
-    for it: from then on the child may fork in turn."""
-    parent, curve = os.getpid(), cli._estimate_curve
-
-    def estimate(*args):
-        if os.getpid() != parent:
-            select.select([forking._waits], [], [], 60)
-        return curve(*args)
-
-    monkeypatch.setattr(cli, "_estimate_curve", estimate)
-
-
 def verify_run(capsys, tmp_path, *argv):
     """Exit code, report without timings (None if not written) and stderr."""
     out = tmp_path / "verify.json"
@@ -576,10 +563,9 @@ def verify_run(capsys, tmp_path, *argv):
 def test_verify_report_is_the_same_in_one_process_and_two(monkeypatch, capsys, tmp_path,
                                                           forks, spec):
     # Every sweep splits its centers where a CPU is free: the identity's
-    # here, and a map's source in the verify child once this process waits
-    # for it.  The image's runs here in one process while the child runs.
+    # here, and a map's source in the verify child.  The image's runs here
+    # in one process, as this process has a child running.
     monkeypatch.setattr(est, "_SPLIT_POINTS", 0)
-    child_starts_once_the_parent_waits(monkeypatch)
     argv = [*SMALL, *(["--map", spec] if spec else [])]
     forked = verify_run(capsys, tmp_path, *argv)
     assert (len(forks), forks.nested()) == ((1, 2) if spec else (1, 1))
@@ -660,15 +646,10 @@ def test_split_child_killed_by_a_signal_exits_with_one_line(tmp_path, command):
     sample_family(FamilySpec(kind="poly_spiral", a=1.0, x_max=100.0,
                              target_resolution=1e-3)).to_csv(tmp_path / "s.csv")
     script = (
-        "import os, select, signal, sys\n"
-        "from assouad_lab import cli, estimators, forking\n"
+        "import os, signal, sys\n"
+        "from assouad_lab import cli, estimators\n"
         "estimators._SPLIT_POINTS = 0\n"
-        "parent, curve, real = os.getpid(), cli._estimate_curve, estimators.forked\n"
-        "def estimate(*args):  # the source child may fork once the parent waits\n"
-        "    if os.getpid() != parent:\n"
-        "        select.select([forking._waits], [], [], 60)\n"
-        "    return curve(*args)\n"
-        "cli._estimate_curve = estimate\n"
+        "real = estimators.forked\n"
         "def forked(fn, task):\n"
         "    caller = os.getpid()\n"
         "    def die():\n"
@@ -684,6 +665,46 @@ def test_split_child_killed_by_a_signal_exits_with_one_line(tmp_path, command):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: the forked hotspot process ended with code -9"]
+
+
+@two_cpus
+def test_verify_child_killed_while_its_split_child_runs_exits_at_once(tmp_path):
+    # The split child does not hold the verify child's result pipe open, so
+    # this process sees the verify child die while the split child waits.
+    script = (
+        "import contextlib, os, select, signal, sys\n"
+        "from assouad_lab import cli, estimators\n"
+        "estimators._SPLIT_POINTS = 0\n"
+        "hold, release = os.pipe()\n"
+        "parent, real = os.getpid(), estimators.forked\n"
+        "@contextlib.contextmanager\n"
+        "def split(fn, task):\n"
+        "    def held():\n"
+        "        os.close(release)\n"
+        "        with open('split.pid', 'w') as fh:\n"
+        "            fh.write(str(os.getpid()))\n"
+        "        select.select([hold], [], [], 60)  # until this script has exited\n"
+        "        return fn()\n"
+        "    with real(held, task) as join:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)  # the verify child dies\n"
+        "        yield join\n"
+        "estimators.forked = lambda fn, task: (real if os.getpid() == parent else split)(fn, task)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["verify", *SMALL, "--map", PUSHFORWARDS[0]]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: the forked estimate process ended with code -9"]
+    # released by the script's exit, the split child ends on its own
+    stat = Path(f"/proc/{(tmp_path / 'split.pid').read_text()}/stat")
+    for _ in range(300):
+        if not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] == "Z":
+            break
+        time.sleep(0.1)
+    else:
+        pytest.fail("the split child is still running")
 
 
 @two_cpus

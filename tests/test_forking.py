@@ -1,30 +1,19 @@
 """When ``forking.forked`` forks: one usable CPU per busy process."""
 
-import os
-import select
-
 from assouad_lab import forking
 
 from conftest import two_cpus
 
 
 @two_cpus
-def test_a_child_forks_only_once_its_parent_waits(forks):
-    looked, told = os.pipe()
-
+def test_a_process_forks_no_second_child_while_one_runs(forks):
     def child():
-        busy = forking.can_overlap()  # the parent is still in its body
-        os.write(told, b"x")
-        select.select([forking._waits], [], [], 60)
-        return busy, forking.can_overlap()
+        return forking.can_overlap()  # a child starts with no children of its own
 
-    try:
-        assert forking.can_overlap()
-        with forking.forked(child, "test") as join:
-            assert not forking.can_overlap()  # the child holds the second CPU
-            os.read(looked, 1)
-            assert join() == (False, True)
-        assert forking.can_overlap() and len(forks) == 1
-    finally:
-        os.close(looked)
-        os.close(told)
+    assert forking.can_overlap()
+    with forking.forked(child, "test") as join:
+        assert not forking.can_overlap()  # the child holds the second CPU
+        with forking.forked(lambda: 1, "inner") as inner:  # so this runs inline
+            assert inner() == 1
+        assert join() is True
+    assert forking.can_overlap() and len(forks) == 1
