@@ -665,8 +665,9 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
             counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
             return centers, [_center_rays(c, admitted, g) for c in counts]
 
-        # In one process the halves are not run one after the other: that
-        # order made verify-pushforward's image sweep 15-20% slower.
+        # In one process the halves are not run one after the other: on a
+        # 2-CPU machine that order made perfbench's verify-pushforward,
+        # whose image sweep cannot fork, 15-20% slower.
         if len(idx.source) > _SPLIT_POINTS and can_overlap():
             hot, spread = _center_halves(idx, center_budget)
             with forked(lambda: rays(hot()), "hotspot") as join:
