@@ -67,13 +67,11 @@ from .families import (
 from .geometry import Cube, PointSet, load_points, save_points
 from .index import MultiScaleIndex, build_index, deepest_level, local_dyadic_count, snap_level
 from .maps import (
-    BiHolderExponents,
     Mobius,
     PlanarMap,
     RadialPower,
     Similarity,
     apply_map,
-    bi_holder_exponents,
     compose,
     format_map_spec,
     identity_map,

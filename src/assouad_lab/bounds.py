@@ -42,10 +42,16 @@ def t_of_theta(theta: float) -> float:
     return (1.0 - theta) / theta
 
 
+def _check_dilatation(value: float, name: str = "dilatation") -> None:
+    """A dilatation (or lambda) is a finite number >= 1."""
+    if not 1.0 <= value < math.inf:
+        bound = "finite" if value == math.inf else ">= 1"
+        raise InvalidParameterError(f"{name} must be {bound}, got {value}")
+
+
 def planar_rh_exponent(K: float) -> float:
     """Sharp reverse-Holder exponent 2K/(K-1) in the plane; +inf at K=1."""
-    if not K >= 1.0:
-        raise InvalidParameterError(f"dilatation must be >= 1, got {K}")
+    _check_dilatation(K)
     if K == 1.0:
         return math.inf
     return 2.0 * K / (K - 1.0)
@@ -58,10 +64,8 @@ def rh_exponent_floor(n: int, K: float, lam: float = 1.0) -> float:
     lam=1.  Returns +inf when lam*K == 1.
     """
     _check_ambient(n)
-    if not K >= 1.0:
-        raise InvalidParameterError(f"dilatation must be >= 1, got {K}")
-    if not lam >= 1.0:
-        raise InvalidParameterError(f"lambda must be >= 1, got {lam}")
+    _check_dilatation(K)
+    _check_dilatation(lam, "lambda")
     lk = lam * K
     if lk == 1.0:
         return math.inf
@@ -89,10 +93,8 @@ class ExponentContext:
 
     def __post_init__(self):
         _check_ambient(self.n)
-        if not self.K >= 1.0:
-            raise InvalidParameterError(f"dilatation must be >= 1, got {self.K}")
-        if not self.lam >= 1.0:
-            raise InvalidParameterError(f"lambda must be >= 1, got {self.lam}")
+        _check_dilatation(self.K)
+        _check_dilatation(self.lam, "lambda")
         p = self.p
         if p is None:
             if self.K == 1.0:
@@ -226,8 +228,7 @@ def biholder_upper(theta: float, K: float, source_at_shifted: float) -> float:
     Planar bound derived from the (1/K, K) bi-Holder regularity of a
     K-quasiconformal map; only meaningful for theta < 1/K^2.
     """
-    if not K >= 1.0:
-        raise InvalidParameterError(f"dilatation must be >= 1, got {K}")
+    _check_dilatation(K)
     if not 0.0 < theta < 1.0:
         raise InvalidParameterError(f"theta must lie in (0,1), got {theta}")
     if theta >= 1.0 / K**2:
@@ -246,8 +247,7 @@ def ours_upper(t: float, K: float, d: float) -> float:
     """Upper bound K*d/(1 + (K-1)/2 * d) with d the source spectrum at theta(t/K)."""
     if not t > 0:
         raise InvalidParameterError(f"t must be positive, got {t}")
-    if not K >= 1.0:
-        raise InvalidParameterError(f"dilatation must be >= 1, got {K}")
+    _check_dilatation(K)
     if not 0.0 <= d <= 2.0:
         raise InvalidParameterError(f"planar dimension value must lie in [0, 2], got {d}")
     return K * d / (1.0 + 0.5 * (K - 1.0) * d)

@@ -559,25 +559,11 @@ def _count_rays(idx: MultiScaleIndex, centers: np.ndarray, ks: np.ndarray,
     return counts
 
 
-def _center_rays(counts: np.ndarray, admitted: np.ndarray, g: np.ndarray) -> list:
-    """One center's ray at each theta, from its ``counts[level, theta]``.
-
-    None where the ray has too few points or too short a span, else
-    (value, deepest level row, fit, points, span, count at the deepest).
-    """
-    out = []
-    for ti in range(counts.shape[1]):
-        c = counts[:, ti]
-        ok = admitted[:, ti] & (c >= 1)
-        g_ok = g[ok, ti]
-        span = float(g_ok.max() - g_ok.min()) if len(g_ok) >= _MIN_RAY_POINTS else 0.0
-        if span < _MIN_RAY_SPAN:
-            out.append(None)
-            continue
-        val, fit = _ray_value(g_ok, np.log2(c[ok]))
-        deepest = int(np.flatnonzero(ok)[-1])
-        out.append((val, deepest, fit, len(g_ok), span, int(c[deepest])))
-    return out
+def _ray_fits(counts: np.ndarray, admitted: np.ndarray, g: np.ndarray, feasible) -> list:
+    """(value, fit) of each center's ray at each feasible theta, from
+    ``counts[center, level, theta]``; a ray reads every admitted level."""
+    return [[_ray_value(g[admitted[:, ti], ti], np.log2(c[admitted[:, ti], ti]))
+             for ti in feasible] for c in counts]
 
 
 def estimate_box_dim(idx: MultiScaleIndex, window: ScaleWindow | None = None) -> DimEstimate:
@@ -622,20 +608,25 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
     with u = 1 + theta*k and r = cell side at level k, so that
     log(R/r) = (1 - theta) * k * log 2 exactly.  Each sampled center
     contributes the penalized slope of log2(count) along its ray; the
-    spectrum value is the maximum over centers.  Thetas with no admissible
-    ray are reported absent (NaN), never fabricated; the regularized curve
-    is the running maximum floored by the box-dimension estimate, which is
-    a lower bound for the spectrum at every theta.
+    spectrum value is the maximum over centers, its first center on ties.
+
+    A theta has a ray when it admits _MIN_RAY_POINTS levels (u above the
+    window's floor, 2R/r at least 2) spanning _MIN_RAY_SPAN octaves.  That
+    is decided once, from theta, the window and the index depth alone,
+    never from the centers: each is a sample point, so every admitted ball
+    meets its cell.  Thetas without a ray are reported absent (NaN), never
+    fabricated; the regularized curve is the running maximum floored by the
+    box-dimension estimate, a lower bound for the spectrum at every theta.
 
     Over ``_SPLIT_POINTS`` points, and with a CPU free for a child
     (``can_overlap``), the centers run in two processes: a forked child
     places the hotspots and fits their rays while this one does the
     farthest-point half.  A ray depends on its own center alone, and the
-    child sends back its centers and their ray results, which are small.
-    They are merged in ``select_centers``' order, hotspots first, so the
-    maximum (its first center on ties) and the p95 read the same list as in
-    one process, and the result is the same bit for bit.  An error in the
-    child comes first, as the hotspots do.
+    child sends back its centers, counts and fits, which are small.  They
+    are concatenated in ``select_centers``' order, hotspots first, so the
+    maximum and the p95 read the same list as in one process, and the
+    result is the same bit for bit.  An error in the child comes first, as
+    the hotspots do.
     """
     thetas = [float(t) for t in theta_grid]
     if not thetas or any(not (0.0 < t < 1.0) for t in thetas):
@@ -660,10 +651,14 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
         u = 1.0 + theta_arr * ks[:, None]  # [level, theta], as for the radii
         g = ks[:, None] - u + 1.0  # log2(2R / r)
         admitted = (u >= u_lo - 1e-9) & (g >= 1.0)
+        # which thetas have a ray, from the geometry alone (see above)
+        points = admitted.sum(0)
+        span = np.where(admitted, g, -np.inf).max(0) - np.where(admitted, g, np.inf).min(0)
+        feasible = np.flatnonzero((points >= _MIN_RAY_POINTS) & (span >= _MIN_RAY_SPAN))
 
         def rays(centers):
             counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
-            return centers, [_center_rays(c, admitted, g) for c in counts]
+            return centers, counts, _ray_fits(counts, admitted, g, feasible)
 
         # In one process the halves are not run one after the other: on a
         # 2-CPU machine that order made perfbench's verify-pushforward,
@@ -673,26 +668,26 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
             with forked(lambda: rays(hot()), "hotspot") as join:
                 far = rays(spread())
                 near = join()
-            centers, found = np.vstack([near[0], far[0]]), near[1] + far[1]
+            centers = np.concatenate([near[0], far[0]])
+            counts = np.concatenate([near[1], far[1]])
+            fits = near[2] + far[2]
         else:
-            centers, found = rays(select_centers(idx, center_budget))
+            centers, counts, fits = rays(select_centers(idx, center_budget))
 
-        for ti in range(len(thetas)):
-            at = [(ray[ti], x) for x, ray in zip(centers, found) if ray[ti] is not None]
-            if not at:
-                continue
-            # the first center of the largest value, as a running maximum keeps it
-            (val, di, fit, npts, span, count), x = max(at, key=lambda a: a[0][0])
-            values[ti] = float(np.clip(val, 0.0, idx.dim))
+        for j, ti in enumerate(feasible):
+            found = [f[j][0] for f in fits]
+            best = int(np.argmax(found))  # the first center of the largest value
+            deepest = int(np.flatnonzero(admitted[:, ti])[-1])
+            values[ti] = float(np.clip(found[best], 0.0, idx.dim))
             diagnostics[ti] = {
-                "R": float(radii_by_k[di][ti]),
-                "r": float(idx.cell_side(int(ks[di]))),
-                "center": [float(v) for v in x],
-                "count": count,
-                "fit": fit,
-                "points": npts,
-                "span": span,
-                "p95": float(np.clip(np.percentile([a[0][0] for a in at], 95), 0.0, idx.dim)),
+                "R": float(radii_by_k[deepest][ti]),
+                "r": float(idx.cell_side(int(ks[deepest]))),
+                "center": [float(v) for v in centers[best]],
+                "count": int(counts[best, deepest, ti]),
+                "fit": fits[best][j][1],
+                "points": int(points[ti]),
+                "span": float(span[ti]),
+                "p95": float(np.clip(np.percentile(found, 95), 0.0, idx.dim)),
             }
 
     if all(math.isnan(v) for v in values) and box_floor is None:

@@ -114,49 +114,32 @@ def _curve_points(x_max: float, modulus, speed, step: float) -> tuple:
     return pts, params
 
 
-def _sample_poly_spiral(a: float, x_max: float, res: float) -> PointSet:
-    if a <= 0:
-        raise InvalidParameterError(f"spiral exponent a must be > 0, got {a}")
+def _sample_spiral(label: str, rate: float, x_max: float, res: float, modulus, speed):
+    """The curve x -> modulus(x) * (cos x, sin x) on [1, x_max], sampled by arc
+    length, after the checks both spirals share; ``label`` names ``rate``."""
+    if rate <= 0:
+        raise InvalidParameterError(f"{label} must be > 0, got {rate}")
     if x_max <= 1:
         raise InvalidParameterError(f"x_max must exceed 1, got {x_max}")
-    tail = x_max**-a
+    tail = modulus(x_max)
     if tail > TAIL_SLACK * res:
         raise TruncationTooCoarseError(
             f"unsampled tail extends to modulus {tail:.3g} > "
             f"{TAIL_SLACK:g} * resolution ({res:.3g}); raise x_max or resolution"
         )
-
-    def modulus(x):
-        return x**-a
-
-    def speed(x):
-        # |d/dx (x^-a e^{ix})| = x^-a sqrt(1 + a^2/x^2)
-        return x**-a * np.sqrt(1.0 + (a / x) ** 2)
-
     pts, params = _curve_points(x_max, modulus, speed, 0.49 * res)
     return PointSet(dim=2, points=pts, resolution=res, params=params)
+
+
+def _sample_poly_spiral(a: float, x_max: float, res: float) -> PointSet:
+    # |d/dx (x^-a e^{ix})| = x^-a sqrt(1 + a^2/x^2)
+    return _sample_spiral("spiral exponent a", a, x_max, res, lambda x: x**-a,
+                          lambda x: x**-a * np.sqrt(1.0 + (a / x) ** 2))
 
 
 def _sample_log_spiral(c: float, x_max: float, res: float) -> PointSet:
-    if c <= 0:
-        raise InvalidParameterError(f"log-spiral rate c must be > 0, got {c}")
-    if x_max <= 1:
-        raise InvalidParameterError(f"x_max must exceed 1, got {x_max}")
-    tail = np.exp(-c * x_max)
-    if tail > TAIL_SLACK * res:
-        raise TruncationTooCoarseError(
-            f"unsampled tail extends to modulus {tail:.3g} > "
-            f"{TAIL_SLACK:g} * resolution ({res:.3g}); raise x_max or resolution"
-        )
-
-    def modulus(x):
-        return np.exp(-c * x)
-
-    def speed(x):
-        return np.exp(-c * x) * np.sqrt(1.0 + c * c)
-
-    pts, params = _curve_points(x_max, modulus, speed, 0.49 * res)
-    return PointSet(dim=2, points=pts, resolution=res, params=params)
+    return _sample_spiral("log-spiral rate c", c, x_max, res, lambda x: np.exp(-c * x),
+                          lambda x: np.exp(-c * x) * np.sqrt(1.0 + c * c))
 
 
 # ---- Cantor construction ----------------------------------------------

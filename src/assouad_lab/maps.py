@@ -27,13 +27,11 @@ __all__ = [
     "Similarity",
     "Mobius",
     "PlanarMap",
-    "BiHolderExponents",
     "radial_stretch",
     "identity_map",
     "compose",
     "invert",
     "apply_map",
-    "bi_holder_exponents",
     "parse_map_spec",
     "format_map_spec",
 ]
@@ -153,13 +151,6 @@ class PlanarMap:
         return bound
 
 
-@dataclass(frozen=True)
-class BiHolderExponents:
-    alpha: float
-    beta: float
-    constant_note: str
-
-
 def identity_map() -> PlanarMap:
     return PlanarMap(ops=())
 
@@ -242,19 +233,6 @@ def apply_map(f: PlanarMap, ps: PointSet) -> PointSet:
             z[b] = op.apply(z[b])
         resolution = resolution * scale
     return PointSet(dim=2, points=out, resolution=float(resolution), params=ps.params)
-
-
-def bi_holder_exponents(f: PlanarMap) -> BiHolderExponents:
-    """Local bi-Hoelder exponents (1/K, K) from the dilatation bound."""
-    K = f.dilatation_bound
-    return BiHolderExponents(
-        alpha=1.0 / K,
-        beta=K,
-        constant_note=(
-            "exponents hold locally with constants depending on the "
-            f"neighbourhood; dilatation bound K = {K:g}"
-        ),
-    )
 
 
 _COMPLEX_RE = re.compile(r"^[0-9eE+\-.ij]+$")

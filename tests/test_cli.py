@@ -406,6 +406,17 @@ def test_bounds_lambda_below_one_exits_2(capsys, formula, value):
     assert_one_error_line(err, f"lambda must be >= 1, got {value}")
 
 
+@pytest.mark.parametrize("formula", ["beta-upper", "symmetric-coeff", "rh-exponent", "assouad",
+                                     "spectrum", "biholder", "ours", "compare"])
+@pytest.mark.parametrize("flag, name", [("--K", "dilatation"), ("--lambda", "lambda")])
+def test_bounds_infinite_dilatation_or_lambda_exits_2(capsys, formula, flag, name):
+    # every flag the formulas read, so that only the infinite value is wrong
+    rc, out, err = run(capsys, "bounds", "--formula", formula, "--alpha", "1", "--t", "1",
+                       "--theta", "0.1", "--d", "1", "--source-a", "1", flag, "inf")
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, f"{name} must be finite, got inf")
+
+
 @pytest.mark.parametrize("content, line, row", [
     ("theta,value\n0.1,1.0\nx,5\n0.5,1.2\nzzz,9\n0.9,1.5\n", 3, "x,5"),
     ("theta,value\ntheta,value\n0.1,1.0\n", 2, "theta,value"),
@@ -769,13 +780,27 @@ def test_csv_child_killed_by_a_signal_exits_with_one_line(tmp_path, task):
 ], ids=["index-block", "maps-block", "fps-block", "fps-batch", "split-all", "split-none", "all"])
 def test_verify_report_is_the_same_whatever_the_block_sizes(monkeypatch, capsys, tmp_path,
                                                             patches):
+    # and so are an estimate report and a map output, of the verify's source
     argv = [*SMALL, "--map", PUSHFORWARDS[0]]
-    want = verify_run(capsys, tmp_path, *argv)
+    src, spectrum, image = (str(tmp_path / name) for name in ("s.csv", "e.json", "i.csv"))
+    assert run(capsys, "gen", "--family", "spiral", "--xmax", "1e3", "--res", "1e-4",
+               "-o", src)[0] == 0
+
+    def outputs():
+        assert run(capsys, "estimate", src, "--mode", "spectrum", "--out", spectrum)[0] == 0
+        assert run(capsys, "map", src, "--spec", PUSHFORWARDS[0], "-o", image)[0] == 0
+        with open(spectrum) as fh:
+            report = json.load(fh)
+        del report["elapsedSeconds"]
+        with open(image, "rb") as fh:
+            return verify_run(capsys, tmp_path, *argv), report, fh.read()
+
+    want = outputs()
     for module, name, value in patches:
         assert hasattr(module, name)
         monkeypatch.setattr(module, name, value)
-    assert verify_run(capsys, tmp_path, *argv) == want
-    assert want[0] in (0, 4) and want[1] != "null"
+    assert outputs() == want
+    assert want[0][0] in (0, 4) and want[0][1] != "null"
 
 
 @pytest.mark.parametrize("case", ["identity", "one-cpu", "second-thread"])

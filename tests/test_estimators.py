@@ -603,27 +603,27 @@ def test_spectrum_is_exactly_invariant(s1_small_invariants, forks, split, transf
 
 def test_spectrum_reports_the_first_center_of_the_largest_value(cantor12_idx, sequence_idx):
     # Self-similar sets tie: several centers reach a theta's largest value.
-    rays, center_rays = [], estimators._center_rays
+    calls, ray_fits = [], estimators._ray_fits
 
-    def recorded(*args):
-        rays.append(center_rays(*args))
-        return rays[-1]
+    def recorded(counts, admitted, g, feasible):
+        calls.append((list(feasible), ray_fits(counts, admitted, g, feasible)))
+        return calls[-1][1]
 
     ties = 0
     for idx in (cantor12_idx, sequence_idx):
-        del rays[:]
-        with mock.patch.object(estimators, "_center_rays", recorded):
+        del calls[:]
+        with mock.patch.object(estimators, "_ray_fits", recorded):
             spec = estimate_spectrum(idx)
         centers = select_centers(idx, estimators.DEFAULT_CENTER_BUDGET)
-        assert len(rays) == len(centers)
-        for ti, diag in enumerate(spec.diagnostics):
-            found = [(ray[ti][0], ci) for ci, ray in enumerate(rays) if ray[ti] is not None]
-            assert (diag is None) == (not found)
-            if found:
-                top = max(v for v, _ in found)
-                first = [ci for v, ci in found if v == top]
-                ties += len({tuple(centers[ci]) for ci in first}) > 1
-                assert diag["center"] == centers[first[0]].tolist()
+        [(feasible, fits)] = calls
+        assert len(fits) == len(centers)
+        assert feasible == [ti for ti, d in enumerate(spec.diagnostics) if d is not None]
+        for j, ti in enumerate(feasible):
+            found = [fit[j][0] for fit in fits]
+            first = [ci for ci, v in enumerate(found) if v == max(found)]
+            ties += len({tuple(centers[ci]) for ci in first}) > 1
+            assert spec.diagnostics[ti]["center"] == centers[first[0]].tolist()
+            assert spec.diagnostics[ti]["fit"] == fits[first[0]][j][1]
     assert ties
 
 

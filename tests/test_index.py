@@ -178,8 +178,19 @@ def test_invariants_on_fixtures(unit_segment_idx, cantor12_idx):
     assert_parent_closure_and_growth(cantor12_idx)
 
 
+def cells_near(ps, x, radius, m, reach):
+    """Cells of ``center_aligned_count``'s grid, unclipped, that hold a sample
+    point within ``reach`` of x."""
+    sigma = 2.0 ** -m * 2.0 * radius
+    x = np.asarray(x, dtype=np.float64)
+    d2 = np.sum((ps.points - x) ** 2, axis=1)
+    near = ps.points[d2 <= reach * reach * (1 + 1e-12)]
+    return len(np.unique(np.floor((near - (x - radius)) / sigma), axis=0))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+@example(seed=1348685, n=1)  # an index cell meets the ball, its points lie outside it
 def test_randomized_invariants_and_ball_sandwich(seed, n):
     rng = np.random.default_rng(seed)
     ps = make_random_set(rng, int(rng.integers(0, 5)), n)
@@ -204,7 +215,14 @@ def test_randomized_invariants_and_ball_sandwich(seed, n):
             continue
         oracle = center_aligned_count(ps, x, radius, m)
         assert oracle >= 1 and local >= 1
-        assert local <= 3**n * oracle
+        # The index counts occupied cells of side s (s <= sigma < 2s) that meet
+        # the ball; such a cell may hold only points outside it, which the
+        # oracle never sees.  But each counted cell holds a sample point within
+        # radius + s*sqrt(n) of x, in some sigma-cell of the oracle's grid, and
+        # along each axis a sigma-cell meets at most 3 index cells, since
+        # sigma < 2s.  So at most 3^n counted cells share one sigma-cell.
+        s = idx.cell_side(snap_level(idx, 2.0**-m * 2.0 * radius))
+        assert local <= 3**n * cells_near(ps, x, radius, m, radius + s * math.sqrt(n))
         assert oracle <= 3**n * local
 
 

@@ -20,7 +20,6 @@ from assouad_lab.maps import (
     RadialPower,
     Similarity,
     apply_map,
-    bi_holder_exponents,
     compose,
     format_map_spec,
     identity_map,
@@ -144,15 +143,6 @@ def test_composite_local_distortion_never_exceeds_bound():
     z0 = 0.5 + 0.0j
     d = np.abs(image(z0 + delta * angles) - image(z0)) / delta
     assert d.max() / d.min() == pytest.approx(6.0, rel=1e-3)
-
-
-def test_bi_holder_exponents():
-    e = bi_holder_exponents(identity_map())
-    assert (e.alpha, e.beta) == (1.0, 1.0)
-    e = bi_holder_exponents(radial_stretch(2.0))
-    assert (e.alpha, e.beta) == (0.5, 2.0)
-    e = bi_holder_exponents(compose(radial_stretch(2.0), radial_stretch(3.0)))
-    assert e.alpha == pytest.approx(1 / 6) and e.beta == 6.0
 
 
 # ---- apply_map ----------------------------------------------------------
