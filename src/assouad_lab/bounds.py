@@ -193,17 +193,22 @@ def spectrum_bounds(
     return lower, upper
 
 
+def _source_gap(alpha_source: float, n: int) -> float:
+    """Reciprocal gap of a source Assouad dimension, which lies strictly inside (0, n)."""
+    if not 0.0 < alpha_source < n:
+        raise InvalidParameterError(
+            f"source dimension must lie strictly inside (0, {n}), got {alpha_source}"
+        )
+    return _recip_gap(alpha_source, n)
+
+
 def assouad_bounds(
     alpha_source: float,
     ctx: ExponentContext,
     inner_p: Optional[float] = None,
 ) -> tuple[float, float]:
     """Two-sided bound on the image Assouad dimension for a source of dimension alpha."""
-    if not 0.0 < alpha_source < ctx.n:
-        raise InvalidParameterError(
-            f"source dimension must lie strictly inside (0, {ctx.n}), got {alpha_source}"
-        )
-    gap = _recip_gap(alpha_source, ctx.n)
+    gap = _source_gap(alpha_source, ctx.n)
     upper = _dim_from_gap(symmetric_coeff(ctx) * gap, ctx.n)
     lower = _dim_from_gap(_inner_coeff(ctx, inner_p) * gap, ctx.n)
     return lower, upper
@@ -211,11 +216,7 @@ def assouad_bounds(
 
 def assouad_bounds_lambda(alpha_source: float, ctx: ExponentContext) -> tuple[float, float]:
     """Dilatation-only form of assouad_bounds with coefficients 1/(lam*K) and lam*K."""
-    if not 0.0 < alpha_source < ctx.n:
-        raise InvalidParameterError(
-            f"source dimension must lie strictly inside (0, {ctx.n}), got {alpha_source}"
-        )
-    gap = _recip_gap(alpha_source, ctx.n)
+    gap = _source_gap(alpha_source, ctx.n)
     lk = ctx.lam * ctx.K
     upper = _dim_from_gap(gap / lk, ctx.n)
     lower = _dim_from_gap(gap * lk, ctx.n)
@@ -372,8 +373,8 @@ class BoundReport:
     upper_curve: tuple
     input_curve: tuple
     verdicts: tuple
-    slack: float = 0.0
-    context: Optional[ExponentContext] = None
+    slack: float
+    context: ExponentContext
 
     @property
     def all_passed(self) -> bool:
@@ -384,24 +385,25 @@ class BoundReport:
         return sum(1 for v in self.verdicts if v.feasible)
 
     def to_json(self) -> dict:
-        out = {
+        def curve(values):  # JSON has no NaN
+            return [None if v is None or math.isnan(v) else v for v in values]
+
+        return {
             "thetaGrid": list(self.theta_grid),
-            "lowerCurve": [None if v is None or math.isnan(v) else v for v in self.lower_curve],
-            "upperCurve": [None if v is None or math.isnan(v) else v for v in self.upper_curve],
-            "inputCurve": [None if v is None or math.isnan(v) else v for v in self.input_curve],
+            "lowerCurve": curve(self.lower_curve),
+            "upperCurve": curve(self.upper_curve),
+            "inputCurve": curve(self.input_curve),
             "verdicts": [v.to_json() for v in self.verdicts],
             "slack": self.slack,
             "feasibleCount": self.feasible_count,
             "allPassed": self.all_passed,
-        }
-        if self.context is not None:
-            out["context"] = {
+            "context": {
                 "n": self.context.n,
                 "K": self.context.K,
                 "p": "inf" if self.context.p == math.inf else self.context.p,
                 "lambda": self.context.lam,
-            }
-        return out
+            },
+        }
 
 
 def spectrum_bound_report(
@@ -410,7 +412,6 @@ def spectrum_bound_report(
     source_spectrum: SpectrumFn,
     image_spectrum: SpectrumFn,
     slack: float,
-    inner_p: Optional[float] = None,
 ) -> BoundReport:
     """Check an image spectrum curve against the two-sided bounds on a theta grid.
 
@@ -418,9 +419,9 @@ def spectrum_bound_report(
     rather than failed; a verdict fails only when the image estimate leaves
     [lower - slack, upper + slack].
     """
-    if not slack >= 0:
-        raise InvalidParameterError(f"slack must be nonnegative, got {slack}")
-    lowers, uppers, inputs, verdicts = [], [], [], []
+    if not 0.0 <= slack < math.inf:
+        raise InvalidParameterError(f"slack must be finite and nonnegative, got {slack}")
+    inputs, verdicts = [], []
     for theta in theta_grid:
         t = t_of_theta(theta)
         try:
@@ -428,33 +429,24 @@ def spectrum_bound_report(
         except SpectrumUndefinedError:
             src_here = math.nan
         inputs.append(src_here)
+        lower = upper = None
         try:
-            lower, upper = spectrum_bounds(t, ctx, source_spectrum, inner_p=inner_p)
-        except SpectrumUndefinedError as exc:
-            lowers.append(math.nan)
-            uppers.append(math.nan)
-            verdicts.append(
-                ThetaVerdict(theta, None, None, None, False, None, f"source: {exc}")
-            )
-            continue
-        lowers.append(lower)
-        uppers.append(upper)
-        try:
+            side = "source"
+            lower, upper = spectrum_bounds(t, ctx, source_spectrum)
+            side = "image"
             est = image_spectrum(theta)
         except SpectrumUndefinedError as exc:
-            verdicts.append(
-                ThetaVerdict(theta, None, lower, upper, False, None, f"image: {exc}")
+            verdicts.append(ThetaVerdict(theta, None, lower, upper, False, None, f"{side}: {exc}"))
+        else:
+            ok = lower - slack <= est <= upper + slack
+            reason = "" if ok else (
+                f"estimate {est:.4f} outside [{lower:.4f} - {slack}, {upper:.4f} + {slack}]"
             )
-            continue
-        ok = lower - slack <= est <= upper + slack
-        reason = "" if ok else (
-            f"estimate {est:.4f} outside [{lower:.4f} - {slack}, {upper:.4f} + {slack}]"
-        )
-        verdicts.append(ThetaVerdict(theta, est, lower, upper, True, bool(ok), reason))
+            verdicts.append(ThetaVerdict(theta, est, lower, upper, True, bool(ok), reason))
     return BoundReport(
         theta_grid=tuple(theta_grid),
-        lower_curve=tuple(lowers),
-        upper_curve=tuple(uppers),
+        lower_curve=tuple(math.nan if v.lower is None else v.lower for v in verdicts),
+        upper_curve=tuple(math.nan if v.upper is None else v.upper for v in verdicts),
         input_curve=tuple(inputs),
         verdicts=tuple(verdicts),
         slack=slack,

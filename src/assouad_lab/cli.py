@@ -29,7 +29,7 @@ from .errors import (
     WindowTooNarrowError,
 )
 from .forking import forked
-from .geometry import load_points, save_points
+from .geometry import _read_csv_table, load_points, save_points
 from .index import build_index, deepest_level
 
 SCHEMA = "assouad-lab/1"
@@ -245,9 +245,12 @@ def cmd_map(args) -> int:
 # ---- bounds ------------------------------------------------------------
 
 
-# The flag each formula needs, checked and echoed into the report's inputs.
+# Every formula, in --help order, with the flag it needs (None: no flag);
+# that flag is checked and echoed into the report's inputs.
 _FORMULA_INPUT = {
     "beta-upper": "alpha",
+    "symmetric-coeff": None,
+    "rh-exponent": None,
     "assouad": "alpha",
     "spectrum": "t",
     "biholder": "theta",
@@ -261,36 +264,11 @@ def _oracle_source(args) -> bnd.SpectrumFn:
         a = args.source_a
         return lambda th: fam.oracle_spiral_spectrum(a, th)
     if args.source_csv is not None:
-        grid, vals = _read_curve(args.source_csv)
-        return bnd.spectrum_interpolator(grid, vals)
+        rows = _read_csv_table(args.source_csv)[3]  # under from_csv's rules
+        if rows.shape[1] < 2:
+            raise InvalidParameterError(f"{args.source_csv}: expected theta,value rows")
+        return bnd.spectrum_interpolator(rows[:, 0], rows[:, 1])
     raise InvalidParameterError("this formula needs --source-a or --source-csv")
-
-
-def _read_curve(path: str) -> tuple:
-    grid, vals, header = [], [], False
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if not (grid or header):
-                try:
-                    float(cells[0])
-                except ValueError:
-                    header = True  # one header row, before the first data row
-                    continue
-            try:
-                t, v = float(cells[0]), float(cells[1])
-            except (IndexError, ValueError):
-                raise InvalidParameterError(
-                    f"{path} line {lineno}: expected theta,value numbers, got {line!r}"
-                ) from None
-            grid.append(t)
-            vals.append(v)
-    if not grid:
-        raise InvalidParameterError(f"no curve rows in {path}")
-    return grid, vals
 
 
 def cmd_bounds(args) -> int:
@@ -312,7 +290,7 @@ def cmd_bounds(args) -> int:
         "lambda": ctx.lam,
         "formula": args.formula,
     }
-    need = _FORMULA_INPUT.get(args.formula)
+    need = _FORMULA_INPUT[args.formula]
     if need is not None:
         if getattr(args, need) is None:
             raise InvalidParameterError(f"--{need} is required")
@@ -451,6 +429,8 @@ def _estimate_curve(ps, grid, centers):
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 <= args.oracle_eps < math.inf:
+        raise InvalidParameterError(f"--oracle-eps must be finite and >= 0, got {args.oracle_eps}")
     params = _parse_set(args.set)
     a_src = params["a"]
     f = qc.parse_map_spec(args.map) if args.map else qc.identity_map()
@@ -635,12 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_map)
 
     b = sub.add_parser("bounds", help="evaluate a closed-form distortion bound")
-    b.add_argument(
-        "--formula",
-        required=True,
-        choices=["beta-upper", "symmetric-coeff", "rh-exponent", "assouad",
-                 "spectrum", "biholder", "ours", "compare"],
-    )
+    b.add_argument("--formula", required=True, choices=list(_FORMULA_INPUT))
     b.add_argument("--n", type=int, default=2)
     b.add_argument("--K", type=float, default=1.0)
     b.add_argument("--p", type=float, default=None, help='Sobolev exponent, a float or "inf"')

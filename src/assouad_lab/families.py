@@ -197,8 +197,8 @@ def _sample_sequence(p: float, m_max: int, res: float) -> PointSet:
 
 def oracle_spiral_box_dim(a: float) -> float:
     """Box dimension of the polynomial spiral with exponent a > 0."""
-    if a <= 0:
-        raise InvalidParameterError(f"a must be > 0, got {a}")
+    if not 0 < a < np.inf:
+        raise InvalidParameterError(f"a must be finite and > 0, got {a}")
     return max(2.0 / (1.0 + a), 1.0)
 
 
@@ -209,8 +209,8 @@ def oracle_spiral_spectrum(a: float, theta: float) -> float:
     a <= 1 and a curve-dominated branch for a >= 1.  Both are nondecreasing
     in theta, so the regularized spectrum coincides with this value.
     """
-    if a <= 0:
-        raise InvalidParameterError(f"a must be > 0, got {a}")
+    if not 0 < a < np.inf:
+        raise InvalidParameterError(f"a must be finite and > 0, got {a}")
     if not (0 < theta < 1):
         raise InvalidParameterError(f"theta must lie in (0, 1), got {theta}")
     if a <= 1:
@@ -220,8 +220,8 @@ def oracle_spiral_spectrum(a: float, theta: float) -> float:
 
 def oracle_spiral_rho(a: float) -> float:
     """Phase transition: the spectrum saturates at 2 exactly from a/(1+a) on."""
-    if a <= 0:
-        raise InvalidParameterError(f"a must be > 0, got {a}")
+    if not 0 < a < np.inf:
+        raise InvalidParameterError(f"a must be finite and > 0, got {a}")
     return a / (1.0 + a)
 
 

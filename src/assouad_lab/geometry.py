@@ -151,48 +151,7 @@ class PointSet:
         the first data row.  At most one header row may precede the data.
         A plain CSV carries no resolution, so one must be supplied.
         """
-        meta_dim = None
-        meta_res = None
-        header = None
-        with open(path) as fh:
-            try:  # a byte that is not text stops the scan
-                for lineno, line in enumerate(fh, 1):
-                    text = line.strip()
-                    if text.startswith("#"):
-                        for tok in text[1:].split():
-                            try:
-                                if tok.startswith("dim="):
-                                    meta_dim = int(tok[4:])
-                                elif tok.startswith("resolution="):
-                                    meta_res = float(tok[11:])
-                            except ValueError:
-                                raise InvalidParameterError(
-                                    f"{path} line {lineno}: bad metadata {tok!r}"
-                                ) from None
-                        continue
-                    cells = text.split("#", 1)[0].rstrip()
-                    if not cells:
-                        continue
-                    try:
-                        float(cells.split(",", 1)[0])
-                        break
-                    except ValueError:
-                        if header is not None:
-                            raise InvalidParameterError(
-                                f"{path} line {lineno}: non-numeric cell in {text!r}"
-                            ) from None
-                        header = cells.split(",")
-                else:
-                    raise EmptySetError(f"no points found in {path}")
-            except UnicodeDecodeError:
-                raise _bad_row(path) from None
-            big = os.fstat(fh.fileno()).st_size > _SPLIT_BYTES  # a pipe's size is 0
-            try:  # the file iterator resumes after the first data row
-                arr = (_load_halves(path, lineno) if big and can_overlap()
-                       else _load_rows(itertools.chain([line], fh)))
-            except ValueError:  # also a UnicodeDecodeError, from either half
-                raise _bad_row(path, lineno, cells.count(",") + 1) from None
-        _check_size(path, len(arr))
+        meta_dim, meta_res, header, arr = _read_csv_table(path)
         params = None
         if header is not None and header[-1] == "param":
             params = arr[:, -1]
@@ -260,6 +219,54 @@ class PointSet:
             return cls(dim=dim, points=points, resolution=float(resolution), params=params)
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{path}: {exc}") from None
+
+
+def _read_csv_table(path):
+    """``(dim, resolution, header, rows)`` of a CSV under from_csv's rules; the
+    metadata and header are None where the file has none."""
+    meta_dim = None
+    meta_res = None
+    header = None
+    with open(path) as fh:
+        try:  # a byte that is not text stops the scan
+            for lineno, line in enumerate(fh, 1):
+                text = line.strip()
+                if text.startswith("#"):
+                    for tok in text[1:].split():
+                        try:
+                            if tok.startswith("dim="):
+                                meta_dim = int(tok[4:])
+                            elif tok.startswith("resolution="):
+                                meta_res = float(tok[11:])
+                        except ValueError:
+                            raise InvalidParameterError(
+                                f"{path} line {lineno}: bad metadata {tok!r}"
+                            ) from None
+                    continue
+                cells = text.split("#", 1)[0].rstrip()
+                if not cells:
+                    continue
+                try:
+                    float(cells.split(",", 1)[0])
+                    break
+                except ValueError:
+                    if header is not None:
+                        raise InvalidParameterError(
+                            f"{path} line {lineno}: non-numeric cell in {text!r}"
+                        ) from None
+                    header = cells.split(",")
+            else:
+                raise EmptySetError(f"no points found in {path}")
+        except UnicodeDecodeError:
+            raise _bad_row(path) from None
+        big = os.fstat(fh.fileno()).st_size > _SPLIT_BYTES  # a pipe's size is 0
+        try:  # the file iterator resumes after the first data row
+            arr = (_load_halves(path, lineno) if big and can_overlap()
+                   else _load_rows(itertools.chain([line], fh)))
+        except ValueError:  # also a UnicodeDecodeError, from either half
+            raise _bad_row(path, lineno, cells.count(",") + 1) from None
+    _check_size(path, len(arr))
+    return meta_dim, meta_res, header, arr
 
 
 def _write_rows(fh, row: str, data: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 """Shared fixtures: expensive samples are built once per session."""
 
+import json
 import os
 
 import numpy as np
@@ -157,6 +158,14 @@ def center_aligned_count(ps, x, radius, m):
     addr = np.floor((inside - (x - radius)) / sigma).astype(np.int64)
     np.clip(addr, 0, 2**m - 1, out=addr)
     return len(np.unique(addr, axis=0))
+
+
+def strict_json(text):
+    """Parse a report as strict JSON: a NaN, Infinity or -Infinity literal fails."""
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 two_cpus = pytest.mark.skipif(

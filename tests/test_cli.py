@@ -22,7 +22,7 @@ from assouad_lab.errors import AssouadLabError, PoleProximityError
 from assouad_lab.families import FamilySpec, sample_family
 from assouad_lab.geometry import POINT_BUDGET, PointSet, load_points
 
-from conftest import two_cpus
+from conftest import strict_json, two_cpus
 
 
 def run(capsys, *argv):
@@ -387,14 +387,24 @@ def test_bounds_missing_required_flag(capsys):
     assert "--alpha" in err
 
 
-@pytest.mark.parametrize("row", ["0.5", "0.5,abc", "0.5,"])
-def test_bounds_bad_source_csv_row(tmp_path, capsys, row):
+_CURVE = b"theta,value\n0.1,1.0\n%s\n0.9,1.5\n"  # %s is line 3
+
+
+@pytest.mark.parametrize("content, needles", [
+    (_CURVE % b"0.5", ["line 3: rows have different numbers of columns"]),
+    (_CURVE % b"0.5,abc", ["line 3: non-numeric cell in '0.5,abc'"]),
+    (_CURVE % b"0.5,", ["line 3: non-numeric cell in '0.5,'"]),
+    (_CURVE % b"\xff", ["line 3: not ", "-8 text"]),  # UTF-8 or utf-8
+    (b"theta\n0.1\n0.5\n0.9\n", [": expected theta,value rows"]),
+], ids=["0.5", "0.5,abc", "0.5,", "not-text", "one-column"])
+def test_bounds_bad_source_csv_row(tmp_path, capsys, content, needles):
+    """--source-csv is read by the point-CSV reader, with its error lines."""
     curve = tmp_path / "curve.csv"
-    curve.write_text(f"theta,value\n0.1,1.0\n{row}\n0.9,1.5\n")
+    curve.write_bytes(content)
     rc, out, err = run(capsys, "bounds", "--formula", "spectrum", "--K", "2", "--t", "1",
                        "--source-csv", str(curve))
     assert rc == 2 and out == ""
-    assert_one_error_line(err, str(curve), "line 3")
+    assert_one_error_line(err, str(curve), *needles)
 
 
 @pytest.mark.parametrize("formula", ["beta-upper", "assouad"])
@@ -509,6 +519,32 @@ def test_verify_identity_scenario(tmp_path, capsys):
     feas = [v for v in payload["bounds"]["verdicts"] if v["feasible"]]
     assert feas and all(v["passed"] for v in feas)
     assert max(abs(v["estimate"] - v["lower"]) for v in feas) < 1e-9
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "inf", "slack must be finite and nonnegative, got inf"),
+    ("--eps", "nan", "slack must be finite and nonnegative, got nan"),
+    ("--eps", "-0.1", "slack must be finite and nonnegative, got -0.1"),
+    ("--oracle-eps", "nan", "--oracle-eps must be finite and >= 0, got nan"),
+    ("--oracle-eps", "inf", "--oracle-eps must be finite and >= 0, got inf"),
+    ("--oracle-eps", "-0.1", "--oracle-eps must be finite and >= 0, got -0.1"),
+    ("--claim-image-a", "nan", "a must be finite and > 0, got nan"),
+    ("--claim-image-a", "inf", "a must be finite and > 0, got inf"),
+    ("--eps", "0", None),
+    ("--oracle-eps", "0", None),
+], ids=["eps-inf", "eps-nan", "eps-negative", "oracle-eps-nan", "oracle-eps-inf",
+        "oracle-eps-negative", "claim-nan", "claim-inf", "eps-zero", "oracle-eps-zero"])
+def test_verify_refuses_non_finite_slacks_and_claims(capsys, flag, value, message):
+    """A slack or claim that is not a finite number in range exits 2 with one
+    line; a zero slack is allowed, and its report is strict JSON."""
+    rc, out, err = run(capsys, "verify", "--set", "spiral:a=1", "--xmax", "1000",
+                       "--res", "1e-3", flag, value)
+    if message is None:
+        assert rc in (0, 4) and err == ""
+        assert strict_json(out)["eps" if flag == "--eps" else "oracleEps"] == 0.0
+    else:
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, message)
 
 
 def test_verify_detects_wrong_oracle_claim(tmp_path, capsys):

@@ -6,7 +6,8 @@ its stdout (a JSON report with the top-level ``timings`` and
 ``elapsedSeconds`` keys removed, else the text) and the sha256 of every
 file it writes.  The pinned record is compared as the text
 ``json.dumps(record, indent=2)``, so a report matches only if it is the
-same text as the golden one once the timing keys are gone.
+same text as the golden one once the timing keys are gone.  Reports and
+pinned records are parsed as strict JSON: a NaN or Infinity literal fails.
 
 Regenerate the files in ``tests/golden/`` after an intended change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -23,6 +24,7 @@ import pytest
 
 from assouad_lab import estimators, forking
 from assouad_lab.cli import main
+from conftest import strict_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,7 +90,7 @@ def _record(argv, files) -> dict:
         rc = main(list(argv))
     stdout = out.getvalue()
     if stdout.startswith("{"):
-        stdout = json.loads(stdout)
+        stdout = strict_json(stdout)
         stdout.pop("timings", None)
         stdout.pop("elapsedSeconds", None)
     return {
@@ -116,7 +118,7 @@ def records(tmp_path_factory):
 
 @pytest.mark.parametrize("name", [c[0] for c in CASES])
 def test_golden_cli_output(records, name):
-    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    want = strict_json((GOLDEN / f"{name}.json").read_text())
     assert json.dumps(records[name], indent=2) == json.dumps(want, indent=2)
 
 
@@ -128,7 +130,7 @@ def test_golden_sized_files_are_written_and_read_in_one_process(tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     for name, argv, files in CASES:
         if "--map" not in argv:  # verify with a map estimates its source in a child
-            want = json.loads((GOLDEN / f"{name}.json").read_text())
+            want = strict_json((GOLDEN / f"{name}.json").read_text())
             assert json.dumps(_record(argv, files), indent=2) == json.dumps(want, indent=2)
 
 
@@ -143,7 +145,7 @@ def test_golden_cli_output_on_either_path(tmp_path, monkeypatch, path):
         monkeypatch.setattr(estimators, "_SPLIT_POINTS", 0)
     got = _run_all(tmp_path)
     for name, _, _ in CASES:
-        want = json.loads((GOLDEN / f"{name}.json").read_text())
+        want = strict_json((GOLDEN / f"{name}.json").read_text())
         assert json.dumps(got[name], indent=2) == json.dumps(want, indent=2), name
 
 
