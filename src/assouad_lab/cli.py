@@ -89,12 +89,11 @@ def _emit(args, payload: dict) -> None:
 
 
 def _index_for(ps):
-    box = ps.bounding_box()
-    level = deepest_level(ps, box)
-    if level == 0 and float(np.max(box[1] - box[0])) == 0.0:
+    level = deepest_level(ps)
+    if level == 0 and np.array_equal(*ps.bounding_box()):
         # degenerate extent: give the estimators some levels to fit on
         level = _MIN_INDEX_LEVELS
-    return build_index(ps, level, box)
+    return build_index(ps, level)
 
 
 def _load(args):
@@ -429,8 +428,13 @@ def _estimate_curve(ps, grid, centers):
 
 
 def cmd_verify(args) -> int:
-    if not 0.0 <= args.oracle_eps < math.inf:
-        raise InvalidParameterError(f"--oracle-eps must be finite and >= 0, got {args.oracle_eps}")
+    for flag, value in (("--eps", args.eps), ("--oracle-eps", args.oracle_eps)):
+        if not 0.0 <= value < math.inf:
+            raise InvalidParameterError(f"{flag} must be finite and >= 0, got {value}")
+    for flag, value in (("--res", args.res), ("--image-res", args.image_res),
+                        ("--claim-image-a", args.claim_image_a)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise InvalidParameterError(f"{flag} must be finite and > 0, got {value}")
     params = _parse_set(args.set)
     a_src = params["a"]
     f = qc.parse_map_spec(args.map) if args.map else qc.identity_map()

@@ -60,16 +60,17 @@ class FamilySpec:
 
 def sample_family(spec: FamilySpec) -> PointSet:
     """Generate the sample a FamilySpec describes."""
-    if spec.target_resolution <= 0:
-        raise InvalidParameterError("target_resolution must be positive")
+    res = spec.target_resolution
+    if not 0 < res < np.inf:
+        raise InvalidParameterError(f"target_resolution must be finite and positive, got {res}")
     if spec.kind == "poly_spiral":
-        return _sample_poly_spiral(spec.a, spec.x_max, spec.target_resolution)
+        return _sample_poly_spiral(spec.a, spec.x_max, res)
     if spec.kind == "log_spiral":
-        return _sample_log_spiral(spec.c, spec.x_max, spec.target_resolution)
+        return _sample_log_spiral(spec.c, spec.x_max, res)
     if spec.kind == "cantor":
-        return _sample_cantor(spec.ratio, spec.depth, spec.target_resolution)
+        return _sample_cantor(spec.ratio, spec.depth, res)
     if spec.kind == "sequence":
-        return _sample_sequence(spec.p, spec.m_max, spec.target_resolution)
+        return _sample_sequence(spec.p, spec.m_max, res)
     raise InvalidParameterError(f"unknown family kind {spec.kind!r}")
 
 
@@ -117,10 +118,10 @@ def _curve_points(x_max: float, modulus, speed, step: float) -> tuple:
 def _sample_spiral(label: str, rate: float, x_max: float, res: float, modulus, speed):
     """The curve x -> modulus(x) * (cos x, sin x) on [1, x_max], sampled by arc
     length, after the checks both spirals share; ``label`` names ``rate``."""
-    if rate <= 0:
-        raise InvalidParameterError(f"{label} must be > 0, got {rate}")
-    if x_max <= 1:
-        raise InvalidParameterError(f"x_max must exceed 1, got {x_max}")
+    if not 0 < rate < np.inf:
+        raise InvalidParameterError(f"{label} must be finite and > 0, got {rate}")
+    if not 1 < x_max < np.inf:
+        raise InvalidParameterError(f"x_max must be finite and exceed 1, got {x_max}")
     tail = modulus(x_max)
     if tail > TAIL_SLACK * res:
         raise TruncationTooCoarseError(

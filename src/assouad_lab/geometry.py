@@ -33,6 +33,7 @@ _FMT = "%.17g"
 _BLOCK_ROWS = 1 << 16  # rows formatted per write: flat memory, few calls; more use two CPUs
 _SPLIT_BYTES = 1 << 22  # a CSV of more bytes is read on two CPUs
 _CHUNK_BYTES = 1 << 20  # text read, or copied, per call
+_BOX_ROWS = 512  # rows per line of the bounding-box pass
 
 # Largest sample a family may generate or a file may hold (about 240 MB for
 # a planar curve with its parameters); larger ones are refused.
@@ -47,10 +48,20 @@ def _as_points_array(points, dim: int) -> np.ndarray:
         raise InvalidParameterError(
             f"points must be an (N, {dim}) array, got shape {arr.shape}"
         )
-    # min and max carry any NaN or inf, with no per-point temporary
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise InvalidParameterError("points must be finite")
     return arr
+
+
+def _column_bounds(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's min and max, NaN and inf carried along.  The rows are
+    reduced ``_BOX_ROWS`` to a line, so each pass runs over contiguous memory
+    (a column, or axis 0 of (N, dim), is strided and several times slower);
+    the lines' extremes and the rows past the last full line are then folded."""
+    dim = arr.shape[1]
+    split = len(arr) - len(arr) % _BOX_ROWS
+    lines = arr[:split].reshape(-1, _BOX_ROWS * dim)
+    lo = np.vstack([lines.min(0, initial=np.inf).reshape(-1, dim), arr[split:]]).min(0)
+    hi = np.vstack([lines.max(0, initial=-np.inf).reshape(-1, dim), arr[split:]]).max(0)
+    return lo, hi
 
 
 @dataclass(eq=False)
@@ -68,17 +79,23 @@ class PointSet:
     points: np.ndarray
     resolution: float
     params: np.ndarray | None = field(default=None)
+    _box: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidParameterError(f"dim must be >= 1, got {self.dim}")
-        if not (self.resolution > 0):
+        if not 0 < self.resolution < np.inf:
             raise InvalidParameterError(
-                f"resolution must be positive, got {self.resolution}"
+                f"resolution must be finite and positive, got {self.resolution}"
             )
         self.points = _as_points_array(self.points, self.dim)
         if len(self.points) == 0:
             raise EmptySetError("point set is empty")
+        self._box = _column_bounds(self.points)  # the one pass over the points
+        if not all(np.isfinite(b).all() for b in self._box):
+            raise InvalidParameterError("points must be finite")
+        for b in self._box:
+            b.flags.writeable = False
         if self.params is not None:
             self.params = np.asarray(self.params, dtype=np.float64).reshape(-1)
             if len(self.params) != len(self.points):
@@ -104,11 +121,8 @@ class PointSet:
         return True
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        if len(self) == 0:
-            raise EmptySetError("empty point set has no bounding box")
-        # Column by column: a strided axis-0 reduction is ~8x slower.
-        cols = self.points.T
-        return np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
+        """Per-column (min, max), taken once, at construction."""
+        return self._box
 
     # ---- file formats -------------------------------------------------
 

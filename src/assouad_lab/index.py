@@ -200,14 +200,13 @@ class MultiScaleIndex:
         return np.array([np.count_nonzero(d2 <= r2) for r2 in radii * radii], dtype=np.intp)
 
 
-def build_index(ps: PointSet, max_level: int, box=None) -> MultiScaleIndex:
+def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
     """Index a point sample down to the requested dyadic level.
 
     The root is the smallest cube centered at the bounding-box midpoint
     that covers the sample; a degenerate (single-point) box is widened so
     the leaf cells sit exactly at the declared resolution.  Building is
-    refused when leaf cells would be finer than the resolution.  ``box`` is
-    ``ps.bounding_box()``, if the caller already has it.
+    refused when leaf cells would be finer than the resolution.
 
     Per point, building allocates the int64 leaf keys (sorted in place, with
     a dedup mask) and the uint16 coarse keys it keeps; everything else is
@@ -227,7 +226,7 @@ def build_index(ps: PointSet, max_level: int, box=None) -> MultiScaleIndex:
             f"max_level {max_level} at dim {ps.dim} exceeds the packed-address budget"
         )
 
-    lo, hi = ps.bounding_box() if box is None else box
+    lo, hi = ps.bounding_box()
     extent = float(np.max(hi - lo))
     if extent == 0.0:
         # Degenerate sample: widen so the deepest cells match the resolution.
@@ -267,12 +266,9 @@ def build_index(ps: PointSet, max_level: int, box=None) -> MultiScaleIndex:
     )
 
 
-def deepest_level(ps: PointSet, box=None) -> int:
-    """Largest level whose leaf cells are still >= the declared resolution.
-
-    ``box`` is ``ps.bounding_box()``, if the caller already has it.
-    """
-    lo, hi = ps.bounding_box() if box is None else box
+def deepest_level(ps: PointSet) -> int:
+    """Largest level whose leaf cells are still >= the declared resolution."""
+    lo, hi = ps.bounding_box()
     extent = float(np.max(hi - lo))
     if extent == 0.0:
         return 0

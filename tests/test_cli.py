@@ -8,13 +8,14 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from assouad_lab import cli, index
+from assouad_lab import cli, geometry, index
 from assouad_lab import estimators as est
 from assouad_lab import maps as qc
 from assouad_lab.cli import main
@@ -112,12 +113,14 @@ def test_index_stats_payload(spiral_s1_coarse, capsys):
     ([(0.3, 0.7)], 8),  # zero extent: the CLI's fallback level count
     ([(0.0, 0.0), (1.0, 0.5)], 9),
 ])
-def test_index_for_takes_the_bounding_box_once(monkeypatch, points, levels):
+def test_index_for_does_not_reduce_the_points_again(monkeypatch, points, levels):
+    # The bounding box is taken once, when the PointSet is made.
+    ps = PointSet(dim=2, points=points, resolution=1e-3)
     calls = []
-    box = PointSet.bounding_box
-    monkeypatch.setattr(PointSet, "bounding_box", lambda ps: calls.append(1) or box(ps))
-    idx = cli._index_for(PointSet(dim=2, points=points, resolution=1e-3))
-    assert idx.max_level == levels and len(calls) == 1
+    bounds = geometry._column_bounds
+    monkeypatch.setattr(geometry, "_column_bounds", lambda a: calls.append(1) or bounds(a))
+    idx = cli._index_for(ps)
+    assert idx.max_level == levels and calls == []
 
 
 # ---- estimate ---------------------------------------------------------------
@@ -522,21 +525,24 @@ def test_verify_identity_scenario(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--eps", "inf", "slack must be finite and nonnegative, got inf"),
-    ("--eps", "nan", "slack must be finite and nonnegative, got nan"),
-    ("--eps", "-0.1", "slack must be finite and nonnegative, got -0.1"),
+    ("--eps", "inf", "--eps must be finite and >= 0, got inf"),
+    ("--eps", "nan", "--eps must be finite and >= 0, got nan"),
+    ("--eps", "-0.1", "--eps must be finite and >= 0, got -0.1"),
     ("--oracle-eps", "nan", "--oracle-eps must be finite and >= 0, got nan"),
     ("--oracle-eps", "inf", "--oracle-eps must be finite and >= 0, got inf"),
     ("--oracle-eps", "-0.1", "--oracle-eps must be finite and >= 0, got -0.1"),
-    ("--claim-image-a", "nan", "a must be finite and > 0, got nan"),
-    ("--claim-image-a", "inf", "a must be finite and > 0, got inf"),
+    ("--claim-image-a", "nan", "--claim-image-a must be finite and > 0, got nan"),
+    ("--claim-image-a", "inf", "--claim-image-a must be finite and > 0, got inf"),
     ("--eps", "0", None),
     ("--oracle-eps", "0", None),
 ], ids=["eps-inf", "eps-nan", "eps-negative", "oracle-eps-nan", "oracle-eps-inf",
         "oracle-eps-negative", "claim-nan", "claim-inf", "eps-zero", "oracle-eps-zero"])
-def test_verify_refuses_non_finite_slacks_and_claims(capsys, flag, value, message):
+def test_verify_refuses_non_finite_slacks_and_claims(monkeypatch, capsys, flag, value, message):
     """A slack or claim that is not a finite number in range exits 2 with one
-    line; a zero slack is allowed, and its report is strict JSON."""
+    line, before anything is sampled; a zero slack is allowed, and its report
+    is strict JSON."""
+    if message is not None:
+        monkeypatch.setattr(cli.fam, "sample_family", mock.Mock(side_effect=AssertionError))
     rc, out, err = run(capsys, "verify", "--set", "spiral:a=1", "--xmax", "1000",
                        "--res", "1e-3", flag, value)
     if message is None:
@@ -545,6 +551,31 @@ def test_verify_refuses_non_finite_slacks_and_claims(capsys, flag, value, messag
     else:
         assert rc == 2 and out == ""
         assert_one_error_line(err, message)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["gen", "--family", "spiral", "--res", "inf"], "target_resolution must be finite"),
+    (["gen", "--family", "cantor", "--res", "nan"], "target_resolution must be finite"),
+    (["verify", "--set", "spiral:a=1", "--xmax", "1000", "--res", "inf"],
+     "--res must be finite and > 0, got inf"),
+    (["verify", "--set", "spiral:a=1", "--xmax", "1000", "--res", "1e-3", "--map",
+      "radial:K=2", "--image-res", "inf"], "--image-res must be finite and > 0, got inf"),
+    (["estimate", "{plain}", "--res", "inf"], "resolution must be finite and positive"),
+    (["estimate", "{inf}"], "resolution must be finite and positive"),
+    (["verify", "--set", "spiral:a=1", "--xmax", "inf"], "x_max must be finite"),
+    (["verify", "--set", "spiral:a=inf"], "spiral exponent a must be finite"),
+    (["gen", "--family", "logspiral", "--c", "inf"], "log-spiral rate c must be finite"),
+], ids=["gen-res", "gen-cantor-res", "verify-res", "verify-image-res", "estimate-res",
+        "csv-metadata", "xmax", "spiral-a", "log-spiral-c"])
+def test_non_finite_resolutions_and_spiral_parameters_exit_2(tmp_path, capsys, argv, needle):
+    (tmp_path / "plain.csv").write_text("0.25,0.75\n0.5,0.5\n")
+    (tmp_path / "inf.csv").write_text("# assouad-lab dim=2 resolution=inf\n0.25,0.75\n")
+    argv = [a.format(plain=tmp_path / "plain.csv", inf=tmp_path / "inf.csv") for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the refusal
+        rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, needle)
 
 
 def test_verify_detects_wrong_oracle_claim(tmp_path, capsys):

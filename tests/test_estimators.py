@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -483,6 +484,49 @@ def test_coarse_cells_allocates_per_point_only_the_keys_and_the_order():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= cells.order.nbytes + 2 * cells.starts.nbytes + 2**16
+
+
+def keys_in_runs(n: int, runs: int, seed: int = 0) -> np.ndarray:
+    """uint16 keys of ``n`` points in exactly ``runs`` runs; keys recur across runs."""
+    rng = np.random.default_rng(seed)
+    run_keys = np.cumsum(rng.integers(1, 40, runs)) % 41  # no two neighbours equal
+    cuts = np.sort(rng.choice(np.arange(1, n), runs - 1, replace=False))
+    return np.repeat(run_keys, np.diff(cuts, prepend=0, append=n)).astype(np.uint16)
+
+
+@pytest.mark.parametrize("keys, run_path", [
+    (keys_in_runs(20_000, 50), True),
+    (np.random.default_rng(1).permutation(keys_in_runs(20_000, 50)), False),
+    (np.zeros(1, np.uint16), False),
+    (np.full(5000, 1234, np.uint16), True),
+    (keys_in_runs(160, 10), False),  # one run per 16 points
+    (keys_in_runs(161, 10), True),
+], ids=["long-runs", "shuffled", "one-point", "one-cell", "runs-at-1/16", "runs-under-1/16"])
+def test_coarse_cells_is_the_stable_argsort(keys, run_path):
+    idx = index_sample(PointSet(dim=2, points=[(0.0, 0.0), (1.0, 1.0)], resolution=1e-3))
+    idx = dataclasses.replace(idx, coarse_keys=keys)
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        order, starts, *_ = _coarse_cells(idx)
+    # The run path sorts one key per run, the radix path every point's key.
+    assert (len(argsort.call_args.args[0]) < len(keys)) == run_path
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert order.dtype == np.intp
+    want = np.zeros((1 << 16) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=1 << 16), out=want[1:])
+    assert np.array_equal(starts, want) and starts.dtype == np.intp
+
+
+def test_coarse_cells_from_runs_allocate_per_point_only_the_order():
+    idx = index_sample(sample_family(S1_SMALL))  # 2,091 runs over 145,588 points
+    keys = idx.coarse_keys
+    runs = np.count_nonzero(keys[1:] != keys[:-1]) + 1
+    assert 16 * runs < len(keys)
+    tracemalloc.start()
+    cells = _coarse_cells(idx)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= cells.order.nbytes + 2 * cells.starts.nbytes + 64 * runs + 2**12
+    assert np.array_equal(cells.order, np.argsort(keys, kind="stable"))
 
 
 def test_farthest_point_sample_allocates_no_point_sized_float_array():

@@ -40,10 +40,38 @@ def test_pointset_rejects_nonfinite():
         PointSet(dim=1, points=[(np.nan,)], resolution=0.1)
 
 
-@pytest.mark.parametrize("res", [0.0, -1.0])
+@pytest.mark.parametrize("res", [0.0, -1.0, np.inf, np.nan])
 def test_pointset_rejects_bad_resolution(res):
     with pytest.raises(InvalidParameterError):
         PointSet(dim=1, points=[(0.0,)], resolution=res)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 7, 511, 512, 1024, 1537, 5000])
+def test_bounding_box_is_each_columns_min_and_max(dim, n):
+    pts = np.random.default_rng(n * dim).normal(size=(n, dim)) * [1.0, 1e3, 1e-3][:dim]
+    lo, hi = PointSet(dim=dim, points=pts, resolution=1e-6).bounding_box()
+    assert np.array_equal(lo, pts.min(axis=0)) and np.array_equal(hi, pts.max(axis=0))
+    assert lo.shape == hi.shape == (dim,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 700, 1030])  # a full line of the pass, or the rows past it
+def test_non_finite_points_are_refused_wherever_they_sit(bad, row):
+    pts = np.zeros((1031, 2))
+    pts[row, 1] = bad
+    with pytest.raises(InvalidParameterError, match="finite"):
+        PointSet(dim=2, points=pts, resolution=0.1)
+
+
+def test_bounding_box_of_a_loaded_csv(tmp_path):
+    # Points read with their params are a strided view of the CSV's rows.
+    pts = np.random.default_rng(5).normal(size=(1500, 2))
+    PointSet(dim=2, points=pts, resolution=1e-3, params=np.arange(1500.0)).to_csv(tmp_path / "p.csv")
+    ps = load_points(tmp_path / "p.csv")
+    assert not ps.points.flags.c_contiguous and ps.points.strides == (24, 8)
+    lo, hi = ps.bounding_box()
+    assert np.array_equal(lo, pts.min(axis=0)) and np.array_equal(hi, pts.max(axis=0))
 
 
 def test_pointset_rejects_implicit_empty():
