@@ -182,7 +182,8 @@ _FPS_SLACK = 1e-9
 
 
 class CoarseCells(NamedTuple):
-    """Source points grouped by coarse cell; see ``_coarse_cells``."""
+    """Source points grouped by coarse cell, ``order`` int32 or intp; see
+    ``_coarse_cells``."""
 
     order: np.ndarray
     starts: np.ndarray
@@ -195,7 +196,8 @@ def _coarse_cells(idx: MultiScaleIndex) -> CoarseCells:
     """Source points grouped by the index's coarse cells, and their grid.
 
     The points of coarse cell k are ``order[starts[k]:starts[k + 1]]``, in
-    index order.  Cell k spans ``low + address * side`` to
+    index order.  ``order`` is int32 when built from runs of one key (4 bytes
+    a point), else argsort's intp.  Cell k spans ``low + address * side`` to
     ``low + (address + 1) * side`` along each axis, up to the rounding of
     the address; points on the root's upper face are in the last cell.
     """
@@ -219,8 +221,9 @@ def _coarse_cells(idx: MultiScaleIndex) -> CoarseCells:
         rank = np.argsort(keys[first], kind="stable")
         first, size = first[rank], size[rank]
         # A sum of ones that jumps, at each run's first slot, from the previous
-        # run's last point to this run's first
-        order = np.ones(len(keys), dtype=np.intp)
+        # run's last point to this run's first; in int32, which holds every
+        # index of a sample within POINT_BUDGET, 4 bytes a point
+        order = np.ones(len(keys), dtype=np.int32 if len(keys) <= 1 << 31 else np.intp)
         order[np.cumsum(size) - size] = first - np.concatenate([[0], (first + size - 1)[:-1]])
         np.cumsum(order, out=order)
     return CoarseCells(order, starts, level, idx.root.low(), idx.cell_side(level))
@@ -503,68 +506,53 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     hold a round's farthest point.  Each is exact against its full scan
     (nearest sample point, farthest point, first index on ties), so the
     centers are bit for bit those of the full-scan code.  Per point this
-    allocates the coarse cells' intp order and the farthest-point pool for
-    the points it touches.
+    allocates the coarse cells' order (int32 for a sample in curve order) and
+    the farthest-point pool for the points it touches.
     """
     hot, spread = _center_halves(idx, budget)
     return np.vstack([hot(), spread()])
 
 
-def _linear_fit(g: np.ndarray, y: np.ndarray):
-    """Least-squares slope and its standard error."""
-    design = np.column_stack([np.ones_like(g), g])
-    beta, resid, *_ = np.linalg.lstsq(design, y, rcond=None)
-    dof = len(g) - 2
-    se = 0.0
-    rss = float(resid[0]) if len(resid) else 0.0
-    if dof > 0 and rss > 0.0:
-        cov = np.linalg.inv(design.T @ design)
-        se = math.sqrt(rss / dof * cov[1, 1])
-    return float(beta[1]), se, rss
-
-
-def _transient_fit(g: np.ndarray, y: np.ndarray):
-    """Slope of the model y = b0 + b1*g + b2*2^(-g), with slope SE and RSS."""
-    design = np.column_stack([np.ones_like(g), g, np.exp2(-g)])
-    beta, resid, *_ = np.linalg.lstsq(design, y, rcond=None)
-    if not len(resid):
-        return None
-    dof = len(g) - 3
-    rss = float(resid[0])
-    if dof <= 0 or rss <= 0.0:
-        return None
-    try:
-        cov = np.linalg.inv(design.T @ design)
-    except np.linalg.LinAlgError:
-        return None
-    se = math.sqrt(rss / dof * cov[1, 1])
-    return float(beta[1]), se, rss
-
-
-def _ray_value(g: np.ndarray, y: np.ndarray):
-    """Penalized scaling slope of one (center, theta) ray.
+def _ray_model(g: np.ndarray):
+    """Penalized scaling slope of a ray at ascending abscissae ``g``, as a
+    function of its ordinates, returning ``(value, fit)``.
 
     Plain least squares by default.  When the ray starts shallow, spans
     enough octaves, and an exponentially decaying correction term reduces
     the residual by a decisive F-ratio, the corrected slope is used instead:
     that combination is the signature of a finite-size transient (count
     deficits at coarse scales), not of the log-periodic oscillation a
-    self-similar set produces.
+    self-similar set produces.  The design matrices, the slope entries of
+    their inverse Gram matrices and the shape gate depend on ``g`` alone, so
+    they are made once, for every center's ray at one theta.
     """
-    order = np.argsort(g)
-    g = g[order]
-    y = y[order]
-    slope, se, rss1 = _linear_fit(g, y)
-    fit = "linear"
-    if (len(g) >= _MODEL_MIN_POINTS and g[0] <= _MODEL_MAX_START
-            and g[-1] - g[0] >= _MODEL_MIN_SPAN and rss1 > 0.0):
-        model = _transient_fit(g, y)
-        if model is not None:
-            m_slope, m_se, rss2 = model
-            f_stat = (rss1 - rss2) / (rss2 / (len(g) - 3))
-            if f_stat >= _F_CRIT and m_slope > slope:
-                slope, se, fit = m_slope, m_se, "transient"
-    return slope - _Z_PENALTY * se, fit
+    n = len(g)
+    line = np.column_stack([np.ones_like(g), g])
+    line_cov = np.linalg.inv(line.T @ line)[1, 1]
+    curve = None
+    if n >= _MODEL_MIN_POINTS and g[0] <= _MODEL_MAX_START and g[-1] - g[0] >= _MODEL_MIN_SPAN:
+        curve = np.column_stack([np.ones_like(g), g, np.exp2(-g)])
+        try:
+            curve_cov = np.linalg.inv(curve.T @ curve)[1, 1]
+        except np.linalg.LinAlgError:
+            curve = None
+
+    def value(y: np.ndarray):
+        beta, resid, *_ = np.linalg.lstsq(line, y, rcond=None)
+        slope, fit = float(beta[1]), "linear"
+        rss1 = float(resid[0]) if len(resid) else 0.0
+        se = math.sqrt(rss1 / (n - 2) * line_cov) if n > 2 and rss1 > 0.0 else 0.0
+        if curve is not None and rss1 > 0.0:
+            beta, resid, *_ = np.linalg.lstsq(curve, y, rcond=None)
+            rss2 = float(resid[0]) if len(resid) else 0.0
+            if rss2 > 0.0:  # n >= _MODEL_MIN_POINTS leaves n - 3 > 0 degrees of freedom
+                f_stat = (rss1 - rss2) / (rss2 / (n - 3))
+                if f_stat >= _F_CRIT and float(beta[1]) > slope:
+                    slope, fit = float(beta[1]), "transient"
+                    se = math.sqrt(rss2 / (n - 3) * curve_cov)
+        return slope - _Z_PENALTY * se, fit
+
+    return value
 
 
 def _count_rays(idx: MultiScaleIndex, centers: np.ndarray, ks: np.ndarray,
@@ -581,9 +569,17 @@ def _count_rays(idx: MultiScaleIndex, centers: np.ndarray, ks: np.ndarray,
 
 def _ray_fits(counts: np.ndarray, admitted: np.ndarray, g: np.ndarray, feasible) -> list:
     """(value, fit) of each center's ray at each feasible theta, from
-    ``counts[center, level, theta]``; a ray reads every admitted level."""
-    return [[_ray_value(g[admitted[:, ti], ti], np.log2(c[admitted[:, ti], ti]))
-             for ti in feasible] for c in counts]
+    ``counts[center, level, theta]``; a ray reads every admitted level.
+    Every center's ray at a theta has the same abscissae, so only the
+    least-squares solves are made per center."""
+    fits = [[] for _ in counts]
+    for ti in feasible:
+        rows = admitted[:, ti]
+        order = np.argsort(g[rows, ti])
+        value = _ray_model(g[rows, ti][order])
+        for c, out in zip(counts, fits):
+            out.append(value(np.log2(c[rows, ti])[order]))
+    return fits
 
 
 def estimate_box_dim(idx: MultiScaleIndex, window: ScaleWindow | None = None) -> DimEstimate:

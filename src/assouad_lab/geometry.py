@@ -55,7 +55,11 @@ def _column_bounds(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column's min and max, NaN and inf carried along.  The rows are
     reduced ``_BOX_ROWS`` to a line, so each pass runs over contiguous memory
     (a column, or axis 0 of (N, dim), is strided and several times slower);
-    the lines' extremes and the rows past the last full line are then folded."""
+    the lines' extremes and the rows past the last full line are then folded.
+    Rows that are not contiguous (points beside a CSV's param column) would be
+    copied by that reshape, so they are reduced column by column instead."""
+    if not arr.flags.c_contiguous:
+        return np.array([c.min() for c in arr.T]), np.array([c.max() for c in arr.T])
     dim = arr.shape[1]
     split = len(arr) - len(arr) % _BOX_ROWS
     lines = arr[:split].reshape(-1, _BOX_ROWS * dim)

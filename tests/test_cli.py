@@ -655,6 +655,25 @@ def test_verify_report_is_the_same_in_one_process_and_two(monkeypatch, capsys, t
     assert verify_run(capsys, tmp_path, *argv) == forked
 
 
+@pytest.mark.parametrize("spec", ["radial:K=2", PUSHFORWARDS[0], None],
+                         ids=["radial", "pushforward", "identity"])
+def test_verify_indexes_no_params(monkeypatch, capsys, tmp_path, spec):
+    # The curve parameters are dropped as each spiral is sampled, so neither
+    # a sample nor a map's image carries them into an index.
+    indexed, build = [], cli.build_index
+
+    def recorded(ps, level):
+        indexed.append(ps)
+        return build(ps, level)
+
+    one_cpu(monkeypatch)  # every index is built in this process
+    monkeypatch.setattr(cli, "build_index", recorded)
+    rc, report, _ = verify_run(capsys, tmp_path, *SMALL, *(["--map", spec] if spec else []))
+    assert rc in (0, 4) and report != "null"
+    assert len(indexed) == (2 if spec else 1)
+    assert all(ps.params is None for ps in indexed)
+
+
 @two_cpus
 @pytest.mark.parametrize("argv", [
     # the source estimate fails in the child; the image's would not

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -72,6 +73,21 @@ def test_bounding_box_of_a_loaded_csv(tmp_path):
     assert not ps.points.flags.c_contiguous and ps.points.strides == (24, 8)
     lo, hi = ps.bounding_box()
     assert np.array_equal(lo, pts.min(axis=0)) and np.array_equal(hi, pts.max(axis=0))
+
+
+def test_bounding_box_of_strided_points_copies_nothing():
+    # Points beside a param column are reduced column by column, not copied.
+    n = 200_000
+    rows = np.random.default_rng(6).normal(size=(n, 3))
+    tracemalloc.start()
+    lo, hi = PointSet(dim=2, points=rows[:, :2], resolution=1e-3).bounding_box()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * n
+    assert np.array_equal(lo, rows[:, :2].min(axis=0)) and np.array_equal(hi, rows[:, :2].max(axis=0))
+    rows[n // 2, 1] = np.nan
+    with pytest.raises(InvalidParameterError, match="finite"):
+        PointSet(dim=2, points=rows[:, :2], resolution=1e-3)
 
 
 def test_pointset_rejects_implicit_empty():
