@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, WindowTooNarrowError
-from .forking import can_overlap, forked
 from .index import MultiScaleIndex, _ancestor_keys, _decode
 
 __all__ = [
@@ -45,12 +44,6 @@ METHOD_ASSOUAD_WINDOW = "assouadWindow"
 DEFAULT_THETA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 19))
 
 DEFAULT_CENTER_BUDGET = 24
-
-#: A sweep over more points than this splits its centers over two
-#: processes.  Below about 1M points the split saves nothing measurable on
-#: a 2-CPU machine; 2^20 also keeps a 404k-point spiral CSV and verify's
-#: 647k-point radial image in one process.
-_SPLIT_POINTS = 1 << 20
 
 # Ray admissibility: outer radius at least two levels below the root, at
 # least one octave between 2R and r, and enough points to regress on.
@@ -406,12 +399,6 @@ def farthest_point_sample(points: np.ndarray, budget: int, cells: CoarseCells) -
     return np.asarray(chosen)
 
 
-def _hot_level(idx: MultiScaleIndex) -> int:
-    """The mid-depth level whose cells the hotspots rank."""
-    hot_level = max(_K_LO, idx.max_level // 2)
-    return hot_level if hot_level < idx.max_level else max(idx.max_level - 1, 0)
-
-
 def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray:
     """Centers placed where the occupancy tree is refining fastest.
 
@@ -428,7 +415,9 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
     """
     if budget <= 0:
         return np.empty((0, idx.dim))
-    hot_level = _hot_level(idx)
+    hot_level = max(_K_LO, idx.max_level // 2)
+    if hot_level >= idx.max_level:
+        hot_level = max(idx.max_level - 1, 0)
     bits, dim, up = idx._bits, idx.dim, idx.max_level - hot_level
     deep, hot = idx.level_keys[idx.max_level], idx.level_keys[hot_level]
     anc = _ancestor_keys(deep, up, bits, dim)
@@ -479,23 +468,6 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
     return np.asarray(out)
 
 
-def _center_halves(idx: MultiScaleIndex, budget: int):
-    """The two halves of ``select_centers``, as functions of no arguments:
-    the hotspots, then the farthest-point spread.
-
-    Both read one set of coarse cells, built here.  The hotspot count (at
-    most one per cell at the hot level) is known before either half runs,
-    so the two can run in either order, or at once.
-    """
-    if budget < 1:
-        raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
-    cells = _coarse_cells(idx)
-    n_hot = min(budget // 2, len(idx.level_keys[_hot_level(idx)]))
-    points = idx.source.points
-    return (lambda: _structural_hotspots(idx, n_hot, cells),
-            lambda: points[farthest_point_sample(points, budget - n_hot, cells)])
-
-
 def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     """Query centers: half structural hotspots, half farthest-point spread.
 
@@ -509,8 +481,12 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     allocates the coarse cells' order (int32 for a sample in curve order) and
     the farthest-point pool for the points it touches.
     """
-    hot, spread = _center_halves(idx, budget)
-    return np.vstack([hot(), spread()])
+    if budget < 1:
+        raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
+    cells = _coarse_cells(idx)
+    hot = _structural_hotspots(idx, budget // 2, cells)
+    points = idx.source.points
+    return np.vstack([hot, points[farthest_point_sample(points, budget - len(hot), cells)]])
 
 
 def _ray_model(g: np.ndarray):
@@ -633,16 +609,6 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
     meets its cell.  Thetas without a ray are reported absent (NaN), never
     fabricated; the regularized curve is the running maximum floored by the
     box-dimension estimate, a lower bound for the spectrum at every theta.
-
-    Over ``_SPLIT_POINTS`` points, and with a CPU free for a child
-    (``can_overlap``), the centers run in two processes: a forked child
-    places the hotspots and fits their rays while this one does the
-    farthest-point half.  A ray depends on its own center alone, and the
-    child sends back its centers, counts and fits, which are small.  They
-    are concatenated in ``select_centers``' order, hotspots first, so the
-    maximum and the p95 read the same list as in one process, and the
-    result is the same bit for bit.  An error in the child comes first, as
-    the hotspots do.
     """
     thetas = [float(t) for t in theta_grid]
     if not thetas or any(not (0.0 < t < 1.0) for t in thetas):
@@ -672,23 +638,9 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
         span = np.where(admitted, g, -np.inf).max(0) - np.where(admitted, g, np.inf).min(0)
         feasible = np.flatnonzero((points >= _MIN_RAY_POINTS) & (span >= _MIN_RAY_SPAN))
 
-        def rays(centers):
-            counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
-            return centers, counts, _ray_fits(counts, admitted, g, feasible)
-
-        # In one process the halves are not run one after the other: on a
-        # 2-CPU machine that order made perfbench's verify-pushforward,
-        # whose image sweep cannot fork, 15-20% slower.
-        if len(idx.source) > _SPLIT_POINTS and can_overlap():
-            hot, spread = _center_halves(idx, center_budget)
-            with forked(lambda: rays(hot()), "hotspot") as join:
-                far = rays(spread())
-                near = join()
-            centers = np.concatenate([near[0], far[0]])
-            counts = np.concatenate([near[1], far[1]])
-            fits = near[2] + far[2]
-        else:
-            centers, counts, fits = rays(select_centers(idx, center_budget))
+        centers = select_centers(idx, center_budget)
+        counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
+        fits = _ray_fits(counts, admitted, g, feasible)
 
         for j, ti in enumerate(feasible):
             found = [f[j][0] for f in fits]

@@ -9,14 +9,14 @@ from contextlib import contextmanager
 
 
 _live = 0  # children forked here and not yet reaped; each keeps a CPU busy
-_result = None  # in a forked child: the write end of its own result pipe
+_child = False  # true in a forked child, which runs its own work inline
 
 
 def can_overlap() -> bool:
-    """A usable CPU for this process and for each child it has not reaped,
-    and no other thread (a fork copies only this one)."""
+    """Not a forked child, a usable CPU for this process and for each child
+    it has not reaped, and no other thread (a fork copies only this one)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return cpus >= 2 + _live and threading.active_count() == 1
+    return not _child and cpus >= 2 + _live and threading.active_count() == 1
 
 
 @contextmanager
@@ -27,8 +27,6 @@ def forked(fn, task: str):
     or ``ChildProcessError`` naming ``task`` if the child died.  ``fn`` runs
     here, before the body, unless ``can_overlap()``.  If the body raises, the
     child's own error still comes first, as inline; the child is always reaped.
-    A child may fork in turn; if it is killed, its own child runs on until it
-    writes its result, but the caller sees the death at once.
     """
     if not can_overlap():
         value = fn()
@@ -36,15 +34,13 @@ def forked(fn, task: str):
         return
     sys.stdout.flush()  # else the child would write the buffered text again
     sys.stderr.flush()
-    global _live, _result
+    global _live, _child
     fd_read, fd_write = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            if _result is not None:  # forked from a forked child:
-                os.close(_result)  # that child's death must reach its reader at once
-            _live, _result = 0, fd_write
+            _child = True
             os.close(fd_read)  # a reader that dies must not leave the write blocked
             try:
                 out = (True, fn())

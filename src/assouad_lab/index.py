@@ -269,10 +269,16 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
 def deepest_level(ps: PointSet) -> int:
     """Largest level whose leaf cells are still >= the declared resolution."""
     lo, hi = ps.bounding_box()
-    extent = float(np.max(hi - lo))
+    extent = max(h - l for l, h in zip(lo.tolist(), hi.tolist()))  # inf on overflow, unwarned
     if extent == 0.0:
         return 0
-    level = int(math.floor(math.log2(extent / ps.resolution) + 1e-12))
+    ratio = extent / ps.resolution
+    if ratio == math.inf:
+        raise InvalidParameterError(
+            "the points' extent over their resolution overflows a float "
+            f"(extent {extent:.3g}, resolution {ps.resolution:.3g})"
+        )
+    level = int(math.floor(math.log2(ratio) + 1e-12))
     level = max(level, 0)
     bits_budget = _ADDRESS_BITS // ps.dim
     return min(level, bits_budget)

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -21,7 +20,7 @@ from assouad_lab import maps as qc
 from assouad_lab.cli import main
 from assouad_lab.errors import AssouadLabError, PoleProximityError
 from assouad_lab.families import FamilySpec, sample_family
-from assouad_lab.geometry import POINT_BUDGET, PointSet, load_points
+from assouad_lab.geometry import PointSet, load_points
 
 from conftest import strict_json, two_cpus
 
@@ -221,6 +220,23 @@ def test_estimate_missing_input(tmp_path, capsys, command, name, content, needle
     rc, _, err = run(capsys, command, str(path), "--res", "1e-3")
     assert rc == 2
     assert_one_error_line(err, name, needle)
+
+
+@pytest.mark.parametrize("command", ["estimate", "index-stats"])
+@pytest.mark.parametrize("name, content", [
+    ("big.csv", "-1.7e308,0\n1.7e308,0\n"),
+    ("tiny.json", '{"dim": 2, "resolution": 1e-320, "points": [[0, 0], [1, 0]]}'),
+    ("far.json", '{"dim": 2, "resolution": 1e-3, "points": [[0, 0], [1e308, 1e308]]}'),
+], ids=["extent-overflows", "resolution-subnormal", "ratio-overflows"])
+def test_extent_over_resolution_that_overflows_exits_2(tmp_path, capsys, command, name,
+                                                        content):
+    path = tmp_path / name
+    path.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning before the refusal
+        rc, out, err = run(capsys, command, str(path), "--res", "1e-3")
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, "extent over their resolution overflows a float")
 
 
 def test_estimate_too_coarse_for_default_window_is_numeric_failure(tmp_path, capsys):
@@ -640,19 +656,23 @@ def verify_run(capsys, tmp_path, *argv):
                          ids=["radial", "seed1", "seed3", "seed7", "identity"])
 def test_verify_report_is_the_same_in_one_process_and_two(monkeypatch, capsys, tmp_path,
                                                           forks, spec):
-    # Every sweep splits its centers where a CPU is free: the identity's
-    # here, and a map's source in the verify child.  The image's runs here
-    # in one process, as this process has a child running.
-    monkeypatch.setattr(est, "_SPLIT_POINTS", 0)
+    # A map's source is estimated in the verify child; the identity's one
+    # sweep runs here.
     argv = [*SMALL, *(["--map", spec] if spec else [])]
     forked = verify_run(capsys, tmp_path, *argv)
-    assert (len(forks), forks.nested()) == ((1, 2) if spec else (1, 1))
+    assert (len(forks), forks.nested()) == ((1, 1) if spec else (0, 0))
     one_cpu(monkeypatch)
     assert verify_run(capsys, tmp_path, *argv) == forked
-    assert (len(forks), forks.nested()) == ((1, 2) if spec else (1, 1))
+    assert (len(forks), forks.nested()) == ((1, 1) if spec else (0, 0))
     assert forked[0] in (0, 4) and forked[1] != "null"  # a verdict, not an error
-    monkeypatch.setattr(est, "_SPLIT_POINTS", 1 << 62)  # and the same with no split
-    assert verify_run(capsys, tmp_path, *argv) == forked
+
+
+@two_cpus
+def test_default_verify_forks_once_and_its_child_forks_nothing(capsys, tmp_path, forks):
+    # The source's sweep over 1.93M points runs in one process, the verify child.
+    rc, report, _ = verify_run(capsys, tmp_path, "--set", "spiral:a=1", "--map", "radial:K=2")
+    assert rc == 0 and report != "null"
+    assert (len(forks), forks.nested()) == (1, 1)
 
 
 @pytest.mark.parametrize("spec", ["radial:K=2", PUSHFORWARDS[0], None],
@@ -735,99 +755,6 @@ def test_verify_child_killed_by_a_signal_exits_with_one_line(tmp_path):
 
 
 @two_cpus
-@pytest.mark.parametrize("command", [["estimate", "s.csv", "--mode", "spectrum"],
-                                     ["verify", *SMALL, "--map", PUSHFORWARDS[0]]],
-                         ids=["estimate", "verify"])
-def test_split_child_killed_by_a_signal_exits_with_one_line(tmp_path, command):
-    # In verify the split child is the verify child's own child.
-    sample_family(FamilySpec(kind="poly_spiral", a=1.0, x_max=100.0,
-                             target_resolution=1e-3)).to_csv(tmp_path / "s.csv")
-    script = (
-        "import os, signal, sys\n"
-        "from assouad_lab import cli, estimators\n"
-        "estimators._SPLIT_POINTS = 0\n"
-        "real = estimators.forked\n"
-        "def forked(fn, task):\n"
-        "    caller = os.getpid()\n"
-        "    def die():\n"
-        "        if os.getpid() != caller:\n"
-        "            os.kill(os.getpid(), signal.SIGKILL)\n"
-        "        return fn()\n"
-        "    return real(die, task)\n"
-        "estimators.forked = forked\n"
-        "sys.exit(cli.main(sys.argv[1:]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script, *command], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines() == ["error: the forked hotspot process ended with code -9"]
-
-
-@two_cpus
-def test_verify_child_killed_while_its_split_child_runs_exits_at_once(tmp_path):
-    # The split child does not hold the verify child's result pipe open, so
-    # this process sees the verify child die while the split child waits.
-    script = (
-        "import contextlib, os, select, signal, sys\n"
-        "from assouad_lab import cli, estimators\n"
-        "estimators._SPLIT_POINTS = 0\n"
-        "hold, release = os.pipe()\n"
-        "parent, real = os.getpid(), estimators.forked\n"
-        "@contextlib.contextmanager\n"
-        "def split(fn, task):\n"
-        "    def held():\n"
-        "        os.close(release)\n"
-        "        with open('split.pid', 'w') as fh:\n"
-        "            fh.write(str(os.getpid()))\n"
-        "        select.select([hold], [], [], 60)  # until this script has exited\n"
-        "        return fn()\n"
-        "    with real(held, task) as join:\n"
-        "        os.kill(os.getpid(), signal.SIGKILL)  # the verify child dies\n"
-        "        yield join\n"
-        "estimators.forked = lambda fn, task: (real if os.getpid() == parent else split)(fn, task)\n"
-        "sys.exit(cli.main(sys.argv[1:]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    argv = ["verify", *SMALL, "--map", PUSHFORWARDS[0]]
-    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines() == ["error: the forked estimate process ended with code -9"]
-    # released by the script's exit, the split child ends on its own
-    stat = Path(f"/proc/{(tmp_path / 'split.pid').read_text()}/stat")
-    for _ in range(300):
-        if not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] == "Z":
-            break
-        time.sleep(0.1)
-    else:
-        pytest.fail("the split child is still running")
-
-
-@two_cpus
-@pytest.mark.parametrize("failing", [("hotspots",), ("spread",), ("hotspots", "spread")],
-                         ids=["hotspots", "spread", "both"])
-def test_split_child_error_matches_inline(monkeypatch, capsys, tmp_path, forks, failing):
-    def fail(name, fn):
-        def raising(*args):
-            raise AssouadLabError(f"{name} failed")
-        return raising if name in failing else fn
-
-    monkeypatch.setattr(est, "_SPLIT_POINTS", 0)
-    monkeypatch.setattr(est, "_structural_hotspots", fail("hotspots", est._structural_hotspots))
-    monkeypatch.setattr(est, "farthest_point_sample", fail("spread", est.farthest_point_sample))
-    split = verify_run(capsys, tmp_path, *SMALL)
-    assert len(forks) == 1
-    one_cpu(monkeypatch)
-    assert verify_run(capsys, tmp_path, *SMALL) == split
-    rc, report, err = split
-    assert rc == 2 and report == "null"
-    assert_one_error_line(err, f"{failing[0]} failed")  # the hotspots' error comes first
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@two_cpus
 @pytest.mark.parametrize("task", ["write", "read"])
 def test_csv_child_killed_by_a_signal_exits_with_one_line(tmp_path, task):
     sample_family(FamilySpec(kind="poly_spiral", a=1.0, x_max=100.0,
@@ -859,11 +786,9 @@ def test_csv_child_killed_by_a_signal_exits_with_one_line(tmp_path, task):
     [(qc, "_BLOCK", 333)],
     [(est, "_FPS_BLOCK", 100)],
     [(est, "_FPS_BATCH", 1)],
-    [(est, "_SPLIT_POINTS", 0)],
-    [(est, "_SPLIT_POINTS", POINT_BUDGET + 1)],
     [(index, "_BLOCK", 1000), (qc, "_BLOCK", 1000), (est, "_FPS_BLOCK", 7),
-     (est, "_FPS_BATCH", 3), (est, "_SPLIT_POINTS", 0)],
-], ids=["index-block", "maps-block", "fps-block", "fps-batch", "split-all", "split-none", "all"])
+     (est, "_FPS_BATCH", 3)],
+], ids=["index-block", "maps-block", "fps-block", "fps-batch", "all"])
 def test_verify_report_is_the_same_whatever_the_block_sizes(monkeypatch, capsys, tmp_path,
                                                             patches):
     # and so are an estimate report and a map output, of the verify's source
@@ -897,8 +822,6 @@ def test_verify_runs_in_one_process_when_a_fork_cannot_overlap(monkeypatch, caps
 
     monkeypatch.setattr(os, "fork", refuse)
     argv = SMALL if case == "identity" else [*SMALL, "--map", PUSHFORWARDS[0]]
-    if case != "identity":  # the identity's one sweep is below the split threshold
-        monkeypatch.setattr(est, "_SPLIT_POINTS", 0)
     if case == "one-cpu":
         one_cpu(monkeypatch)
     release = threading.Event()

@@ -27,9 +27,8 @@ from assouad_lab.estimators import (
 )
 from assouad_lab.geometry import PointSet
 from assouad_lab.families import FamilySpec, sample_family
-from assouad_lab.forking import can_overlap
 from assouad_lab.index import _decode, build_index, deepest_level
-from conftest import encode, index_sample, point_samples
+from conftest import encode, index_sample, point_samples, two_cpus
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -630,20 +629,17 @@ def s1_small_invariants():
     return ps, spectrum_invariants(ps.points, ps.resolution)
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["one-sweep", "split"])
 @pytest.mark.parametrize("transform", [
     lambda p, r: (p * 4, r * 4),
     lambda p, r: (p / 8, r / 8),
     lambda p, r: (p + [0.25, -1.5], r),
     lambda p, r: (np.ascontiguousarray(p[:, ::-1]), r),
     lambda p, r: (np.ascontiguousarray(p[::-1]), r),
-], ids=["scale-4", "scale-1/8", "translate", "swap-axes", "reverse-order"])
-def test_spectrum_is_exactly_invariant(s1_small_invariants, forks, split, transform):
+], ids=["scale-4-one-sweep", "scale-1/8-one-sweep", "translate-one-sweep",
+        "swap-axes-one-sweep", "reverse-order-one-sweep"])
+def test_spectrum_is_exactly_invariant(s1_small_invariants, transform):
     ps, want = s1_small_invariants
-    overlap = can_overlap()
-    with mock.patch.object(estimators, "_SPLIT_POINTS", 0 if split else 1 << 62):
-        assert spectrum_invariants(*transform(ps.points, ps.resolution)) == want
-    assert len(forks) == (split and overlap)
+    assert spectrum_invariants(*transform(ps.points, ps.resolution)) == want
 
 
 def test_spectrum_reports_the_first_center_of_the_largest_value(cantor12_idx, sequence_idx):
@@ -672,11 +668,11 @@ def test_spectrum_reports_the_first_center_of_the_largest_value(cantor12_idx, se
     assert ties
 
 
-@pytest.mark.parametrize("which", ["cantor", "sequence"])
-def test_split_sweep_keeps_the_tie_order(cantor12_idx, sequence_idx, forks, which):
-    idx = cantor12_idx if which == "cantor" else sequence_idx
-    want = estimate_spectrum(idx).to_json()
-    overlap = can_overlap()
-    with mock.patch.object(estimators, "_SPLIT_POINTS", 0):
-        assert estimate_spectrum(idx).to_json() == want
-    assert len(forks) == overlap
+@two_cpus
+def test_spectrum_over_2_to_the_20_points_forks_nothing(forks):
+    g = np.linspace(0.0, 1.0, 1025)
+    xs, ys = np.meshgrid(g, g)
+    ps = PointSet(dim=2, points=np.column_stack([xs.ravel(), ys.ravel()]), resolution=1e-3)
+    assert len(ps) > 1 << 20
+    estimate_spectrum(index_sample(ps))
+    assert len(forks) == 0

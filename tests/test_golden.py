@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from assouad_lab import estimators, forking
+from assouad_lab import forking
 from assouad_lab.cli import main
 from conftest import strict_json
 
@@ -134,15 +134,12 @@ def test_golden_sized_files_are_written_and_read_in_one_process(tmp_path, monkey
             assert json.dumps(_record(argv, files), indent=2) == json.dumps(want, indent=2)
 
 
-@pytest.mark.parametrize("path", ["one-cpu", "split-every-sweep"])
+@pytest.mark.parametrize("path", ["one-cpu"])
 def test_golden_cli_output_on_either_path(tmp_path, monkeypatch, path):
-    """All cases with no fork possible, and with every spectrum sweep split
-    (in two processes where a CPU is free)."""
-    if path == "one-cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert not forking.can_overlap()
-    else:
-        monkeypatch.setattr(estimators, "_SPLIT_POINTS", 0)
+    """All cases with no fork possible; ``test_golden_cli_output`` forks
+    where a CPU is free."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not forking.can_overlap()
     got = _run_all(tmp_path)
     for name, _, _ in CASES:
         want = strict_json((GOLDEN / f"{name}.json").read_text())
