@@ -421,12 +421,11 @@ def _net_radial_power(f: qc.PlanarMap) -> Optional[float]:
 
 
 def _sample_spiral(a: float, x_max: float, res: float):
-    """A spiral sample without its curve parameters, which verify never reads:
-    neither the sample, nor its forked copy, nor a map's image holds them."""
-    ps = fam.sample_family(
-        fam.FamilySpec(kind="poly_spiral", a=a, x_max=x_max, target_resolution=res))
-    ps.params = None
-    return ps
+    """A spiral sample drawn without its curve parameters, which verify never
+    reads: no process, forked copy or map's image ever holds them."""
+    return fam.sample_family(
+        fam.FamilySpec(kind="poly_spiral", a=a, x_max=x_max, target_resolution=res),
+        _params=False)
 
 
 def _estimate_curve(ps, grid, centers):

@@ -637,10 +637,12 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
         points = admitted.sum(0)
         span = np.where(admitted, g, -np.inf).max(0) - np.where(admitted, g, np.inf).min(0)
         feasible = np.flatnonzero((points >= _MIN_RAY_POINTS) & (span >= _MIN_RAY_SPAN))
-
-        centers = select_centers(idx, center_budget)
-        counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
-        fits = _ray_fits(counts, admitted, g, feasible)
+        if center_budget < 1:  # refused whether or not a theta is feasible
+            raise InvalidParameterError(f"center budget must be >= 1, got {center_budget}")
+        if len(feasible):  # else no center is placed and no ball counted
+            centers = select_centers(idx, center_budget)
+            counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
+            fits = _ray_fits(counts, admitted, g, feasible)
 
         for j, ti in enumerate(feasible):
             found = [f[j][0] for f in fits]

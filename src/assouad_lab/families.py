@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, TruncationTooCoarseError
+from .forking import in_halves
 from .geometry import POINT_BUDGET, PointSet
 
 # The unsampled tail of a truncated family must stay within this many
@@ -58,15 +59,19 @@ class FamilySpec:
     target_resolution: float = 1e-3
 
 
-def sample_family(spec: FamilySpec) -> PointSet:
-    """Generate the sample a FamilySpec describes."""
+def sample_family(spec: FamilySpec, *, _params: bool = True) -> PointSet:
+    """Generate the sample a FamilySpec describes.
+
+    ``_params=False`` is private to callers that never read a spiral's curve
+    parameters: the sample is drawn without them, so they are never held.
+    """
     res = spec.target_resolution
     if not 0 < res < np.inf:
         raise InvalidParameterError(f"target_resolution must be finite and positive, got {res}")
     if spec.kind == "poly_spiral":
-        return _sample_poly_spiral(spec.a, spec.x_max, res)
+        return _sample_poly_spiral(spec.a, spec.x_max, res, _params)
     if spec.kind == "log_spiral":
-        return _sample_log_spiral(spec.c, spec.x_max, res)
+        return _sample_log_spiral(spec.c, spec.x_max, res, _params)
     if spec.kind == "cantor":
         return _sample_cantor(spec.ratio, spec.depth, res)
     if spec.kind == "sequence":
@@ -91,8 +96,11 @@ def _arc_length_parameter(x_max: float, speed, n_dense: int) -> np.ndarray:
 _BLOCK = 1 << 14
 
 
-def _curve_points(x_max: float, modulus, speed, step: float) -> tuple:
-    """(N + 1, 2) curve points and their (N + 1) parameters, the origin last."""
+def _curve_points(x_max: float, modulus, speed, step: float, with_params: bool) -> tuple:
+    """(N + 1, 2) curve points and their (N + 1) parameters (None unless
+    ``with_params``), the origin last.  The second half of the blocks is
+    drawn on a helper thread when a CPU is free for it (``forking.in_halves``):
+    each block writes its own rows, so the arrays are the same bit for bit."""
     n_dense = int(min(2e6, max(8192, 400 * np.log10(max(x_max, 10.0)) ** 2 * 4)))
     x_dense, s_dense = _arc_length_parameter(x_max, speed, n_dense)
     total = s_dense[-1]
@@ -100,22 +108,29 @@ def _curve_points(x_max: float, modulus, speed, step: float) -> tuple:
     _check_budget(n_pts + 1, "this truncation and resolution")  # +1: the origin
     n_pts = int(n_pts)
     pts = np.empty((n_pts + 1, 2))
-    params = np.empty(n_pts + 1)
-    for start in range(0, n_pts, _BLOCK):
-        b = slice(start, min(start + _BLOCK, n_pts))
-        xs = np.interp(np.arange(b.start, b.stop) * step, s_dense, x_dense)
-        if start == 0:
-            xs[0] = 1.0
-        params[b] = xs
-        r = modulus(xs)
-        pts[b, 0] = r * np.cos(xs)
-        pts[b, 1] = r * np.sin(xs)
+    params = np.empty(n_pts + 1) if with_params else None
+
+    def draw(starts):
+        for start in starts:
+            b = slice(start, min(start + _BLOCK, n_pts))
+            xs = np.interp(np.arange(b.start, b.stop) * step, s_dense, x_dense)
+            if start == 0:
+                xs[0] = 1.0
+            if with_params:
+                params[b] = xs
+            r = modulus(xs)
+            pts[b, 0] = r * np.cos(xs)
+            pts[b, 1] = r * np.sin(xs)
+
+    in_halves(draw, range(0, n_pts, _BLOCK))
     pts[n_pts] = 0.0
-    params[n_pts] = np.inf
+    if with_params:
+        params[n_pts] = np.inf
     return pts, params
 
 
-def _sample_spiral(label: str, rate: float, x_max: float, res: float, modulus, speed):
+def _sample_spiral(label: str, rate: float, x_max: float, res: float, modulus, speed,
+                   with_params: bool):
     """The curve x -> modulus(x) * (cos x, sin x) on [1, x_max], sampled by arc
     length, after the checks both spirals share; ``label`` names ``rate``."""
     if not 0 < rate < np.inf:
@@ -128,19 +143,19 @@ def _sample_spiral(label: str, rate: float, x_max: float, res: float, modulus, s
             f"unsampled tail extends to modulus {tail:.3g} > "
             f"{TAIL_SLACK:g} * resolution ({res:.3g}); raise x_max or resolution"
         )
-    pts, params = _curve_points(x_max, modulus, speed, 0.49 * res)
+    pts, params = _curve_points(x_max, modulus, speed, 0.49 * res, with_params)
     return PointSet(dim=2, points=pts, resolution=res, params=params)
 
 
-def _sample_poly_spiral(a: float, x_max: float, res: float) -> PointSet:
+def _sample_poly_spiral(a: float, x_max: float, res: float, with_params: bool) -> PointSet:
     # |d/dx (x^-a e^{ix})| = x^-a sqrt(1 + a^2/x^2)
     return _sample_spiral("spiral exponent a", a, x_max, res, lambda x: x**-a,
-                          lambda x: x**-a * np.sqrt(1.0 + (a / x) ** 2))
+                          lambda x: x**-a * np.sqrt(1.0 + (a / x) ** 2), with_params)
 
 
-def _sample_log_spiral(c: float, x_max: float, res: float) -> PointSet:
+def _sample_log_spiral(c: float, x_max: float, res: float, with_params: bool) -> PointSet:
     return _sample_spiral("log-spiral rate c", c, x_max, res, lambda x: np.exp(-c * x),
-                          lambda x: np.exp(-c * x) * np.sqrt(1.0 + c * c))
+                          lambda x: np.exp(-c * x) * np.sqrt(1.0 + c * c), with_params)
 
 
 # ---- Cantor construction ----------------------------------------------

@@ -1,5 +1,7 @@
-"""Run a function in a forked child process while the caller works on."""
+"""Run a function in a forked child process, or on a helper thread, while
+the caller works on."""
 
+import contextvars
 import os
 import pickle
 import signal
@@ -79,6 +81,38 @@ def forked(fn, task: str):
             if status is None:
                 os.kill(pid, signal.SIGKILL)
                 _reap(pid)
+
+
+def in_halves(fn, items) -> None:
+    """``fn(items[:h])`` here and ``fn(items[h:])`` on a helper thread, h half
+    of ``len(items)``, if ``can_overlap()``; else ``fn(items)`` here.
+
+    For work that releases the GIL and writes disjoint outputs, so the result
+    is the same either way.  The helper runs in a copy of this context (numpy's
+    error state included) and is joined before this returns, so no thread is
+    left to a later fork.  Its error is raised here unless this half raised
+    first, as inline, where the second half would never have run.
+    """
+    half = len(items) // 2
+    if not half or not can_overlap():
+        fn(items)
+        return
+    failed = []
+
+    def helper():
+        try:
+            fn(items[half:])
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        fn(items[:half])
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _reap(pid: int) -> int:

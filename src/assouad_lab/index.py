@@ -266,18 +266,31 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
     )
 
 
+#: Largest coordinate magnitude and extent an index takes.  Its squared
+#: distances sum at most 8 squares of gaps within the root cube, and its slab
+#: bounds add a few coordinates and sides: far inside the float range below it.
+_MAX_MAGNITUDE = 2.0**500
+
+
 def deepest_level(ps: PointSet) -> int:
     """Largest level whose leaf cells are still >= the declared resolution."""
     lo, hi = ps.bounding_box()
-    extent = max(h - l for l, h in zip(lo.tolist(), hi.tolist()))  # inf on overflow, unwarned
-    if extent == 0.0:
-        return 0
+    lo, hi = lo.tolist(), hi.tolist()
+    extent = max(h - l for l, h in zip(lo, hi))  # inf on overflow, unwarned
     ratio = extent / ps.resolution
     if ratio == math.inf:
         raise InvalidParameterError(
             "the points' extent over their resolution overflows a float "
             f"(extent {extent:.3g}, resolution {ps.resolution:.3g})"
         )
+    reach = max(extent, -min(lo), max(hi))
+    if reach > _MAX_MAGNITUDE:
+        raise InvalidParameterError(
+            f"the points' coordinates or extent reach {reach:.3g}, past "
+            f"{_MAX_MAGNITUDE:.3g}: their squared distances would overflow a float"
+        )
+    if extent == 0.0:
+        return 0
     level = int(math.floor(math.log2(ratio) + 1e-12))
     level = max(level, 0)
     bits_budget = _ADDRESS_BITS // ps.dim

@@ -2,6 +2,7 @@
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,6 +172,11 @@ def strict_json(text):
 two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="work is split between two processes only with two usable CPUs")
+
+
+def one_cpu():
+    """A context in which this process sees one usable CPU, as under ``taskset -c 0``."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)
 
 
 class Forks(list):

@@ -239,6 +239,34 @@ def test_extent_over_resolution_that_overflows_exits_2(tmp_path, capsys, command
     assert_one_error_line(err, "extent over their resolution overflows a float")
 
 
+FAR = 2.0**500  # index.deepest_level's limit on coordinates and extent
+
+
+@pytest.mark.parametrize("command", ["estimate", "index-stats"])
+@pytest.mark.parametrize("points, passes", [
+    ([[0, 0], [1e308, 1e308]], False),  # the extent over resolution fits; its square does not
+    ([[1e308, 0]], False),  # one point: no extent, but the root's center would overflow
+    ([[0, 0], [FAR * 1.0000001, 0]], False),
+    ([[-FAR / 2, 0], [FAR / 2 * 1.0000001, 0]], False),
+    ([[0, 0], [FAR, FAR]], True),
+    ([[-FAR / 2, FAR], [FAR / 2, 0]], True),
+    ([[FAR, -FAR]], True),
+], ids=["1e308", "one-point", "just-past", "just-past-extent", "at-limit", "extent-at-limit",
+        "one-point-at-limit"])
+def test_points_whose_squares_overflow_exit_2(tmp_path, capsys, command, points, passes):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 2, "resolution": 1, "points": points}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning, refused or not
+        rc, out, err = run(capsys, command, str(path), *(
+            ["--mode", "spectrum"] if command == "estimate" else []))
+    if passes:
+        assert rc == 0 and out != ""
+    else:
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, "coordinates or extent reach", "would overflow a float")
+
+
 def test_estimate_too_coarse_for_default_window_is_numeric_failure(tmp_path, capsys):
     # the K=2 image of S_2 at res 1e-3 has resolution 0.096 on a root of
     # side 1.06: the default window [0.384, 0.374] is empty
@@ -678,20 +706,26 @@ def test_default_verify_forks_once_and_its_child_forks_nothing(capsys, tmp_path,
 @pytest.mark.parametrize("spec", ["radial:K=2", PUSHFORWARDS[0], None],
                          ids=["radial", "pushforward", "identity"])
 def test_verify_indexes_no_params(monkeypatch, capsys, tmp_path, spec):
-    # The curve parameters are dropped as each spiral is sampled, so neither
-    # a sample nor a map's image carries them into an index.
-    indexed, build = [], cli.build_index
+    # Each spiral is drawn without its curve parameters, so no point set made
+    # on the way, sample or map's image, ever holds them, nor any index.
+    indexed, build, made, post_init = [], cli.build_index, [], PointSet.__post_init__
 
     def recorded(ps, level):
         indexed.append(ps)
         return build(ps, level)
 
-    one_cpu(monkeypatch)  # every index is built in this process
+    def constructed(ps):
+        made.append(ps.params is not None)
+        post_init(ps)
+
+    one_cpu(monkeypatch)  # every sample and index is made in this process
     monkeypatch.setattr(cli, "build_index", recorded)
+    monkeypatch.setattr(PointSet, "__post_init__", constructed)
     rc, report, _ = verify_run(capsys, tmp_path, *SMALL, *(["--map", spec] if spec else []))
     assert rc in (0, 4) and report != "null"
     assert len(indexed) == (2 if spec else 1)
     assert all(ps.params is None for ps in indexed)
+    assert len(made) >= len(indexed) and not any(made)
 
 
 @two_cpus

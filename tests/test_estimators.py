@@ -207,6 +207,32 @@ def test_spectrum_is_unchanged_when_every_radius_is_counted(cantor12_idx, sequen
     assert min(skipped) > 0
 
 
+def test_no_feasible_theta_places_no_center_and_counts_no_ball():
+    # On the README's S_1/2 (res 1e-3), 0.95 admits no level and 0.30 spans
+    # 2.80 octaves; 0.35 has a ray.  Where no theta is feasible, neither
+    # select_centers nor _count_rays runs, and the absent theta reads as it
+    # does beside a feasible one.
+    idx = index_sample(sample_family(
+        FamilySpec(kind="poly_spiral", a=0.5, x_max=1e4, target_resolution=1e-3)))
+    calls = []
+
+    def spy(name, fn):
+        return mock.patch.object(estimators, name,
+                                 lambda *a: calls.append(name) or fn(*a))
+
+    with spy("select_centers", select_centers), spy("_count_rays", estimators._count_rays):
+        alone = [estimate_spectrum(idx, (theta,)) for theta in (0.95, 0.3)]
+        assert calls == []
+        with pytest.raises(InvalidParameterError, match="center budget"):
+            estimate_spectrum(idx, (0.95,), center_budget=0)
+        beside = estimate_spectrum(idx, (0.3, 0.35))
+    assert calls == ["select_centers", "_count_rays"]
+    assert beside.diagnostics[0] is None and beside.diagnostics[1] is not None
+    for spec in alone:
+        assert math.isnan(spec.values[0]) and spec.diagnostics == [None]
+    assert alone[1].regularized_values == beside.regularized_values[:1]
+
+
 def test_no_scales_at_all_is_an_error(cantor12_idx):
     w = ScaleWindow(0.01, 0.1)  # three dyadic levels: no floor, no rays
     with pytest.raises(WindowTooNarrowError):

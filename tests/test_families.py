@@ -1,3 +1,4 @@
+import threading
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,8 @@ from assouad_lab.families import (
     oracle_spiral_spectrum,
     sample_family,
 )
+
+from conftest import one_cpu, two_cpus
 
 THETAS = np.arange(0.01, 1.0, 0.01)
 SPIRAL_AS = (0.25, 0.5, 1.0, 2.0, 5.0)
@@ -121,6 +124,79 @@ def test_spiral_matches_whole_array_reference(spec, block):
 def test_spiral_matches_whole_array_reference_across_real_blocks():
     # S_1 to x = 1000 at res 1e-4 has ~141k points: eight full blocks and a partial one
     assert_matches_reference_spiral("poly_spiral", 1.0, 1e3, 1e-4)
+
+
+# ---- spiral blocks on two threads ------------------------------------------
+
+def counted_threads(monkeypatch) -> list:
+    """The threads started while the test runs."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+@two_cpus
+@pytest.mark.parametrize("spec", [
+    FamilySpec(kind="poly_spiral", a=1.0, x_max=100.0, target_resolution=1e-3),
+    FamilySpec(kind="log_spiral", c=0.5, x_max=40.0, target_resolution=1e-3),
+], ids=["spiral", "logspiral"])
+@pytest.mark.parametrize("blocks", [1, 2, 3, 7])
+def test_spiral_on_two_threads_matches_one_cpu(monkeypatch, spec, blocks):
+    n = len(sample_family(spec)) - 1  # the curve's points; the origin is last
+    started = counted_threads(monkeypatch)
+    with mock.patch.object(families, "_BLOCK", -(-n // blocks)):
+        assert len(range(0, n, families._BLOCK)) == blocks
+        two = sample_family(spec)
+        assert len(started) == (blocks > 1)  # the second half of the blocks
+        bare = sample_family(spec, _params=False)
+        with one_cpu():
+            one = sample_family(spec)
+    assert len(started) == 2 * (blocks > 1) and threading.active_count() == 1
+    assert two.points.tobytes() == one.points.tobytes() == bare.points.tobytes()
+    assert two.params.tobytes() == one.params.tobytes() and bare.params is None
+
+
+def _s1_speed(x):
+    return 1.0 / x * np.sqrt(1.0 + 1.0 / x**2)
+
+
+def _failing_past(x_fail):
+    def modulus(x):
+        if x[-1] > x_fail:
+            raise ValueError(f"block ending at x = {x[-1]!r}")
+        return 1.0 / x
+    return modulus
+
+
+def _overflowing_past(x_fail):
+    return lambda x: np.exp(np.where(x > x_fail, 1e3, 0.0)) / x
+
+
+@two_cpus
+@pytest.mark.parametrize("modulus", [_failing_past(30.0), _failing_past(2.0),
+                                     _overflowing_past(30.0)],
+                         ids=["second-half", "both-halves", "errstate"])
+def test_spiral_error_on_the_helper_thread_matches_inline(monkeypatch, modulus):
+    # S_1 to x = 100 in 10 blocks: the helper's half starts near x = 11.6
+    def error():
+        with np.errstate(over="raise"), pytest.raises(Exception) as info:
+            families._curve_points(100.0, modulus, _s1_speed, 0.49e-3, True)
+        return type(info.value), str(info.value)
+
+    started = counted_threads(monkeypatch)
+    with mock.patch.object(families, "_BLOCK", 1000):
+        threaded = error()
+        assert len(started) == 1 and threading.active_count() == 1
+        with one_cpu():
+            assert error() == threaded
+    assert len(started) == 1
+    assert threaded[0] in (ValueError, FloatingPointError)
 
 
 def test_cantor_depth2_endpoints():

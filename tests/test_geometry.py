@@ -18,7 +18,7 @@ from assouad_lab.cli import main
 from assouad_lab.errors import EmptySetError, InvalidParameterError
 from assouad_lab.geometry import Cube, PointSet, load_points, save_points
 
-from conftest import point_samples, two_cpus
+from conftest import one_cpu, point_samples, two_cpus
 
 
 def test_pointset_basic():
@@ -362,10 +362,6 @@ def test_loaded_inputs_over_the_point_budget_exit_2(tmp_path, capsys, suffix):
 
 
 # ---- CSV on two processes ----------------------------------------------------
-
-def one_cpu():
-    return mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)
-
 
 def split_at(block_rows=8, split_bytes=64):
     """Thresholds low enough that a few rows take the two-process path, and
