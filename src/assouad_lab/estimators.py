@@ -261,7 +261,9 @@ def farthest_point_sample(points: np.ndarray, budget: int, cells: CoarseCells) -
     covers the extremes of the set first.  Ties go to the first index: among
     equal lexicographic minima for the seed, and among equal maximal
     distances for each later round.  ``cells`` is ``_coarse_cells`` of an
-    index over ``points``.
+    index over ``points``.  The seed is searched for only among the members
+    of the lowest occupied column of coarse cells: addresses grow with the
+    first coordinate, so every point with the smallest one lies there.
 
     The search is lazy and exact.  Each occupied coarse cell is cut into
     blocks of at most ``_FPS_BLOCK`` members.  Distances are evaluated only
@@ -287,23 +289,27 @@ def farthest_point_sample(points: np.ndarray, budget: int, cells: CoarseCells) -
     ``_distances``, the float operations of ``np.linalg.norm``; so every
     distance, and every pick, is bit for bit the full-scan result.
 
-    Allocates a bool mask over the points (for the seed), arrays sized by
-    the blocks, and the pool: coordinates, distance and index of each
-    touched point (32 bytes a point in the plane).  Untouched blocks cost
-    nothing per point.
+    Allocates arrays sized by the seed's column and by the blocks, and the
+    pool: coordinates, distance and index of each touched point (32 bytes a
+    point in the plane).  Untouched blocks cost nothing per point.
     """
     if budget < 1:
         raise InvalidParameterError(f"sample budget must be >= 1, got {budget}")
     n, dim = points.shape
     if n <= budget:
         return np.arange(n)
-    pos = np.flatnonzero(points[:, 0] == points[:, 0].min())
-    for j in range(1, dim):
+    occ = np.flatnonzero(cells.starts[1:] != cells.starts[:-1])
+    # Coarse addresses grow with the first coordinate, so every point with
+    # the smallest one lies in the lowest occupied column of coarse cells:
+    # one run of ``order``.
+    width = 1 << (cells.level * (dim - 1))  # coarse cells in a column
+    column = occ[0] // width * width
+    pos = cells.order[cells.starts[column]:cells.starts[column + width]]
+    for j in range(dim):
         v = points[pos, j]
         pos = pos[v == v.min()]
-    chosen = [int(pos[0])]
+    chosen = [int(pos.min())]
 
-    occ = np.flatnonzero(cells.starts[1:] != cells.starts[:-1])
     nblk = (cells.starts[occ + 1] - cells.starts[occ] + _FPS_BLOCK - 1) // _FPS_BLOCK
     cell = np.repeat(occ, nblk)
     # block j of a cell starts j * _FPS_BLOCK members in
@@ -411,7 +417,9 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
     That point lies in the cell's 3^dim leaf neighbourhood: the cell holds a
     point within s*sqrt(dim)/2 of its center, and every point outside it is
     at least 1.5*s away (s the leaf side; sqrt(8)/2 < 1.5 for every
-    supported dim).  So only the coarse cells covering it are searched.
+    supported dim).  So only the coarse cells covering it are searched, and
+    each coarse cell's first coordinates are gathered at most once a call:
+    hotspots cluster, and S_1's core cell holds a third of the sample.
     """
     if budget <= 0:
         return np.empty((0, idx.dim))
@@ -436,6 +444,7 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
     side = idx.cell_side(idx.max_level)
     low = np.asarray(idx.root.center) - idx.root.radius
     points = idx.source.points
+    first_coords = {}  # coarse cell -> its members' first coordinates
     out = []
     for key, first, stop in zip(top, *slab):
         sub = deep[first:stop]
@@ -457,10 +466,15 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
             for a in head:
                 base = (base << level) | a
             base <<= level
-            members = order[starts[base | lo[-1]]:starts[(base | hi[-1]) + 1]]
+            row = range(base | lo[-1], (base | hi[-1]) + 1)
+            for c in row:
+                if c not in first_coords:
+                    first_coords[c] = points[order[starts[c]:starts[c + 1]], 0]
+            members = order[starts[row[0]]:starts[row[-1] + 1]]
             # Points more than 1.5 leaf sides off in the first coordinate
             # are farther than the nearest point can be.
-            gap = np.subtract(points[members, 0], cell_center[0])
+            gap = np.concatenate([first_coords[c] for c in row])
+            gap -= cell_center[0]
             cand.append(members[np.abs(gap, out=gap) <= 1.5 * side])
         cand = np.sort(np.concatenate(cand))
         d = _distances([points[cand, j] for j in range(idx.dim)], cell_center)
@@ -478,8 +492,9 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     hold a round's farthest point.  Each is exact against its full scan
     (nearest sample point, farthest point, first index on ties), so the
     centers are bit for bit those of the full-scan code.  Per point this
-    allocates the coarse cells' order (int32 for a sample in curve order) and
-    the farthest-point pool for the points it touches.
+    allocates the coarse cells' order (int32 for a sample in curve order), the
+    first coordinates of the cells the snap-backs search, and the
+    farthest-point pool for the points it touches.
     """
     if budget < 1:
         raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
@@ -532,14 +547,15 @@ def _ray_model(g: np.ndarray):
 
 
 def _count_rays(idx: MultiScaleIndex, centers: np.ndarray, ks: np.ndarray,
-                radii_by_k: list[np.ndarray], admitted: np.ndarray) -> np.ndarray:
-    """counts[c, i, j]: level-ks[i] cells meeting B(centers[c], radii_by_k[i][j]), if admitted."""
+                radii_by_k: list[np.ndarray], counted: np.ndarray) -> np.ndarray:
+    """counts[c, i, j]: level-ks[i] cells meeting B(centers[c], radii_by_k[i][j])
+    where counted[i, j], else 0.  One ``count_intersecting_many`` call per
+    level, every center a row of it."""
     counts = np.zeros((len(centers), len(ks), len(radii_by_k[0])))
-    for ci, x in enumerate(centers):
-        for i, k in enumerate(ks):
-            if admitted[i].any():
-                counts[ci, i, admitted[i]] = idx.count_intersecting_many(
-                    int(k), x, radii_by_k[i][admitted[i]])
+    for i, k in enumerate(ks):
+        if counted[i].any():
+            counts[:, i, counted[i]] = idx.count_intersecting_many(
+                int(k), centers, radii_by_k[i][counted[i]])
     return counts
 
 
@@ -641,7 +657,9 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
             raise InvalidParameterError(f"center budget must be >= 1, got {center_budget}")
         if len(feasible):  # else no center is placed and no ball counted
             centers = select_centers(idx, center_budget)
-            counts = _count_rays(idx, centers, ks, radii_by_k, admitted)
+            counted = np.zeros_like(admitted)  # the admitted radii of feasible thetas
+            counted[:, feasible] = admitted[:, feasible]
+            counts = _count_rays(idx, centers, ks, radii_by_k, counted)
             fits = _ray_fits(counts, admitted, g, feasible)
 
         for j, ti in enumerate(feasible):

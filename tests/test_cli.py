@@ -227,7 +227,9 @@ def test_estimate_missing_input(tmp_path, capsys, command, name, content, needle
     ("big.csv", "-1.7e308,0\n1.7e308,0\n"),
     ("tiny.json", '{"dim": 2, "resolution": 1e-320, "points": [[0, 0], [1, 0]]}'),
     ("far.json", '{"dim": 2, "resolution": 1e-3, "points": [[0, 0], [1e308, 1e308]]}'),
-], ids=["extent-overflows", "resolution-subnormal", "ratio-overflows"])
+    # one point: its root is widened to resolution * 2^8, past the float range
+    ("one.json", '{"dim": 2, "resolution": 1e306, "points": [[0, 0]]}'),
+], ids=["extent-overflows", "resolution-subnormal", "ratio-overflows", "one-point-widened"])
 def test_extent_over_resolution_that_overflows_exits_2(tmp_path, capsys, command, name,
                                                         content):
     path = tmp_path / name
@@ -243,25 +245,26 @@ FAR = 2.0**500  # index.deepest_level's limit on coordinates and extent
 
 
 @pytest.mark.parametrize("command", ["estimate", "index-stats"])
-@pytest.mark.parametrize("points, passes", [
-    ([[0, 0], [1e308, 1e308]], False),  # the extent over resolution fits; its square does not
-    ([[1e308, 0]], False),  # one point: no extent, but the root's center would overflow
-    ([[0, 0], [FAR * 1.0000001, 0]], False),
-    ([[-FAR / 2, 0], [FAR / 2 * 1.0000001, 0]], False),
-    ([[0, 0], [FAR, FAR]], True),
-    ([[-FAR / 2, FAR], [FAR / 2, 0]], True),
-    ([[FAR, -FAR]], True),
+@pytest.mark.parametrize("points, passes, res", [
+    ([[0, 0], [1e308, 1e308]], False, 1),  # the extent over resolution fits; its square does not
+    ([[1e308, 0]], False, 1),  # one point: no extent, but the root's center would overflow
+    ([[0, 0], [FAR * 1.0000001, 0]], False, 1),
+    ([[-FAR / 2, 0], [FAR / 2 * 1.0000001, 0]], False, 1),
+    ([[0, 0], [FAR, FAR]], True, 1),
+    ([[-FAR / 2, FAR], [FAR / 2, 0]], True, 1),
+    ([[FAR, -FAR]], True, 1),
+    ([[0, 0]], True, 1e300),  # one point: its root widens to 1e300 * 2^8, still a float
 ], ids=["1e308", "one-point", "just-past", "just-past-extent", "at-limit", "extent-at-limit",
-        "one-point-at-limit"])
-def test_points_whose_squares_overflow_exit_2(tmp_path, capsys, command, points, passes):
+        "one-point-at-limit", "one-point-widened"])
+def test_points_whose_squares_overflow_exit_2(tmp_path, capsys, command, points, passes, res):
     path = tmp_path / "far.json"
-    path.write_text(json.dumps({"dim": 2, "resolution": 1, "points": points}))
+    path.write_text(json.dumps({"dim": 2, "resolution": res, "points": points}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning, refused or not
         rc, out, err = run(capsys, command, str(path), *(
             ["--mode", "spectrum"] if command == "estimate" else []))
     if passes:
-        assert rc == 0 and out != ""
+        assert rc == 0 and strict_json(out)
     else:
         assert rc == 2 and out == ""
         assert_one_error_line(err, "coordinates or extent reach", "would overflow a float")

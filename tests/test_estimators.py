@@ -186,14 +186,14 @@ def test_absent_theta_reported_not_fabricated(cantor12_idx):
 
 
 def test_spectrum_is_unchanged_when_every_radius_is_counted(cantor12_idx, sequence_idx):
-    # The sweep counts only the (level, theta) radii its admissibility rule
-    # can read; counting every radius must not move any value or diagnostic.
+    # The sweep counts only the admitted radii of thetas that have a ray;
+    # counting every radius must not move any value or diagnostic.
     count_rays = estimators._count_rays
     skipped = []
 
-    def every_radius(idx, centers, ks, radii_by_k, admitted):
-        skipped.append(int((~admitted).sum()))
-        return count_rays(idx, centers, ks, radii_by_k, np.ones_like(admitted))
+    def every_radius(idx, centers, ks, radii_by_k, counted):
+        skipped.append(int((~counted).sum()))
+        return count_rays(idx, centers, ks, radii_by_k, np.ones_like(counted))
 
     spiral = index_sample(sample_family(
         FamilySpec(kind="poly_spiral", a=1.0, x_max=1e3, target_resolution=1e-4)))
@@ -231,6 +231,27 @@ def test_no_feasible_theta_places_no_center_and_counts_no_ball():
     for spec in alone:
         assert math.isnan(spec.values[0]) and spec.diagnostics == [None]
     assert alone[1].regularized_values == beside.regularized_values[:1]
+
+
+def test_one_count_call_a_level_and_only_for_thetas_with_a_ray():
+    # On the README's S_1/2, 0.30 admits levels but spans too few octaves
+    # for a ray, and 0.35 has one: each of 0.35's levels is counted in one
+    # call, every center a row, for its one radius; 0.30's radii never are.
+    idx = index_sample(sample_family(
+        FamilySpec(kind="poly_spiral", a=0.5, x_max=1e4, target_resolution=1e-3)))
+    count = index.MultiScaleIndex.count_intersecting_many
+    calls = []
+
+    def spy(self, level, x, radii):
+        calls.append((level, np.shape(x), len(radii)))
+        return count(self, level, x, radii)
+
+    with mock.patch.object(index.MultiScaleIndex, "count_intersecting_many", spy):
+        spec = estimate_spectrum(idx, (0.3, 0.35), center_budget=24)
+    levels = [level for level, _, _ in calls]
+    assert spec.diagnostics[0] is None
+    assert len(set(levels)) == len(levels) == spec.diagnostics[1]["points"]
+    assert all(shape == (24, 2) and n == 1 for _, shape, n in calls)
 
 
 def test_no_scales_at_all_is_an_error(cantor12_idx):
@@ -411,6 +432,35 @@ def test_farthest_point_sample_on_coarse_cell_edges(dim):
             for budget in (2, 17, 60, 200):
                 got = farthest_point_sample(pts, budget, cells)
                 assert np.array_equal(got, reference_farthest_point_sample(pts, budget))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_farthest_point_seed_searches_the_whole_lowest_column(dim):
+    # The root is [0, 1]^dim.  The smallest first coordinate, 0, lies on the
+    # root's lower face.  In the plane and in space its points sit in three
+    # coarse cells of the lowest column, and the column's first occupied
+    # cell holds only a decoy half a coarse side along the first axis.  The
+    # lexicographic minimum comes after larger points with the same first
+    # coordinate, and it is repeated: the first of its copies is the seed.
+    level = min(8, 16 // dim)
+    side = 2.0**-level
+    rng = np.random.default_rng(dim)
+
+    def row(first, second):
+        return [first, second, *rng.uniform(0, 1, 1)][:dim]
+
+    decoy = [side / 2] + [0.0] * (dim - 1)
+    lowest = [row(0.0, 9.25 * side), row(0.0, 5.25 * side)]
+    seed = row(0.0, 3.25 * side)
+    bulk = rng.uniform(2 * side, 1.0, size=(200, dim))
+    pts = np.vstack([[np.ones(dim)], bulk[:100], [decoy], lowest, [seed], bulk[100:], [seed]])
+    idx = index_sample(PointSet(dim=dim, points=pts, resolution=2.0**-12))
+    cells = _coarse_cells(idx)
+    assert cells.level == level and np.array_equal(idx.root.low(), np.zeros(dim))
+    for budget in (2, 9):
+        got = farthest_point_sample(pts, budget, cells)
+        assert np.array_equal(got, reference_farthest_point_sample(pts, budget))
+    assert got[0] == (102 if dim == 1 else 104)  # in a line the lowest points are copies
 
 
 def test_farthest_point_sample_ties_go_to_the_first_index():

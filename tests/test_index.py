@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -315,9 +316,13 @@ def test_cell_dist2_is_bitwise_einsum_in_every_dimension(dim):
     ps = PointSet(dim=dim, points=pts, resolution=1e-12)
     idx = build_index(ps, 62 // dim if dim > 4 else 12)
     for level in (idx.max_level // 2, idx.max_level):
-        for x in (pts[0], pts[1] + 0.01, rng.uniform(-2e3, 2e3, size=dim)):
+        xs = np.array([pts[0], pts[1] + 0.01, rng.uniform(-2e3, 2e3, size=dim)])
+        for x in xs:
             got = idx.cell_dist2(level, x)
             assert got.tobytes() == reference_cell_dist2(idx, level, x).tobytes()
+        # several points at once: one row each, bit for bit
+        want = np.array([reference_cell_dist2(idx, level, x) for x in xs])
+        assert idx.cell_dist2(level, xs).tobytes() == want.tobytes()
 
 
 def test_build_index_allocates_per_point_only_a_column_the_keys_and_a_mask():
@@ -396,6 +401,27 @@ def test_slab_count_matches_full_scan_in_dims_1_and_3(dim):
             got = idx.count_intersecting_many(level, x, radii)
             assert np.array_equal(got, reference_count_many(idx, level, x, radii))
             assert idx.count_intersecting(level, x, s) == got[2]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_counts_match_each_centers_full_scan(dim):
+    # Centers as rows: each level once just under the batch bound (one
+    # matrix) and once at it (a slab per center).  Radii are unsorted and
+    # repeated, fall exactly on some cells' distances, and one is NaN.
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-1.0, 1.0, size=(3000, dim))
+    idx = build_index(PointSet(dim=dim, points=pts, resolution=1e-4), 12 if dim == 1 else 6)
+    centers = np.vstack([pts[:4], rng.uniform(-3.0, 3.0, size=(2, dim)), [idx.root.low()]])
+    for level in range(idx.max_level + 1):
+        s = idx.cell_side(level)
+        exact = [math.sqrt(d) for c in centers[:2] for d in idx.cell_dist2(level, c)[:3]]
+        radii = [0.7, s, 0.0, 3 * s, *exact, exact[0], math.nan, 5.0]
+        want = np.array([reference_count_many(idx, level, c, radii) for c in centers])
+        tests = len(centers) * idx.occupied_count(level)
+        for bound in (tests + 1, tests):
+            with mock.patch.object(index, "_BATCH_TESTS", bound):
+                got = idx.count_intersecting_many(level, centers, radii)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_slab_count_when_cells_near_the_float_resolution_of_the_coordinates():
