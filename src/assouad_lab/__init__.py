@@ -16,6 +16,7 @@ from .bounds import (
     assouad_bounds_lambda,
     beta_upper,
     biholder_upper,
+    check_curve,
     classify_spirals,
     compare_bounds,
     ours_upper,

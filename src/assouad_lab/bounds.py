@@ -364,21 +364,57 @@ class ThetaVerdict:
         return asdict(self)
 
 
+def all_passed(verdicts: Sequence[ThetaVerdict]) -> bool:
+    """Whether every feasible verdict passed; infeasible thetas never fail."""
+    return all(v.passed for v in verdicts if v.feasible)
+
+
+def check_curve(
+    theta_grid: Sequence[float],
+    bounds_at: Callable[[float], tuple[float, float]],
+    image_spectrum: SpectrumFn,
+    slack: float,
+) -> tuple[ThetaVerdict, ...]:
+    """One verdict per theta: the image estimate against [lower - slack, upper + slack].
+
+    ``bounds_at(theta)`` gives (lower, upper); an oracle check passes the
+    oracle value as both.  A side that raises SpectrumUndefinedError makes
+    its theta infeasible, with the side named in the reason, rather than
+    failed; a feasible verdict passes when lower - slack <= estimate <= upper + slack.
+    """
+    if not 0.0 <= slack < math.inf:
+        raise InvalidParameterError(f"slack must be finite and nonnegative, got {slack}")
+    verdicts = []
+    for theta in theta_grid:
+        lower = upper = None
+        try:
+            side = "source"
+            lower, upper = bounds_at(theta)
+            side = "image"
+            est = image_spectrum(theta)
+        except SpectrumUndefinedError as exc:
+            verdicts.append(ThetaVerdict(theta, None, lower, upper, False, None, f"{side}: {exc}"))
+        else:
+            ok = lower - slack <= est <= upper + slack
+            reason = "" if ok else (
+                f"estimate {est:.4f} outside [{lower:.4f} - {slack}, {upper:.4f} + {slack}]"
+            )
+            verdicts.append(ThetaVerdict(theta, est, lower, upper, True, bool(ok), reason))
+    return tuple(verdicts)
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-theta image-dimension bounds next to the curve being checked."""
+    """Per-theta image-dimension bounds next to the source curve they come from."""
 
-    theta_grid: tuple
-    lower_curve: tuple
-    upper_curve: tuple
-    input_curve: tuple
     verdicts: tuple
+    input_curve: tuple
     slack: float
     context: ExponentContext
 
     @property
     def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts if v.feasible)
+        return all_passed(self.verdicts)
 
     @property
     def feasible_count(self) -> int:
@@ -389,9 +425,9 @@ class BoundReport:
             return [None if v is None or math.isnan(v) else v for v in values]
 
         return {
-            "thetaGrid": list(self.theta_grid),
-            "lowerCurve": curve(self.lower_curve),
-            "upperCurve": curve(self.upper_curve),
+            "thetaGrid": [v.theta for v in self.verdicts],
+            "lowerCurve": curve(v.lower for v in self.verdicts),
+            "upperCurve": curve(v.upper for v in self.verdicts),
             "inputCurve": curve(self.input_curve),
             "verdicts": [v.to_json() for v in self.verdicts],
             "slack": self.slack,
@@ -416,39 +452,17 @@ def spectrum_bound_report(
     """Check an image spectrum curve against the two-sided bounds on a theta grid.
 
     Grid points where either curve is unavailable are marked infeasible
-    rather than failed; a verdict fails only when the image estimate leaves
-    [lower - slack, upper + slack].
+    rather than failed (see check_curve).
     """
-    if not 0.0 <= slack < math.inf:
-        raise InvalidParameterError(f"slack must be finite and nonnegative, got {slack}")
-    inputs, verdicts = [], []
-    for theta in theta_grid:
-        t = t_of_theta(theta)
+
+    def source_or_nan(theta: float) -> float:
         try:
-            src_here = source_spectrum(theta)
+            return source_spectrum(theta)
         except SpectrumUndefinedError:
-            src_here = math.nan
-        inputs.append(src_here)
-        lower = upper = None
-        try:
-            side = "source"
-            lower, upper = spectrum_bounds(t, ctx, source_spectrum)
-            side = "image"
-            est = image_spectrum(theta)
-        except SpectrumUndefinedError as exc:
-            verdicts.append(ThetaVerdict(theta, None, lower, upper, False, None, f"{side}: {exc}"))
-        else:
-            ok = lower - slack <= est <= upper + slack
-            reason = "" if ok else (
-                f"estimate {est:.4f} outside [{lower:.4f} - {slack}, {upper:.4f} + {slack}]"
-            )
-            verdicts.append(ThetaVerdict(theta, est, lower, upper, True, bool(ok), reason))
-    return BoundReport(
-        theta_grid=tuple(theta_grid),
-        lower_curve=tuple(math.nan if v.lower is None else v.lower for v in verdicts),
-        upper_curve=tuple(math.nan if v.upper is None else v.upper for v in verdicts),
-        input_curve=tuple(inputs),
-        verdicts=tuple(verdicts),
-        slack=slack,
-        context=ctx,
+            return math.nan
+
+    verdicts = check_curve(
+        theta_grid, lambda th: spectrum_bounds(t_of_theta(th), ctx, source_spectrum),
+        image_spectrum, slack,
     )
+    return BoundReport(verdicts, tuple(source_or_nan(th) for th in theta_grid), slack, ctx)

@@ -26,6 +26,7 @@ from .errors import (
     PoleProximityError,
     ResolutionExceededError,
     ScaleBelowResolutionError,
+    SpectrumUndefinedError,
     WindowTooNarrowError,
 )
 from .forking import forked
@@ -501,7 +502,7 @@ def cmd_verify(args) -> int:
     oracle_curves = {
         "source": [fam.oracle_spiral_spectrum(a_src, th) for th in grid],
     }
-    oracle_verdicts = []
+    oracle_verdicts = ()
     if claimed_a is not None:
         oracle_curves["image"] = [fam.oracle_spiral_spectrum(claimed_a, th) for th in grid]
         oracle_curves["imageExponent"] = claimed_a
@@ -509,25 +510,16 @@ def cmd_verify(args) -> int:
         # Only theta with a real (non-floor) estimate can contradict an
         # oracle; where the raw statistic is absent the regularized value
         # is a box-dimension floor, not a point estimate.
-        raw_by_theta = dict(zip(img_est.theta_grid, img_est.values))
-        for th, oracle_v in zip(grid, oracle_curves["image"]):
-            if math.isnan(raw_by_theta.get(th, math.nan)):
-                oracle_verdicts.append(
-                    {"theta": th, "estimate": None, "oracle": oracle_v,
-                     "gap": None, "passed": None, "reason": "raw estimate absent"}
-                )
-                continue
-            est_v = img_fn(th)
-            gap = abs(est_v - oracle_v)
-            oracle_verdicts.append(
-                {
-                    "theta": th,
-                    "estimate": est_v,
-                    "oracle": oracle_v,
-                    "gap": gap,
-                    "passed": bool(gap <= args.oracle_eps),
-                }
-            )
+        absent = {th for th, v in zip(img_est.theta_grid, img_est.values) if math.isnan(v)}
+
+        def image_at(th: float) -> float:
+            if th in absent:
+                raise SpectrumUndefinedError("raw estimate absent")
+            return img_fn(th)
+
+        oracle_verdicts = bnd.check_curve(
+            grid, lambda th: (fam.oracle_spiral_spectrum(claimed_a, th),) * 2,
+            image_at, args.oracle_eps)
 
     scenario = {
         "family": "spiral",
@@ -543,8 +535,7 @@ def cmd_verify(args) -> int:
         "thetaGrid": list(grid),
         "claimImageA": args.claim_image_a,
     }
-    all_passed = report.all_passed and all(
-        v["passed"] for v in oracle_verdicts if v["passed"] is not None)
+    all_passed = bnd.all_passed(report.verdicts + oracle_verdicts)
     _emit(args, {
         "scenario": scenario,
         "eps": args.eps,
@@ -553,7 +544,7 @@ def cmd_verify(args) -> int:
         "imageSpectrum": img_est.to_json(),
         "oracleCurves": oracle_curves,
         "bounds": report.to_json(),
-        "oracleVerdicts": oracle_verdicts,
+        "oracleVerdicts": [v.to_json() for v in oracle_verdicts],
         "allPassed": all_passed,
         "timings": {k: round(v, 3) for k, v in timings.items()},
     })

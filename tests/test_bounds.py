@@ -11,7 +11,9 @@ from assouad_lab.bounds import (
     assouad_bounds,
     assouad_bounds_lambda,
     beta_upper,
+    all_passed,
     biholder_upper,
+    check_curve,
     classify_spirals,
     compare_bounds,
     ours_upper,
@@ -359,3 +361,38 @@ def test_bound_report_marks_infeasible_theta():
     # theta = 0.1 needs the source curve at theta(t/K) far outside the hull
     assert not report.verdicts[0].feasible
     assert report.verdicts[0].reason.startswith("source")
+
+
+def test_check_curve_is_the_oracle_rule_with_lower_equal_to_upper():
+    # an oracle check passes the oracle as both bounds: inclusive at +-slack
+    oracle = {0.2: 1.25, 0.4: 1.5, 0.6: 1.5, 0.8: 1.5}
+    estimate = {0.2: 1.25 + 0.125, 0.4: 1.5 - 0.125, 0.6: 1.5 + 0.126}
+
+    def image(th):
+        if th not in estimate:
+            raise SpectrumUndefinedError("raw estimate absent")
+        return estimate[th]
+
+    verdicts = check_curve(list(oracle), lambda th: (oracle[th],) * 2, image, 0.125)
+    assert [v.passed for v in verdicts] == [True, True, False, None]
+    assert [v.feasible for v in verdicts] == [True, True, True, False]
+    assert all(v.lower == v.upper == oracle[v.theta] for v in verdicts)
+    assert verdicts[2].reason == "estimate 1.6260 outside [1.5000 - 0.125, 1.5000 + 0.125]"
+    absent = verdicts[3].to_json()
+    assert absent == {"theta": 0.8, "estimate": None, "lower": 1.5, "upper": 1.5,
+                      "feasible": False, "passed": None,
+                      "reason": "image: raw estimate absent"}
+    assert not all_passed(verdicts) and all_passed(verdicts[:2] + verdicts[3:])
+
+
+def test_check_curve_names_the_side_that_is_undefined():
+    def undefined(th):
+        raise SpectrumUndefinedError("no value")
+
+    (src,) = check_curve([0.5], undefined, lambda th: 1.0, 0.1)
+    assert (src.feasible, src.lower, src.estimate, src.reason) == (False, None, None, "source: no value")
+    (img,) = check_curve([0.5], lambda th: (1.0, 2.0), undefined, 0.1)
+    assert (img.feasible, img.lower, img.upper, img.reason) == (False, 1.0, 2.0, "image: no value")
+    for slack in (-0.1, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            check_curve([0.5], lambda th: (1.0, 2.0), lambda th: 1.5, slack)

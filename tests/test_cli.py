@@ -634,6 +634,11 @@ def test_verify_detects_wrong_oracle_claim(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["allPassed"] is False
     assert any(v["passed"] is False for v in payload["oracleVerdicts"])
+    # an oracle verdict is a bound verdict whose two bounds are the oracle
+    for v in payload["oracleVerdicts"]:
+        assert list(v) == ["theta", "estimate", "lower", "upper", "feasible", "passed", "reason"]
+        assert v["lower"] == v["upper"]
+        assert v["feasible"] == (v["passed"] is not None)
 
 
 @pytest.mark.parametrize("argv, needles", [
