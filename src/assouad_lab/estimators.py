@@ -71,9 +71,9 @@ class ScaleWindow:
     r_max: float
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
+        if not (0.0 < self.r_min < self.r_max < math.inf):
             raise InvalidParameterError(
-                f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
+                f"need 0 < r_min < r_max < inf, got [{self.r_min}, {self.r_max}]"
             )
 
     @staticmethod
@@ -600,10 +600,16 @@ def estimate_box_dim(idx: MultiScaleIndex, window: ScaleWindow | None = None) ->
 
 
 def _ray_geometry(idx: MultiScaleIndex, window: ScaleWindow):
-    """Level range and outer-radius floor implied by a scale window."""
-    k_hi = int(math.floor(math.log2(idx.root_side / window.r_min)))
-    k_hi = min(k_hi, idx.max_level)
-    u_lo = max(_U_MIN, math.log2(idx.root_side / window.r_max))
+    """Level range and outer-radius floor implied by a scale window.
+
+    The radii are first clamped to [finest cell side, root side], which
+    changes neither result but keeps each ratio to the root inside the
+    float range.
+    """
+    root = idx.root_side
+    r_min = min(max(window.r_min, idx.cell_side(idx.max_level)), root)
+    k_hi = min(int(math.floor(math.log2(root / r_min))), idx.max_level)
+    u_lo = max(_U_MIN, math.log2(root / min(window.r_max, root)))
     return _K_LO, k_hi, u_lo
 
 

@@ -9,6 +9,7 @@ dilatations, with conformal primitives contributing 1.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 
@@ -70,9 +71,9 @@ class RadialPower:
         # Derivative bound sup |z|^(power-1) over the annulus of the data.
         if moduli_hi == 0.0:
             return 1.0
-        p = self.power - 1.0
-        return float(max(moduli_lo ** p if moduli_lo > 0 else np.inf if p < 0 else 0.0,
-                         moduli_hi ** p))
+        p = self.power - 1.0  # numpy powers: overflow gives inf, not an exception
+        return float(max(np.float64(moduli_lo) ** p if moduli_lo > 0 else np.inf if p < 0 else 0.0,
+                         np.float64(moduli_hi) ** p))
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class Similarity:
         return Similarity(1.0 / self.scale, -self.offset / self.scale)
 
     def lipschitz(self, moduli_lo: float, moduli_hi: float) -> float:
-        return float(abs(self.scale))
+        return float(np.abs(self.scale))  # numpy: a modulus past the float range is inf
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ class Mobius:
     d: complex
 
     def __post_init__(self):
-        if self.a * self.d - self.b * self.c == 0:
-            raise InvalidParameterError("mobius determinant ad - bc must be nonzero")
+        if not 0.0 < np.abs(self.a * self.d - self.b * self.c) < np.inf:
+            raise InvalidParameterError("mobius determinant ad - bc must be finite and nonzero")
 
     @property
     def dilatation(self) -> float:
@@ -131,12 +132,14 @@ class Mobius:
 
     def lipschitz(self, moduli_lo: float, moduli_hi: float,
                   denom_min: float | None = None) -> float:
-        det = abs(self.a * self.d - self.b * self.c)
+        det = np.abs(self.a * self.d - self.b * self.c)
         if self.c == 0:
-            return float(det / abs(self.d) ** 2)
-        if denom_min is None or denom_min <= 0.0:
+            denom_min = np.abs(self.d)  # |cz + d| everywhere
+        elif denom_min is None:
             raise InvalidParameterError("mobius lipschitz needs the minimum |cz + d|")
-        return float(det / denom_min ** 2)
+        # numpy arithmetic: a square that leaves the float range, or a
+        # minimum that underflows to 0, gives inf or 0 rather than an exception
+        return float(det / np.float64(denom_min) ** 2)
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ def radial_stretch(K: float) -> PlanarMap:
     Sends the polynomial spiral with decay a onto the one with decay a/K.
     """
     if not (K >= 1.0 and np.isfinite(K)):
-        raise InvalidDilatationError(f"radial stretch needs K >= 1, got {K}")
+        raise InvalidDilatationError(f"radial stretch needs a finite K >= 1, got {K}")
     if K == 1.0:
         return identity_map()
     return PlanarMap(ops=(RadialPower(1.0 / K),))
@@ -185,6 +188,7 @@ def _blocks(n: int):
     return (slice(s, s + _BLOCK) for s in range(0, n, _BLOCK))
 
 
+@np.errstate(all="ignore")  # leaving the float range is refused, not warned about
 def apply_map(f: PlanarMap, ps: PointSet) -> PointSet:
     """Pointwise image of a planar point set, with honest resolution scaling.
 
@@ -193,6 +197,9 @@ def apply_map(f: PlanarMap, ps: PointSet) -> PointSet:
     actually occupies at that stage of the pipeline (origin excluded; the
     radial powers fix it exactly).  Moebius stages refuse points within
     POLE_MARGIN resolution units of the pole rather than emit garbage.
+
+    A stage that sends a point, or the resolution, outside the float
+    range (to inf, NaN or a resolution of 0) is refused, naming the stage.
 
     Per point, only the (N, 2) output is allocated: the map works in place
     on it, viewed as N complex numbers, one block of temporaries at a time.
@@ -229,9 +236,16 @@ def apply_map(f: PlanarMap, ps: PointSet) -> PointSet:
             scale = op.lipschitz(lo, hi, denom_min)
         else:
             scale = op.lipschitz(lo, hi)
+        finite = True
         for b in _blocks(len(z)):
             z[b] = op.apply(z[b])
+            finite = finite and bool(np.isfinite(z[b]).all())
         resolution = resolution * scale
+        if not (finite and 0.0 < resolution < np.inf):
+            what = "its resolution" if finite else "a point"
+            raise InvalidParameterError(
+                f"map stage {_format_stage(op)} sends {what} outside the float range"
+            )
     return PointSet(dim=2, points=out, resolution=float(resolution), params=ps.params)
 
 
@@ -246,9 +260,12 @@ def _parse_complex(text: str) -> complex:
     normalized = cleaned.replace("i", "j")
     # complex() rejects bare "j-less" juxtapositions like "+j1"; rely on its parser.
     try:
-        return complex(normalized)
+        value = complex(normalized)
     except ValueError as exc:
         raise InvalidParameterError(f"cannot parse complex literal {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise InvalidParameterError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def _format_complex(value: complex) -> str:
@@ -303,21 +320,22 @@ def parse_map_spec(text: str) -> PlanarMap:
     return PlanarMap(ops=tuple(ops))
 
 
+def _format_stage(op) -> str:
+    if isinstance(op, RadialPower):
+        return f"radial:K={1.0 / op.power:g}"
+    if isinstance(op, Similarity):
+        return f"similarity:s={_format_complex(op.scale)},t={_format_complex(op.offset)}"
+    if isinstance(op, Mobius):
+        return "mobius:" + ",".join(
+            f"{name}={_format_complex(getattr(op, name))}" for name in "abcd")
+    raise InvalidParameterError(f"unknown primitive {op!r}")
+
+
 def format_map_spec(f: PlanarMap) -> str:
-    parts = []
     for op in f.ops:
-        if isinstance(op, RadialPower):
-            if op.power > 1.0:
-                # Inverse stretches fall outside the mini-language's K >= 1 form.
-                raise InvalidParameterError(
-                    f"radial power {op.power:g} has no 'radial:K=' form (K < 1)"
-                )
-            parts.append(f"radial:K={1.0 / op.power:g}")
-        elif isinstance(op, Similarity):
-            parts.append(f"similarity:s={_format_complex(op.scale)},t={_format_complex(op.offset)}")
-        elif isinstance(op, Mobius):
-            parts.append("mobius:" + ",".join(
-                f"{name}={_format_complex(getattr(op, name))}" for name in "abcd"))
-        else:
-            raise InvalidParameterError(f"unknown primitive {op!r}")
-    return "|".join(parts) if parts else "similarity:s=1,t=0"
+        if isinstance(op, RadialPower) and op.power > 1.0:
+            # Inverse stretches fall outside the mini-language's K >= 1 form.
+            raise InvalidParameterError(
+                f"radial power {op.power:g} has no 'radial:K=' form (K < 1)"
+            )
+    return "|".join(map(_format_stage, f.ops)) or "similarity:s=1,t=0"

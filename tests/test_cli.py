@@ -625,6 +625,65 @@ def test_non_finite_resolutions_and_spiral_parameters_exit_2(tmp_path, capsys, a
     assert_one_error_line(err, needle)
 
 
+@pytest.mark.parametrize("mode", ["spectrum", "qa", "assouad", "box"])
+def test_window_flags_outside_the_float_range(spiral_s1_coarse, capsys, mode):
+    path = str(spiral_s1_coarse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for flags in (["--rmax", "inf"], ["--rmin", "nan"], ["--rmax", "nan"]):
+            rc, out, err = run(capsys, "estimate", path, "--mode", mode, *flags)
+            assert rc == 2 and out == ""
+            assert_one_error_line(err, "need 0 < r_min < r_max < inf")
+        # below the finest cell no radius admits another level, so a
+        # subnormal --rmin estimates what any other such radius does
+        reports = []
+        for rmin in ("1e-320", "1e-300"):
+            rc, out, _ = run(capsys, "estimate", path, "--mode", mode, "--rmin", rmin)
+            assert rc == 0
+            report = strict_json(out)
+            del report["elapsedSeconds"]
+            report.pop("window", None)
+            reports.append(report)
+    assert reports[0] == reports[1]
+
+
+# a map whose image or resolution leaves the float range, and literals that
+# are not finite: exit 2 with one line, and no numpy warning before it
+_FLOAT_RANGE_MAPS = [
+    ("mobius:a=1e308,b=0,c=0,d=1e-308", "map stage mobius:a=1e+308,b=0,c=0,d=1e-308 sends"),
+    ("mobius:a=1e-300,b=0,c=0,d=1e300", "map stage mobius:a=1e-300,b=0,c=0,d=1e+300 sends"),
+    ("mobius:a=1e200,b=1e200,c=1e-200,d=1e200", "determinant ad - bc must be finite"),
+    ("similarity:s=1e308,t=1e308", "map stage similarity:s=1e+308,t=1e+308 sends"),
+    ("mobius:a=1e400,b=0,c=0,d=1", "complex literal '1e400' is not finite"),
+    ("similarity:s=1e400", "complex literal '1e400' is not finite"),
+    ("radial:K=1e400", "radial stretch needs a finite K >= 1, got inf"),
+    ("radial:K=2|similarity:s=5e-324", "map stage similarity:s=4.94066e-324,t=0 sends its"),
+]
+
+
+@pytest.mark.parametrize("spec, needle", _FLOAT_RANGE_MAPS)
+def test_map_outside_the_float_range_exits_2(tmp_path, capsys, spec, needle):
+    src, dst = tmp_path / "p.csv", tmp_path / "o.csv"
+    src.write_text("0.25,0.75\n0.5,0.5\n1,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "map", str(src), "--res", "1e-3", "--spec", spec,
+                           "-o", str(dst))
+    assert rc == 2 and out == "" and not dst.exists()
+    assert_one_error_line(err, needle)
+
+
+@pytest.mark.parametrize("spec, needle", [
+    m for m in _FLOAT_RANGE_MAPS if m[0].startswith("mobius")])
+def test_verify_map_outside_the_float_range_exits_2(capsys, spec, needle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "verify", "--set", "spiral:a=1", "--xmax", "100",
+                           "--res", "1e-3", "--map", spec)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, needle)
+
+
 def test_verify_detects_wrong_oracle_claim(tmp_path, capsys):
     report = tmp_path / "report.json"
     rc, _, _ = run(capsys, "verify", "--set", "spiral:a=2", "--map", "radial:K=2",

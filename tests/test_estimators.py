@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from assouad_lab import estimators, index
-from assouad_lab.errors import InvalidParameterError, WindowTooNarrowError
+from assouad_lab.errors import AssouadLabError, InvalidParameterError, WindowTooNarrowError
 from assouad_lab.estimators import (
     DEFAULT_THETA_GRID,
     ScaleWindow,
@@ -115,6 +116,50 @@ def test_qa_and_assouad_read_the_last_regularized_value(cantor12_idx, sequence_i
         assert qa.slope_diagnostics == list(zip(spec.theta_grid, spec.regularized_values))
         assert assouad.slope_diagnostics == [
             (t, v) for t, v in zip(spec.theta_grid, spec.values) if not math.isnan(v)]
+
+
+@pytest.fixture(scope="module")
+def scaled_segments():
+    """A 257-point segment at unit scale and near each end of the float range."""
+    out = []
+    for scale in (1.0, 1e-300, 1e150):
+        pts = np.column_stack([np.linspace(0.0, scale, 257), np.zeros(257)])
+        ps = PointSet(dim=2, points=pts, resolution=scale / 256)
+        out.append(build_index(ps, deepest_level(ps)))
+    return out
+
+
+_RADII = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.integers(0, 2), r_min=_RADII, r_max=_RADII)
+@example(which=0, r_min=4.0 / 256, r_max=math.inf)
+@example(which=0, r_min=1e-320, r_max=0.25)
+@example(which=1, r_min=1e-302, r_max=1e308)
+def test_windows_give_a_finite_spectrum_or_refuse_without_warnings(
+        scaled_segments, which, r_min, r_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            window = ScaleWindow(r_min, r_max)
+            spec = estimate_spectrum(scaled_segments[which], window=window, center_budget=2)
+        except AssouadLabError:
+            return
+    assert all(math.isfinite(v) for v in spec.regularized_values)
+    assert all(math.isnan(v) or math.isfinite(v) for v in spec.values)
+
+
+def test_a_window_past_the_finest_cell_or_the_root_changes_no_estimate(scaled_segments):
+    # the clamp that keeps the window's ratios in the float range is exact
+    idx = scaled_segments[0]
+    finest, root = idx.cell_side(idx.max_level), idx.root_side
+    want = estimate_spectrum(idx, window=ScaleWindow(finest, root), center_budget=2)
+    for r_min, r_max in ((1e-320, root), (finest, 1e308), (finest / 3, 2 * root)):
+        got = estimate_spectrum(idx, window=ScaleWindow(r_min, r_max), center_budget=2)
+        np.testing.assert_array_equal(got.values, want.values)  # NaN where absent
+        assert got.regularized_values == want.regularized_values
+    assert not all(math.isnan(v) for v in want.values)
 
 
 def test_no_ray_at_theta_095_even_on_62_levels():

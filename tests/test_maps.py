@@ -1,13 +1,16 @@
+import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from assouad_lab import maps
 
 from assouad_lab.errors import (
+    AssouadLabError,
     DimensionMismatchError,
     InvalidDilatationError,
     InvalidParameterError,
@@ -320,3 +323,54 @@ def test_parse_chain_round_trip():
 def test_parse_rejects_malformed(bad):
     with pytest.raises((InvalidParameterError, InvalidDilatationError)):
         parse_map_spec(bad)
+
+
+# ---- coefficients across the float range ---------------------------------
+
+# Decimal literals from 0 through subnormals to the largest float, and
+# 1e400, which parses to inf.
+_REAL_LITERALS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "5e-324", "1e-320", "2.2250738585072014e-308",
+                     "1e-300", "1e-200", "1e200", "1e300", "1.7976931348623157e308",
+                     "1e400", "-1e400"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_COMPLEX_LITERALS = st.one_of(
+    _REAL_LITERALS,
+    st.tuples(_REAL_LITERALS, _REAL_LITERALS).map(
+        lambda p: f"{p[0]}{'' if p[1].startswith('-') else '+'}{p[1]}i"),
+)
+
+
+@st.composite
+def stage_specs(draw):
+    kind = draw(st.sampled_from(["radial", "similarity", "mobius"]))
+    if kind == "radial":
+        return f"radial:K={draw(_REAL_LITERALS)}"
+    if kind == "similarity":
+        return f"similarity:s={draw(_COMPLEX_LITERALS)},t={draw(_COMPLEX_LITERALS)}"
+    return "mobius:" + ",".join(f"{k}={draw(_COMPLEX_LITERALS)}" for k in "abcd")
+
+
+_SMALL = PointSet(dim=2, points=np.array(
+    [[0.0, 0.0], [1.0, 0.0], [0.25, 0.75], [-0.5, 0.5], [1e-3, -2e-3]]), resolution=1e-4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(stage_specs(), min_size=1, max_size=3).map("|".join))
+@example("mobius:a=1e308,b=0,c=0,d=1e-308")
+@example("mobius:a=1e-300,b=0,c=0,d=1e300")
+@example("mobius:a=1e200,b=1e200,c=1e-200,d=1e200")
+@example("similarity:s=1e308,t=1e308")
+@example("mobius:a=1e400,b=0,c=0,d=1")
+@example("similarity:s=1e400")
+@example("mobius:a=1e308+1e308i,b=0,c=0,d=1.5")
+def test_maps_give_a_finite_image_or_refuse_without_warnings(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            image = apply_map(parse_map_spec(spec), _SMALL)
+        except AssouadLabError:
+            return
+    assert np.isfinite(image.points).all()
+    assert 0.0 < image.resolution < math.inf
