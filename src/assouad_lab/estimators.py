@@ -602,9 +602,9 @@ def estimate_box_dim(idx: MultiScaleIndex, window: ScaleWindow | None = None) ->
 def _ray_geometry(idx: MultiScaleIndex, window: ScaleWindow):
     """Level range and outer-radius floor implied by a scale window.
 
-    The radii are first clamped to [finest cell side, root side], which
-    changes neither result but keeps each ratio to the root inside the
-    float range.
+    The radii are first clamped to [finest cell side, root side]: that
+    admits the same levels and floor, and keeps each ratio to the root
+    inside the float range.
     """
     root = idx.root_side
     r_min = min(max(window.r_min, idx.cell_side(idx.max_level)), root)
