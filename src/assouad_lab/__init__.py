@@ -65,7 +65,7 @@ from .families import (
     oracle_spiral_spectrum,
     sample_family,
 )
-from .geometry import Cube, PointSet, load_points, save_points
+from .geometry import PointSet, load_points, save_points
 from .index import MultiScaleIndex, build_index, deepest_level, local_dyadic_count, snap_level
 from .maps import (
     Mobius,

@@ -14,8 +14,6 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
 from . import bounds as bnd
 from . import estimators as est
 from . import families as fam
@@ -55,9 +53,6 @@ _FAMILY_KINDS = {
     "sequence": "sequence",
 }
 
-# Levels below this make even a flat occupancy profile unfittable.
-_MIN_INDEX_LEVELS = 8
-
 # Most thetas a --theta-step grid may hold; each one is a full count sweep.
 _MAX_THETAS = 1000
 
@@ -89,17 +84,9 @@ def _emit(args, payload: dict) -> None:
         print(text)
 
 
-def _index_for(ps):
-    level = deepest_level(ps)
-    if level == 0 and np.array_equal(*ps.bounding_box()):
-        # degenerate extent: give the estimators some levels to fit on
-        level = _MIN_INDEX_LEVELS
-    return build_index(ps, level)
-
-
 def _load(args):
     ps = load_points(args.input, resolution=getattr(args, "res", None))
-    return ps, _index_for(ps)
+    return ps, build_index(ps, deepest_level(ps))
 
 
 def _window_from(args, idx) -> Optional[est.ScaleWindow]:
@@ -432,7 +419,8 @@ def _sample_spiral(a: float, x_max: float, res: float):
 def _estimate_curve(ps, grid, centers):
     """The spectrum estimate of ``ps`` and the seconds it took."""
     t0 = time.perf_counter()
-    spec = est.estimate_spectrum(_index_for(ps), theta_grid=grid, center_budget=centers)
+    idx = build_index(ps, deepest_level(ps))
+    spec = est.estimate_spectrum(idx, theta_grid=grid, center_budget=centers)
     return spec, time.perf_counter() - t0
 
 

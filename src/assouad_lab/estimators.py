@@ -219,7 +219,7 @@ def _coarse_cells(idx: MultiScaleIndex) -> CoarseCells:
         order = np.ones(len(keys), dtype=np.int32 if len(keys) <= 1 << 31 else np.intp)
         order[np.cumsum(size) - size] = first - np.concatenate([[0], (first + size - 1)[:-1]])
         np.cumsum(order, out=order)
-    return CoarseCells(order, starts, level, idx.root.low(), idx.cell_side(level))
+    return CoarseCells(order, starts, level, idx.low, idx.cell_side(level))
 
 
 def _spans(first: np.ndarray, size: np.ndarray):
@@ -316,11 +316,9 @@ def farthest_point_sample(points: np.ndarray, budget: int, cells: CoarseCells) -
     first = cells.starts[cell] + _FPS_BLOCK * _spans(np.zeros_like(nblk), nblk)[0]
     size = np.minimum(cells.starts[cell + 1] - first, _FPS_BLOCK)
     pad = 64 * np.finfo(float).eps * (np.abs(cells.low) + cells.side * (1 << cells.level))
-    lo, hi = [], []
-    for j in range(dim):
-        a = (cell >> (cells.level * (dim - 1 - j))) & ((1 << cells.level) - 1)
-        lo.append(cells.low[j] + a * cells.side - pad[j])
-        hi.append(cells.low[j] + (a + 1) * cells.side + pad[j])
+    addr = _decode(cell, cells.level, dim)
+    lo = [cells.low[j] + addr[:, j] * cells.side - pad[j] for j in range(dim)]
+    hi = [cells.low[j] + (addr[:, j] + 1) * cells.side + pad[j] for j in range(dim)]
 
     cmax = np.full(len(cell), -np.inf)  # touched blocks: exact largest distance
     bound = np.full(len(cell), np.inf)  # untouched blocks: upper bound on it
@@ -442,7 +440,6 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
     shift = idx.max_level - level
     last = (1 << idx.max_level) - 1
     side = idx.cell_side(idx.max_level)
-    low = np.asarray(idx.root.center) - idx.root.radius
     points = idx.source.points
     first_coords = {}  # coarse cell -> its members' first coordinates
     out = []
@@ -456,7 +453,7 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
                        for j in range(dim))
             sub = sub[slot == np.bincount(slot, minlength=1 << dim).argmax()]
         cell = _decode(sub[:1], bits, dim)[0]
-        cell_center = low + (cell + 0.5) * side
+        cell_center = idx.low + (cell + 0.5) * side
         lo = (np.maximum(cell - 1, 0) >> shift).tolist()
         hi = (np.minimum(cell + 1, last) >> shift).tolist()
         cand = []

@@ -387,21 +387,3 @@ def save_points(ps: PointSet, path=None) -> None:
     else:
         ps.to_csv(path)
 
-
-@dataclass(frozen=True)
-class Cube:
-    """Axes-parallel cube given by center and half-side ('radius')."""
-
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0):
-            raise InvalidParameterError(f"radius must be > 0, got {self.radius}")
-
-    @property
-    def side(self) -> float:
-        return 2.0 * self.radius
-
-    def low(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=np.float64) - self.radius

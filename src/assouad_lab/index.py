@@ -1,7 +1,8 @@
 """Multiscale dyadic occupancy index.
 
 The index stores, for every level m = 0..max_level, the set of dyadic
-cells (of side root.side * 2^-m, in the root cube's grid) that contain
+cells (of side root_side * 2^-m, in the grid anchored at the root cube's
+lower corner ``low``) that contain
 at least one sample point.  Cells are kept as integer lattice addresses
 packed into int64 keys, so membership and parent arithmetic are plain
 integer operations.  Levels shrink as they coarsen because a parent cell
@@ -28,7 +29,7 @@ from .errors import (
     ResolutionExceededError,
     ScaleBelowResolutionError,
 )
-from .geometry import Cube, PointSet
+from .geometry import PointSet
 
 MAX_AMBIENT_DIM = 8  # packed-address budget: dim * max_level must fit in an int64
 _ADDRESS_BITS = 62
@@ -107,10 +108,10 @@ def _leaf_keys(points: np.ndarray, low: np.ndarray, side: float, level: int,
 class MultiScaleIndex:
     """Occupancy sets for one point sample at every dyadic level."""
 
-    root: Cube
+    low: np.ndarray  # the root cube's lower corner, read-only
+    root_side: float
     max_level: int
     dim: int
-    resolution: float
     level_keys: list  # list of sorted int64 arrays, index = level
     source: PointSet
     # each point's uint16 key at coarse_level = min(max_level, 8, 16 // dim)
@@ -119,12 +120,8 @@ class MultiScaleIndex:
     _bits: int = 0
     _bounds_cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def root_side(self) -> float:
-        return self.root.side
-
     def cell_side(self, level: int) -> float:
-        return self.root.side * 2.0 ** (-level)
+        return self.root_side * 2.0 ** (-level)
 
     def occupied_count(self, level: int) -> int:
         self._check_level(level)
@@ -145,9 +142,8 @@ class MultiScaleIndex:
         """Per-column lower and upper cell edges at a level (cached float64)."""
         if level not in self._bounds_cache:
             s = self.cell_side(level)
-            low = self.root.low()
             addr = self.cell_addresses(level)
-            lows = [low[j] + addr[:, j] * s for j in range(self.dim)]
+            lows = [self.low[j] + addr[:, j] * s for j in range(self.dim)]
             self._bounds_cache[level] = (lows, [c + s for c in lows])
         return self._bounds_cache[level]
 
@@ -216,8 +212,8 @@ class MultiScaleIndex:
     def _slab_counts(self, level: int, x: np.ndarray, radii: np.ndarray) -> np.ndarray:
         """``count_intersecting_many`` of one point, over its first-axis slab."""
         r = float(np.fmax.reduce(np.abs(radii), initial=0.0))  # NaN radii count nothing
-        s, low, top = self.cell_side(level), self.root.low()[0], float(1 << level)
-        pad = 1 + int(min(2.0**-48 * (abs(x[0]) + abs(low) + r + self.root.side) / s, top))
+        s, low, top = self.cell_side(level), self.low[0], float(1 << level)
+        pad = 1 + int(min(2.0**-48 * (abs(x[0]) + abs(low) + r + self.root_side) / s, top))
         # first-axis cell addresses of x0 - r and x0 + r, clipped near the grid
         a, b = (math.floor(min(max((v - low) / s, -1.0), top)) for v in (x[0] - r, x[0] + r))
         shift = self._bits * (self.dim - 1)
@@ -264,8 +260,11 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
                 "the points' extent over their resolution overflows a float (one "
                 f"point, widened to resolution {ps.resolution:.3g} * 2^{max_level})"
             )
-    center = (lo + hi) / 2.0
-    root = Cube(center=tuple(center), radius=extent / 2.0)
+    low = (lo + hi) / 2.0 - extent / 2.0
+    low.flags.writeable = False
+    root_side = 2.0 * (extent / 2.0)
+    if root_side == 0.0:  # the least subnormal extent halves to 0
+        raise InvalidParameterError(f"the points' extent {extent:.3g} halves to 0")
 
     leaf_side = extent * 2.0**-max_level
     if leaf_side < ps.resolution * (1.0 - 1e-12):
@@ -276,7 +275,7 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
 
     level_keys = [None] * (max_level + 1)
     coarse = min(max_level, 8, 16 // ps.dim)  # uint16 keys, radix-sorted; <= 256 cells an axis
-    keys, coarse_keys = _leaf_keys(ps.points, root.low(), leaf_side, max_level, bits, coarse)
+    keys, coarse_keys = _leaf_keys(ps.points, low, leaf_side, max_level, bits, coarse)
     keys.sort()
     level_keys[max_level] = _dedup(keys)
     for m in range(max_level - 1, -1, -1):
@@ -287,10 +286,10 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
         k.flags.writeable = False
 
     return MultiScaleIndex(
-        root=root,
+        low=low,
+        root_side=root_side,
         max_level=max_level,
         dim=ps.dim,
-        resolution=ps.resolution,
         level_keys=level_keys,
         source=ps,
         coarse_keys=coarse_keys,
@@ -304,9 +303,14 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
 #: bounds add a few coordinates and sides: far inside the float range below it.
 _MAX_MAGNITUDE = 2.0**500
 
+#: Levels a single point is indexed to: fewer make even a flat occupancy
+#: profile unfittable.
+_MIN_INDEX_LEVELS = 8
+
 
 def deepest_level(ps: PointSet) -> int:
-    """Largest level whose leaf cells are still >= the declared resolution."""
+    """Largest level whose leaf cells are still >= the declared resolution;
+    ``_MIN_INDEX_LEVELS`` for a single point, whose root ``build_index`` widens."""
     lo, hi = ps.bounding_box()
     lo, hi = lo.tolist(), hi.tolist()
     extent = max(h - l for l, h in zip(lo, hi))  # inf on overflow, unwarned
@@ -323,7 +327,7 @@ def deepest_level(ps: PointSet) -> int:
             f"{_MAX_MAGNITUDE:.3g}: their squared distances would overflow a float"
         )
     if extent == 0.0:
-        return 0
+        return _MIN_INDEX_LEVELS
     level = int(math.floor(math.log2(ratio) + 1e-12))
     level = max(level, 0)
     bits_budget = _ADDRESS_BITS // ps.dim
@@ -361,10 +365,10 @@ def local_dyadic_count(idx: MultiScaleIndex, x, radius: float, m: int) -> int:
     if radius <= 0:
         raise InvalidParameterError("ball radius must be positive")
     target = 2.0**-m * 2.0 * radius
-    if target < idx.resolution * (1.0 - 1e-12):
+    if target < idx.source.resolution * (1.0 - 1e-12):
         raise ScaleBelowResolutionError(
             f"requested cell side {target:.3g} is below the declared "
-            f"resolution {idx.resolution:.3g}"
+            f"resolution {idx.source.resolution:.3g}"
         )
     level = snap_level(idx, target)
     if level > idx.max_level:

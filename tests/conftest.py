@@ -139,8 +139,8 @@ def encode(addr, bits):
 
 
 def index_sample(ps):
-    """Index at the deepest honest level; 8 levels for a zero-extent set, as the CLI does."""
-    return build_index(ps, deepest_level(ps) or 8)
+    """Index at the deepest honest level, as the CLI does."""
+    return build_index(ps, deepest_level(ps))
 
 
 def center_aligned_count(ps, x, radius, m):

@@ -109,7 +109,7 @@ def test_index_stats_payload(spiral_s1_coarse, capsys):
 
 
 @pytest.mark.parametrize("points, levels", [
-    ([(0.3, 0.7)], 8),  # zero extent: the CLI's fallback level count
+    ([(0.3, 0.7)], 8),  # zero extent: deepest_level's count for one point
     ([(0.0, 0.0), (1.0, 0.5)], 9),
 ])
 def test_index_for_does_not_reduce_the_points_again(monkeypatch, points, levels):
@@ -118,7 +118,7 @@ def test_index_for_does_not_reduce_the_points_again(monkeypatch, points, levels)
     calls = []
     bounds = geometry._column_bounds
     monkeypatch.setattr(geometry, "_column_bounds", lambda a: calls.append(1) or bounds(a))
-    idx = cli._index_for(ps)
+    idx = cli.build_index(ps, cli.deepest_level(ps))
     assert idx.max_level == levels and calls == []
 
 

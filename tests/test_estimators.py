@@ -49,7 +49,7 @@ def test_scale_window_validation():
 
 def test_scale_window_defaults(cantor12_idx):
     w = ScaleWindow.default_for(cantor12_idx)
-    assert w.r_min == pytest.approx(4 * cantor12_idx.resolution)
+    assert w.r_min == pytest.approx(4 * cantor12_idx.source.resolution)
     assert w.r_max == pytest.approx(cantor12_idx.root_side / 4)
     assert len(w.levels(cantor12_idx)) >= 4
 
@@ -386,7 +386,7 @@ def reference_hotspots(idx, budget):
     anc = encode(deep_addr >> (idx.max_level - hot_level), idx._bits)
     uniq, counts = np.unique(anc, return_counts=True)
     top = uniq[np.lexsort((uniq, -counts))[:budget]]  # most leaves first, then smallest key
-    low = np.asarray(idx.root.center) - idx.root.radius
+    low = idx.low
     points = idx.source.points
     out = []
     for key in top:
@@ -471,7 +471,7 @@ def test_farthest_point_sample_on_coarse_cell_edges(dim):
     pts[rng.random(len(pts)) < 0.2, rng.integers(0, dim)] = 1.0
     idx = index_sample(PointSet(dim=dim, points=pts, resolution=2.0**-10))
     cells = _coarse_cells(idx)
-    assert cells.level == level and np.array_equal(idx.root.low(), np.zeros(dim))
+    assert cells.level == level and np.array_equal(idx.low, np.zeros(dim))
     for block in (1, 3, 1024):
         with mock.patch.object(estimators, "_FPS_BLOCK", block):
             for budget in (2, 17, 60, 200):
@@ -501,7 +501,7 @@ def test_farthest_point_seed_searches_the_whole_lowest_column(dim):
     pts = np.vstack([[np.ones(dim)], bulk[:100], [decoy], lowest, [seed], bulk[100:], [seed]])
     idx = index_sample(PointSet(dim=dim, points=pts, resolution=2.0**-12))
     cells = _coarse_cells(idx)
-    assert cells.level == level and np.array_equal(idx.root.low(), np.zeros(dim))
+    assert cells.level == level and np.array_equal(idx.low, np.zeros(dim))
     for budget in (2, 9):
         got = farthest_point_sample(pts, budget, cells)
         assert np.array_equal(got, reference_farthest_point_sample(pts, budget))
@@ -544,7 +544,7 @@ def test_select_centers_matches_reference(ps, budget, block):
 def reference_coarse_keys(idx):
     """Row-major uint16 coarse keys by the float formula floor((x - low) / coarse side), clipped."""
     level = idx.coarse_level
-    addr = np.floor((idx.source.points - idx.root.low()) / idx.cell_side(level))
+    addr = np.floor((idx.source.points - idx.low) / idx.cell_side(level))
     np.clip(addr, 0, 2**level - 1, out=addr)
     return encode(addr.astype(np.int64), level).astype(np.uint16)
 
@@ -556,9 +556,9 @@ def test_coarse_cells_group_points_by_leaf_ancestor(ps, block):
         idx = index_sample(ps)
     order, starts, level, low, side = _coarse_cells(idx)
     assert level == idx.coarse_level == min(idx.max_level, 8, 16 // idx.dim)
-    assert np.array_equal(low, idx.root.low()) and side == idx.cell_side(level)
+    assert np.array_equal(low, idx.low) and side == idx.cell_side(level)
     assert np.array_equal(np.sort(order), np.arange(len(ps)))
-    leaf = np.floor((ps.points - idx.root.low()) / idx.cell_side(idx.max_level)).astype(np.int64)
+    leaf = np.floor((ps.points - idx.low) / idx.cell_side(idx.max_level)).astype(np.int64)
     np.clip(leaf, 0, 2**idx.max_level - 1, out=leaf)
     key = encode(leaf >> (idx.max_level - level), level)
     group = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
@@ -585,7 +585,7 @@ def test_coarse_keys_match_the_float_formula_on_cell_edges(dim):
     for block in (1, 7, 2**14, 2**15):
         with mock.patch.object(index, "_BLOCK", block):
             idx = index_sample(ps)
-        assert idx.coarse_level == level and np.array_equal(idx.root.low(), np.zeros(dim))
+        assert idx.coarse_level == level and np.array_equal(idx.low, np.zeros(dim))
         assert np.array_equal(idx.coarse_keys, reference_coarse_keys(idx))
 
 
@@ -688,7 +688,7 @@ def test_hot_cells_tie_to_the_smaller_key(dim):
     pts = [leaf(44), leaf(40), leaf(12), leaf(8), leaf(24), leaf(28), leaf(31),
            [0.0] * dim, [1.0] * dim]
     idx = build_index(PointSet(dim=dim, points=pts, resolution=1.0 / 64.0), 6)
-    assert np.array_equal(idx.root.low(), np.zeros(dim)) and idx.max_level == 6
+    assert np.array_equal(idx.low, np.zeros(dim)) and idx.max_level == 6
     want = np.array([leaf(28), leaf(8), leaf(40), [0.0] * dim, [1.0] * dim])
     for budget in (1, 2, 3, 5, 6, 40):
         got = _structural_hotspots(idx, budget, _coarse_cells(idx))

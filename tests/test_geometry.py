@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from assouad_lab import geometry
 from assouad_lab.cli import main
 from assouad_lab.errors import EmptySetError, InvalidParameterError
-from assouad_lab.geometry import Cube, PointSet, load_points, save_points
+from assouad_lab.geometry import PointSet, load_points, save_points
 
 from conftest import one_cpu, point_samples, two_cpus
 
@@ -172,18 +172,6 @@ def test_save_points_dispatch(tmp_path, capsys):
     assert load_points(tmp_path / "b.csv") == ps
     save_points(ps)
     assert capsys.readouterr().out == (tmp_path / "b.csv").read_text()
-
-
-def test_cube():
-    q = Cube(center=(0.0, 0.0), radius=0.5)
-    assert q.side == 1.0
-    assert np.array_equal(q.low(), [-0.5, -0.5])
-
-
-@pytest.mark.parametrize("bad", [0.0, -0.25])
-def test_cube_rejects_nonpositive_radius(bad):
-    with pytest.raises(InvalidParameterError):
-        Cube(center=(0.0,), radius=bad)
 
 
 # ---- CSV exactness against per-row reference code ------------------------

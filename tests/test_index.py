@@ -78,6 +78,33 @@ def test_deepest_level_respects_resolution():
     assert 2.0**-lvl >= 1e-3 > 2.0 ** -(lvl + 1)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 7])
+def test_one_point_is_indexed_to_eight_levels(dim):
+    ps = PointSet(dim=dim, points=[np.full(dim, 0.3)], resolution=1e-3)
+    idx = build_index(ps, deepest_level(ps))
+    assert deepest_level(ps) == 8 and idx.max_level == 8
+    assert idx.cell_side(8) == ps.resolution
+
+
+def test_one_point_in_dim_8_overruns_the_address_budget():
+    ps = PointSet(dim=8, points=[np.zeros(8)], resolution=1e-3)
+    with pytest.raises(InvalidParameterError, match="packed-address budget"):
+        build_index(ps, deepest_level(ps))
+
+
+def test_root_corner_and_side_are_the_covering_cube_around_the_box_midpoint():
+    ps = PointSet(dim=2, points=[(0.0, 0.0), (1.0, 0.5)], resolution=1e-3)
+    idx = build_index(ps, 3)
+    assert np.array_equal(idx.low, [0.0, -0.25]) and idx.root_side == 1.0
+    assert not idx.low.flags.writeable
+
+
+def test_an_extent_that_halves_to_zero_is_refused():
+    ps = PointSet(dim=2, points=[(0.0, 0.0), (5e-324, 0.0)], resolution=5e-324)
+    with pytest.raises(InvalidParameterError, match="halves to 0"):
+        build_index(ps, deepest_level(ps))
+
+
 def test_build_is_deterministic():
     rng = np.random.default_rng(42)
     ps = PointSet(dim=2, points=rng.uniform(size=(500, 2)), resolution=1e-3)
@@ -288,7 +315,7 @@ def test_level_keys_match_np_unique_reference(ps, zeros):
 def reference_cell_dist2(idx, level, x):
     x = np.asarray(x, dtype=np.float64).reshape(idx.dim)
     s = idx.cell_side(level)
-    low = idx.root.low() + idx.cell_addresses(level) * s
+    low = idx.low + idx.cell_addresses(level) * s
     gap = np.maximum(np.maximum(low - x, x - (low + s)), 0.0)
     return np.einsum("ij,ij->i", gap, gap)
 
@@ -301,7 +328,7 @@ def test_cell_dist2_is_bitwise_einsum(ps, pick):
     point = ps.points[pick % len(ps)]
     for level in range(idx.max_level + 1):
         # a sample point, a cell corner (on the grid lines) and a far point
-        corner = idx.root.low() + idx.cell_addresses(level)[pick % idx.occupied_count(level)] \
+        corner = idx.low + idx.cell_addresses(level)[pick % idx.occupied_count(level)] \
             * idx.cell_side(level)
         for x in (point, corner, point + 0.3):
             got = idx.cell_dist2(level, x)
@@ -378,7 +405,7 @@ def test_slab_count_matches_full_scan_at_slab_edges(ps, pick, radii, where, sign
     rmax = max(radii)
     x = ps.points[pick % len(ps)] + off
     for level in range(idx.max_level + 1):
-        s, low = idx.cell_side(level), idx.root.low()[0]
+        s, low = idx.cell_side(level), idx.low[0]
         edge = low + round(where * (2**level + 4) - 2) * s
         x[0] = edge + sign * rmax
         if ulps:
@@ -396,7 +423,7 @@ def test_slab_count_matches_full_scan_in_dims_1_and_3(dim):
     idx = build_index(PointSet(dim=dim, points=pts, resolution=1e-4), 12 if dim == 1 else 6)
     for level in range(idx.max_level + 1):
         s = idx.cell_side(level)
-        for x in (pts[0], rng.uniform(-3.0, 3.0, size=dim), idx.root.low() + s):
+        for x in (pts[0], rng.uniform(-3.0, 3.0, size=dim), idx.low + s):
             radii = [0.0, s / 2, s, 3 * s, 0.7, 5.0]
             got = idx.count_intersecting_many(level, x, radii)
             assert np.array_equal(got, reference_count_many(idx, level, x, radii))
@@ -411,7 +438,7 @@ def test_batched_counts_match_each_centers_full_scan(dim):
     rng = np.random.default_rng(dim)
     pts = rng.uniform(-1.0, 1.0, size=(3000, dim))
     idx = build_index(PointSet(dim=dim, points=pts, resolution=1e-4), 12 if dim == 1 else 6)
-    centers = np.vstack([pts[:4], rng.uniform(-3.0, 3.0, size=(2, dim)), [idx.root.low()]])
+    centers = np.vstack([pts[:4], rng.uniform(-3.0, 3.0, size=(2, dim)), [idx.low]])
     for level in range(idx.max_level + 1):
         s = idx.cell_side(level)
         exact = [math.sqrt(d) for c in centers[:2] for d in idx.cell_dist2(level, c)[:3]]
@@ -430,7 +457,7 @@ def test_slab_count_when_cells_near_the_float_resolution_of_the_coordinates():
     # cells; the slab widens to cover them.
     pts = np.concatenate([[0.1, 1.1], 0.6 + np.arange(-3000, 3000) * 2.0**-55])
     idx = build_index(PointSet(dim=1, points=pts[:, None], resolution=2.0**-56), 56)
-    low = idx.root.low()[0]
+    low = idx.low[0]
     for level in (54, 56):
         s = idx.cell_side(level)
         middle = int((0.6 - low) / s)
