@@ -435,7 +435,7 @@ def cmd_verify(args) -> int:
     params = _parse_set(args.set)
     a_src = params["a"]
     f = qc.parse_map_spec(args.map) if args.map else qc.identity_map()
-    K = f.dilatation_bound
+    ctx = bnd.ExponentContext(n=2, K=f.dilatation_bound)  # an overflowing chain stops here
     extra = (bnd.theta_of_t(args.t),) if args.t is not None else ()
     grid = _theta_grid(args, extra=extra)
     stages = ("sampleSource", "estimateSource", "sampleImage", "estimateImage", "bounds")
@@ -480,7 +480,6 @@ def cmd_verify(args) -> int:
             src_est, timings["estimateSource"] = source()
 
     t0 = clock()
-    ctx = bnd.ExponentContext(n=2, K=K)
     src_fn = bnd.spectrum_interpolator(src_est.theta_grid, src_est.regularized_values)
     img_fn = bnd.spectrum_interpolator(img_est.theta_grid, img_est.regularized_values)
     report = bnd.spectrum_bound_report(grid, ctx, src_fn, img_fn, slack=args.eps)
@@ -513,7 +512,7 @@ def cmd_verify(args) -> int:
         "family": "spiral",
         "a": a_src,
         "map": args.map or "identity",
-        "dilatation": K,
+        "dilatation": ctx.K,
         "imageExponent": a_img,
         "t": args.t,
         "xmax": args.xmax,

@@ -167,7 +167,8 @@ class PointSet:
 
         ``#`` lines may appear anywhere; metadata is read from those before
         the first data row.  At most one header row may precede the data.
-        A plain CSV carries no resolution, so one must be supplied.
+        A plain CSV carries no resolution, so one must be supplied.  A refusal
+        names the file.
         """
         meta_dim, meta_res, header, arr = _read_csv_table(path)
         params = None
@@ -178,9 +179,12 @@ class PointSet:
         res = resolution if resolution is not None else meta_res
         if res is None:
             raise InvalidParameterError(
-                f"{path} carries no resolution metadata; pass resolution="
+                f"{path}: carries no resolution metadata; pass --res, or resolution= from Python"
             )
-        return cls(dim=dim, points=arr, resolution=float(res), params=params)
+        try:
+            return cls(dim=dim, points=arr, resolution=float(res), params=params)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{path}: {exc}") from None
 
     def to_json(self, path) -> None:
         payload = {

@@ -139,9 +139,9 @@ def test_estimate_box_single_point(tmp_path, capsys):
 def test_estimate_needs_resolution_for_plain_csv(tmp_path, capsys):
     path = tmp_path / "pt.csv"
     path.write_text("0.25,0.75\n")
-    rc, _, err = run(capsys, "estimate", str(path), "--mode", "box")
-    assert rc == 2
-    assert "resolution" in err
+    rc, out, err = run(capsys, "estimate", str(path), "--mode", "box")
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, f"error: {path}: carries no resolution metadata; pass --res")
 
 
 def test_estimate_spectrum_payload(spiral_s1_coarse, capsys):
@@ -210,15 +210,18 @@ def assert_one_error_line(err, *needles):
     ("nope.json", '{"dim": 2.7, "resolution": 1e-3, "points": [[1, 2]]}', "dim must be an integer"),
     ("nope.json", '{"dim": true, "resolution": 1e-3, "points": [[1]]}', "dim must be an integer"),
     ("nope.json", '{"dim": 2, "resolution": true, "points": [[1, 2]]}', "resolution must be a number"),
+    ("nope.csv", "0,0\nnan,1\n1,1\n", "points must be finite"),
+    ("nope.csv", "0,0\ninf,1\n1,1\n", "points must be finite"),
 ], ids=["missing", "non-numeric", "ragged", "mid-file-header", "json-no-keys",
         "json-not-json", "json-non-numeric", "json-ragged", "json-bad-dim", "json-not-object",
-        "json-no-points", "json-float-dim", "json-bool-dim", "json-bool-resolution"])
+        "json-no-points", "json-float-dim", "json-bool-dim", "json-bool-resolution",
+        "nan-row", "inf-row"])
 def test_estimate_missing_input(tmp_path, capsys, command, name, content, needle):
     path = tmp_path / name
     if content is not None:
         path.write_text(content)
-    rc, _, err = run(capsys, command, str(path), "--res", "1e-3")
-    assert rc == 2
+    rc, out, err = run(capsys, command, str(path), "--res", "1e-3")
+    assert rc == 2 and out == ""
     assert_one_error_line(err, name, needle)
 
 
@@ -682,6 +685,55 @@ def test_verify_map_outside_the_float_range_exits_2(capsys, spec, needle):
                            "--res", "1e-3", "--map", spec)
     assert rc == 2 and out == ""
     assert_one_error_line(err, needle)
+
+
+@pytest.mark.parametrize("spec", [
+    "radial:K=1e200|radial:K=1e200", "radial:K=1e200|similarity:s=1|radial:K=1e200",
+], ids=["radial-chain", "with-similarity"])
+def test_verify_chain_whose_dilatation_overflows_exits_2_before_sampling(monkeypatch, capsys,
+                                                                          spec):
+    monkeypatch.setattr(cli.fam, "sample_family", mock.Mock(side_effect=AssertionError))
+    rc, out, err = run(capsys, "verify", "--set", "spiral:a=1", "--xmax", "100",
+                       "--res", "1e-3", "--map", spec)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, "dilatation must be finite, got inf")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["map", "{p}", "--spec", "radial:K=2||"], "empty stage in map spec"),
+    (["map", "{p}", "--spec", "radial:K"], "malformed map argument 'K'"),
+    (["map", "{p}", "--spec", "similarity:t=1"], "similarity stage takes s=<complex>"),
+    (["map", "{p}", "--spec", "mobius:a=1,b=0,c=0"], "mobius stage takes a=,b=,c=,d="),
+    (["map", "{p}", "--spec", "similarity:s=1+"], "cannot parse complex literal '1+'"),
+    (["map", "{p}", "--spec", "similarity:s=x"], "cannot parse complex literal 'x'"),
+    (["bounds", "--formula", "symmetric-coeff", "--n", "1", "--K", "2"],
+     "ambient dimension must be an integer >= 2, got 1"),
+    (["bounds", "--formula", "spectrum", "--K", "2", "--t", "1", "--source-a", "1",
+      "--inner-p", "1"], "inner exponent must exceed n=2 or be +inf, got 1.0"),
+    (["bounds", "--formula", "spectrum", "--K", "2", "--t", "-1", "--source-a", "1"],
+     "t must be positive, got -1.0"),
+    (["bounds", "--formula", "ours", "--K", "2", "--t", "-1", "--d", "1"],
+     "t must be positive, got -1.0"),
+    (["bounds", "--formula", "ours", "--K", "2", "--t", "1", "--d", "3"],
+     "planar dimension value must lie in [0, 2], got 3.0"),
+    (["bounds", "--formula", "biholder", "--K", "1.2", "--theta", "1.5", "--source-value", "1"],
+     "theta must lie in (0,1), got 1.5"),
+    (["bounds", "--formula", "biholder", "--K", "1.2", "--theta", "0.5",
+      "--source-value", "nan"], "source spectrum value is undefined (NaN)"),
+    (["bounds", "--formula", "biholder", "--K", "1.2", "--theta", "0.5", "--source-value", "3"],
+     "planar dimension value must lie in [0, 2], got 3.0"),
+], ids=["map-empty-stage", "map-bare-key", "map-similarity-no-s", "map-mobius-no-d",
+        "map-dangling-plus", "map-not-a-number", "symmetric-coeff-n1", "spectrum-inner-p",
+        "spectrum-negative-t", "ours-negative-t", "ours-d-past-2", "biholder-theta-past-1",
+        "biholder-nan-source", "biholder-source-past-2"])
+def test_map_spec_and_bound_formula_refusals_exit_2(tmp_path, capsys, argv, message):
+    src, dst = tmp_path / "p.csv", tmp_path / "o.csv"
+    src.write_text("0.25,0.75\n0.5,0.5\n1,0\n")
+    if argv[0] == "map":
+        argv = [argv[0], str(src), "--res", "1e-3", *argv[2:], "-o", str(dst)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and not dst.exists()
+    assert_one_error_line(err, f"error: {message}")
 
 
 def test_verify_detects_wrong_oracle_claim(tmp_path, capsys):

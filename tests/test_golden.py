@@ -134,8 +134,7 @@ def test_golden_sized_files_are_written_and_read_in_one_process(tmp_path, monkey
             assert json.dumps(_record(argv, files), indent=2) == json.dumps(want, indent=2)
 
 
-@pytest.mark.parametrize("path", ["one-cpu"])
-def test_golden_cli_output_on_either_path(tmp_path, monkeypatch, path):
+def test_golden_cli_output_on_one_cpu(tmp_path, monkeypatch):
     """All cases with no fork possible; ``test_golden_cli_output`` forks
     where a CPU is free."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
