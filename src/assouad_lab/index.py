@@ -2,10 +2,9 @@
 
 The index stores, for every level m = 0..max_level, the set of dyadic
 cells (of side root_side * 2^-m, in the grid anchored at the root cube's
-lower corner ``low``) that contain
-at least one sample point.  Cells are kept as integer lattice addresses
-packed into int64 keys, so membership and parent arithmetic are plain
-integer operations.  Levels shrink as they coarsen because a parent cell
+lower corner ``low``) that contain at least one sample point.  Cells are
+kept as integer lattice addresses packed into int64 keys, so membership
+and parent arithmetic are plain integer operations.  Levels shrink as they coarsen because a parent cell
 is occupied exactly when one of its children is.  Keys are row-major, the
 first axis's address most significant: ball counting relies on it, since a
 slab of first-axis addresses is then one contiguous range of sorted keys.
