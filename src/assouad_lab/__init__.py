@@ -53,7 +53,6 @@ from .estimators import (
     estimate_quasi_assouad,
     estimate_rho,
     estimate_spectrum,
-    farthest_point_sample,
     select_centers,
 )
 from .families import (

@@ -26,7 +26,6 @@ __all__ = [
     "DimEstimate",
     "SpectrumEstimate",
     "DEFAULT_THETA_GRID",
-    "farthest_point_sample",
     "select_centers",
     "estimate_box_dim",
     "estimate_spectrum",
@@ -157,42 +156,22 @@ def _distances(cols: list[np.ndarray], p: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-#: Most members per farthest-point block.  The coarse cell at an
-#: accumulation point (the S_1 spiral's core) holds a third of the sample;
-#: cutting it into blocks, each with the bounding box of its own points,
-#: keeps each distance update near the new center.
-_FPS_BLOCK = 1024
-
-#: Untouched blocks pooled per batch in a farthest-point round (doubling
-#: while the round needs more).  Batches larger than the due blocks save
-#: interpreter round trips on later rounds.
-_FPS_BATCH = 64
-
-#: Relative slack on the float distance bounds of the farthest-point
-#: search.  Distances and box gaps carry a few ulps (~1e-16) of rounding;
-#: 1e-9 covers them with room to spare.
-_FPS_SLACK = 1e-9
-
-
 class CoarseCells(NamedTuple):
     """Source points grouped by coarse cell, ``order`` int32 or intp; see
-    ``_coarse_cells``."""
+    ``_coarse_cells``.  The hotspot snap-backs search these cells."""
 
     order: np.ndarray
     starts: np.ndarray
     level: int
-    low: np.ndarray
-    side: float
 
 
 def _coarse_cells(idx: MultiScaleIndex) -> CoarseCells:
-    """Source points grouped by the index's coarse cells, and their grid.
+    """Source points grouped by the index's coarse cells.
 
     The points of coarse cell k are ``order[starts[k]:starts[k + 1]]``, in
     index order.  ``order`` is int32 when built from runs of one key (4 bytes
-    a point), else argsort's intp.  Cell k spans ``low + address * side`` to
-    ``low + (address + 1) * side`` along each axis, up to the rounding of
-    the address; points on the root's upper face are in the last cell.
+    a point), else argsort's intp.  Points on the root's upper face are in
+    the last cell.
     """
     level, keys = idx.coarse_level, idx.coarse_keys
     starts = np.zeros((1 << (level * idx.dim)) + 1, dtype=np.intp)
@@ -219,208 +198,33 @@ def _coarse_cells(idx: MultiScaleIndex) -> CoarseCells:
         order = np.ones(len(keys), dtype=np.int32 if len(keys) <= 1 << 31 else np.intp)
         order[np.cumsum(size) - size] = first - np.concatenate([[0], (first + size - 1)[:-1]])
         np.cumsum(order, out=order)
-    return CoarseCells(order, starts, level, idx.low, idx.cell_side(level))
+    return CoarseCells(order, starts, level)
 
 
-def _spans(first: np.ndarray, size: np.ndarray):
-    """Concatenation of ``arange(first[i], first[i] + size[i])`` over i, and
-    the offset of each range in it."""
-    offset = np.cumsum(size)
-    offset -= size
-    at = np.repeat(first - offset, size)
-    at += np.arange(len(at))
-    return at, offset
+def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
+    """Query centers: up to ``budget`` structural hotspots, where the
+    occupancy tree is refining fastest.
 
-
-def _box_gaps(lo, hi, q, far: bool):
-    """Distances from q to the nearest point of each box and, if ``far``,
-    to its farthest corner (else None).
-
-    ``lo``/``hi`` hold one array of box edges per coordinate, of any common
-    shape; ``q`` holds one coordinate (scalar or broadcastable) per axis.
-    """
-    near2 = far2 = None
-    for l, h, v in zip(lo, hi, q):
-        below, above = v - l, h - v
-        if far:
-            f = np.maximum(below, above)
-            f *= f
-            far2 = f if far2 is None else np.add(far2, f, out=far2)
-        g = np.minimum(below, above, out=below)
-        np.minimum(g, 0.0, out=g)
-        g *= g
-        near2 = g if near2 is None else np.add(near2, g, out=near2)
-    return np.sqrt(near2, out=near2), (np.sqrt(far2, out=far2) if far else None)
-
-
-def farthest_point_sample(points: np.ndarray, budget: int, cells: CoarseCells) -> np.ndarray:
-    """Indices of a deterministic farthest-point subsample.
-
-    Seeded at the lexicographically smallest point so repeated runs agree;
-    each round adds the point farthest from everything chosen so far, which
-    covers the extremes of the set first.  Ties go to the first index: among
-    equal lexicographic minima for the seed, and among equal maximal
-    distances for each later round.  ``cells`` is ``_coarse_cells`` of an
-    index over ``points``.  The seed is searched for only among the members
-    of the lowest occupied column of coarse cells: addresses grow with the
-    first coordinate, so every point with the smallest one lies there.
-
-    The search is lazy and exact.  Each occupied coarse cell is cut into
-    blocks of at most ``_FPS_BLOCK`` members.  Distances are evaluated only
-    for the points of touched blocks.  An untouched block has its cell's
-    box, widened by 64 machine epsilons of the root's coordinates to cover
-    the rounding of cell addresses and edges, and an upper bound on its
-    largest distance to the centers: the least farthest-corner distance of
-    a center, times (1 + _FPS_SLACK).  Each round:
-
-    - the new center is folded into every touched block whose box distance
-      times (1 - _FPS_SLACK) is under the block's largest distance; no
-      point of another block can get closer;
-    - E is the largest touched maximum, and untouched blocks are touched,
-      highest bounds first, ``_FPS_BATCH`` at a time (doubling), until no
-      untouched bound reaches E; the others cannot hold a point at E;
-    - the pick is the first index at distance E.
-
-    Touching a block pools its points, shrinks its box to their bounding
-    box, and folds in the centers nearest first, each only while its box
-    distance (times 1 - _FPS_SLACK) is within the block's bound and under
-    its largest distance so far.  A skipped center is never closer to a
-    point than its current distance, and distances come from
-    ``_distances``, the float operations of ``np.linalg.norm``; so every
-    distance, and every pick, is bit for bit the full-scan result.
-
-    Allocates arrays sized by the seed's column and by the blocks, and the
-    pool: coordinates, distance and index of each touched point (32 bytes a
-    point in the plane).  Untouched blocks cost nothing per point.
+    Ranks mid-depth cells by how many deepest-level cells they contain
+    (ties to the smaller key), keeps the first ``budget``, then drills each
+    down level by level, always following the child with the most
+    descendants (ties to the smaller key).  So there is one center per
+    occupied mid-depth cell at most, and a smaller budget's centers are the
+    first rows of a larger one's.  Accumulation points (spiral centers,
+    sequence limits), where the Assouad spectrum is attained, are found
+    this way.  Each drilled cell snaps to its nearest sample point (first
+    index on ties).  That point lies in the cell's 3^dim leaf
+    neighbourhood: the cell holds a point within s*sqrt(dim)/2 of its
+    center, and every point outside it is at least 1.5*s away (s the leaf
+    side; sqrt(8)/2 < 1.5 for every supported dim).  So only the coarse
+    cells covering it are searched, and each coarse cell's first
+    coordinates are gathered at most once a call: hotspots cluster, and
+    S_1's core cell holds a third of the sample.  Per point this allocates
+    the coarse cells' order (int32 for a sample in curve order) and the
+    first coordinates of the cells the snap-backs search.
     """
     if budget < 1:
-        raise InvalidParameterError(f"sample budget must be >= 1, got {budget}")
-    n, dim = points.shape
-    if n <= budget:
-        return np.arange(n)
-    occ = np.flatnonzero(cells.starts[1:] != cells.starts[:-1])
-    # Coarse addresses grow with the first coordinate, so every point with
-    # the smallest one lies in the lowest occupied column of coarse cells:
-    # one run of ``order``.
-    width = 1 << (cells.level * (dim - 1))  # coarse cells in a column
-    column = occ[0] // width * width
-    pos = cells.order[cells.starts[column]:cells.starts[column + width]]
-    for j in range(dim):
-        v = points[pos, j]
-        pos = pos[v == v.min()]
-    chosen = [int(pos.min())]
-
-    nblk = (cells.starts[occ + 1] - cells.starts[occ] + _FPS_BLOCK - 1) // _FPS_BLOCK
-    cell = np.repeat(occ, nblk)
-    # block j of a cell starts j * _FPS_BLOCK members in
-    first = cells.starts[cell] + _FPS_BLOCK * _spans(np.zeros_like(nblk), nblk)[0]
-    size = np.minimum(cells.starts[cell + 1] - first, _FPS_BLOCK)
-    pad = 64 * np.finfo(float).eps * (np.abs(cells.low) + cells.side * (1 << cells.level))
-    addr = _decode(cell, cells.level, dim)
-    lo = [cells.low[j] + addr[:, j] * cells.side - pad[j] for j in range(dim)]
-    hi = [cells.low[j] + (addr[:, j] + 1) * cells.side + pad[j] for j in range(dim)]
-
-    cmax = np.full(len(cell), -np.inf)  # touched blocks: exact largest distance
-    bound = np.full(len(cell), np.inf)  # untouched blocks: upper bound on it
-    untouched = len(cell)
-    home = np.zeros(len(cell), dtype=np.intp)  # offset of a touched block in the pool
-    # Touched points, block by block: coordinates, distance to the centers,
-    # and index (exact as a float, far below 2**53).
-    pool = np.empty((dim + 2, 0))
-    used = 0
-    centers = np.empty((budget, dim))
-    centers[0] = points[chosen[0]]
-
-    def relax(c, q):
-        """Fold centers q (one, or one per point of blocks c) into blocks c."""
-        at, offset = _spans(home[c], size[c])
-        d = _distances([x[at] for x in pool[:dim]], q)
-        np.minimum(d, pool[dim, at], out=d)
-        pool[dim, at] = d
-        cmax[c] = np.maximum.reduceat(d, offset)
-
-    def touch(new, t):
-        """Pool the points of untouched blocks ``new``; fold in centers[:t]."""
-        nonlocal pool, used, untouched
-        at, offset = _spans(first[new], size[new])
-        grow = len(at)
-        if used + grow > pool.shape[1]:
-            old, pool = pool, np.empty((dim + 2, max(2 * used, used + grow)))
-            pool[:, :used] = old[:, :used]
-            del old
-        x = pool[:, used:used + grow]
-        x[dim + 1] = members = cells.order[at]
-        for j in range(dim):
-            x[j] = points[members, j]
-            lo[j][new] = np.minimum.reduceat(x[j], offset)
-            hi[j][new] = np.maximum.reduceat(x[j], offset)
-        home[new] = offset + used
-        used += grow
-        untouched -= len(new)
-        near = _box_gaps([l[new, None] for l in lo], [h[new, None] for h in hi],
-                         centers[:t].T, far=False)[0]
-        near *= 1.0 - _FPS_SLACK
-        near[near > bound[new, None]] = np.inf
-        bound[new] = -np.inf
-        # The nearest center of each block always counts; the rest while
-        # they can undercut.
-        rows = np.arange(len(new))
-        k = near.argmin(axis=1)
-        near[rows, k] = np.inf
-        x[dim] = _distances(x[:dim], np.repeat(centers[k], size[new], axis=0).T)
-        cmax[new] = np.maximum.reduceat(x[dim], offset)
-        while True:
-            k = near.argmin(axis=1)
-            act = np.flatnonzero(near[rows, k] < cmax[new])
-            if not len(act):
-                return
-            near[act, k[act]] = np.inf
-            c = new[act]
-            relax(c, np.repeat(centers[k[act]], size[c], axis=0).T)
-
-    for t in range(1, budget):
-        near, far = _box_gaps(lo, hi, centers[t - 1], far=untouched > 0)
-        if far is not None:
-            far *= 1.0 + _FPS_SLACK
-            np.minimum(bound, far, out=bound)
-        near *= 1.0 - _FPS_SLACK
-        c = np.flatnonzero(near < cmax)
-        if len(c):
-            relax(c, centers[t - 1])
-        top = cmax.max()
-        batch = _FPS_BATCH
-        while untouched and bound.max() >= top:
-            # the highest bounds, due or not: early touches save round trips
-            due = np.argpartition(bound, -min(batch, len(bound)))[-batch:]
-            due = due[bound[due] > -np.inf]
-            touch(due, t)
-            top = max(top, cmax[due].max())
-            batch *= 2
-        hit = np.flatnonzero(cmax == top)
-        at = _spans(home[hit], size[hit])[0]
-        chosen.append(int(pool[dim + 1, at][pool[dim, at] == top].min()))
-        centers[t] = points[chosen[-1]]
-    return np.asarray(chosen)
-
-
-def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray:
-    """Centers placed where the occupancy tree is refining fastest.
-
-    Ranks mid-depth cells by how many deepest-level cells they contain, then
-    drills each winner down level by level, always following the child with
-    the most descendants (ties to the smaller key at both steps).
-    Accumulation points (spiral centers, sequence limits) are found this way
-    even when farthest-point sampling never leaves the convex hull.  Each
-    drilled cell snaps to its nearest sample point (first index on ties).
-    That point lies in the cell's 3^dim leaf neighbourhood: the cell holds a
-    point within s*sqrt(dim)/2 of its center, and every point outside it is
-    at least 1.5*s away (s the leaf side; sqrt(8)/2 < 1.5 for every
-    supported dim).  So only the coarse cells covering it are searched, and
-    each coarse cell's first coordinates are gathered at most once a call:
-    hotspots cluster, and S_1's core cell holds a third of the sample.
-    """
-    if budget <= 0:
-        return np.empty((0, idx.dim))
+        raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
     hot_level = max(_K_LO, idx.max_level // 2)
     if hot_level >= idx.max_level:
         hot_level = max(idx.max_level - 1, 0)
@@ -436,7 +240,7 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
     row = top >> (bits * (dim - 1)) << lead
     slab = np.searchsorted(deep, [row, row + (1 << lead)])
 
-    order, starts, level = cells.order, cells.starts, cells.level
+    order, starts, level = _coarse_cells(idx)
     shift = idx.max_level - level
     last = (1 << idx.max_level) - 1
     side = idx.cell_side(idx.max_level)
@@ -477,28 +281,6 @@ def _structural_hotspots(idx: MultiScaleIndex, budget: int, cells) -> np.ndarray
         d = _distances([points[cand, j] for j in range(idx.dim)], cell_center)
         out.append(points[cand[np.argmin(d)]])
     return np.asarray(out)
-
-
-def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
-    """Query centers: half structural hotspots, half farthest-point spread.
-
-    ``budget // 2`` hotspots (fewer if the tree has fewer hot cells), then
-    a farthest-point sample fills the budget.  Both read one set of coarse
-    cells: a hotspot's snap-back searches only the cells around its drilled
-    leaf, and the farthest-point search evaluates only the blocks that can
-    hold a round's farthest point.  Each is exact against its full scan
-    (nearest sample point, farthest point, first index on ties), so the
-    centers are bit for bit those of the full-scan code.  Per point this
-    allocates the coarse cells' order (int32 for a sample in curve order), the
-    first coordinates of the cells the snap-backs search, and the
-    farthest-point pool for the points it touches.
-    """
-    if budget < 1:
-        raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
-    cells = _coarse_cells(idx)
-    hot = _structural_hotspots(idx, budget // 2, cells)
-    points = idx.source.points
-    return np.vstack([hot, points[farthest_point_sample(points, budget - len(hot), cells)]])
 
 
 def _ray_model(g: np.ndarray):

@@ -937,11 +937,8 @@ def test_csv_child_killed_by_a_signal_exits_with_one_line(tmp_path, task):
 @pytest.mark.parametrize("patches", [
     [(index, "_BLOCK", 777)],
     [(qc, "_BLOCK", 333)],
-    [(est, "_FPS_BLOCK", 100)],
-    [(est, "_FPS_BATCH", 1)],
-    [(index, "_BLOCK", 1000), (qc, "_BLOCK", 1000), (est, "_FPS_BLOCK", 7),
-     (est, "_FPS_BATCH", 3)],
-], ids=["index-block", "maps-block", "fps-block", "fps-batch", "all"])
+    [(index, "_BLOCK", 1000), (qc, "_BLOCK", 1000)],
+], ids=["index-block", "maps-block", "all"])
 def test_verify_report_is_the_same_whatever_the_block_sizes(monkeypatch, capsys, tmp_path,
                                                             patches):
     # and so are an estimate report and a map output, of the verify's source

@@ -20,10 +20,8 @@ from assouad_lab.estimators import (
     estimate_quasi_assouad,
     estimate_rho,
     _distances,
-    _structural_hotspots,
     _coarse_cells,
     estimate_spectrum,
-    farthest_point_sample,
     select_centers,
 )
 from assouad_lab.geometry import PointSet
@@ -358,32 +356,20 @@ def test_spectrum_json_and_csv(cantor12_idx):
 
 
 # ---- center selection: exactness against the full-scan reference ---------
-# The references are the earlier full-scan code: every farthest-point round
-# and every hotspot snap-back takes the distance to all N points.
+# The reference is the earlier full-scan code: every hotspot snap-back takes
+# the distance to all N points.
 
 
-def reference_farthest_point_sample(points, budget):
-    n = len(points)
-    if n <= budget:
-        return np.arange(n)
-    seed = int(np.lexsort(points.T[::-1])[0])
-    chosen = [seed]
-    dist = np.linalg.norm(points - points[seed], axis=1)
-    for _ in range(budget - 1):
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
-    return np.asarray(chosen)
+def hot_level(idx):
+    """The mid-depth level whose occupied cells the hotspots are ranked by."""
+    level = max(3, idx.max_level // 2)
+    return max(idx.max_level - 1, 0) if level >= idx.max_level else level
 
 
 def reference_hotspots(idx, budget):
-    if budget <= 0:
-        return np.empty((0, idx.dim))
     deep_addr = _decode(idx.level_keys[idx.max_level], idx._bits, idx.dim)
-    hot_level = max(3, idx.max_level // 2)
-    if hot_level >= idx.max_level:
-        hot_level = max(idx.max_level - 1, 0)
-    anc = encode(deep_addr >> (idx.max_level - hot_level), idx._bits)
+    hot = hot_level(idx)
+    anc = encode(deep_addr >> (idx.max_level - hot), idx._bits)
     uniq, counts = np.unique(anc, return_counts=True)
     top = uniq[np.lexsort((uniq, -counts))[:budget]]  # most leaves first, then smallest key
     low = idx.low
@@ -391,20 +377,13 @@ def reference_hotspots(idx, budget):
     out = []
     for key in top:
         sub = deep_addr[anc == key]
-        for lev in range(hot_level + 1, idx.max_level + 1):
+        for lev in range(hot + 1, idx.max_level + 1):
             child = encode(sub >> (idx.max_level - lev), idx._bits)
             winners, tallies = np.unique(child, return_counts=True)
             sub = sub[child == winners[np.argmax(tallies)]]
         cell_center = low + (sub[0] + 0.5) * idx.cell_side(idx.max_level)
         out.append(points[int(np.argmin(np.linalg.norm(points - cell_center, axis=1)))])
     return np.asarray(out)
-
-
-def reference_select_centers(idx, budget):
-    hot = reference_hotspots(idx, budget // 2)
-    points = idx.source.points
-    spread = points[reference_farthest_point_sample(points, budget - len(hot))]
-    return spread if len(hot) == 0 else np.vstack([hot, spread])
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,122 +402,53 @@ TIED_ACROSS_CELLS = PointSet(dim=1, points=[0, 1, -0.75, 1, -0.5, -0.25, 0.75, -
                              resolution=0.25)
 
 
-def fps(points, budget):
-    """farthest_point_sample over the coarse cells of an index of ``points``."""
-    idx = index_sample(PointSet(dim=points.shape[1], points=points, resolution=1e-12))
-    return farthest_point_sample(points, budget, _coarse_cells(idx))
-
-
-@settings(max_examples=80, deadline=None)
-@given(ps=point_samples(), budget=st.integers(1, 40), block=st.integers(1, 70),
-       batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-@example(ps=SINGLE_POINT, budget=1, block=1, batch=1, seed=0)
-def test_farthest_point_sample_matches_reference(ps, budget, block, batch, seed):
-    # Any point order, block size and batch size give the reference indices.
-    shuffled = ps.points[np.random.default_rng(seed).permutation(len(ps))]
-    with mock.patch.object(estimators, "_FPS_BLOCK", block), \
-            mock.patch.object(estimators, "_FPS_BATCH", batch):
-        for points in (ps.points, shuffled):
-            sample = PointSet(dim=ps.dim, points=points, resolution=ps.resolution)
-            got = farthest_point_sample(points, budget, _coarse_cells(index_sample(sample)))
-            want = reference_farthest_point_sample(points, budget)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-@settings(max_examples=30, deadline=None)
-@given(ps=point_samples(), extra=st.integers(0, 2))
-def test_farthest_point_sample_budget_at_least_n(ps, extra):
-    got = farthest_point_sample(ps.points, len(ps) + extra, _coarse_cells(index_sample(ps)))
-    want = reference_farthest_point_sample(ps.points, len(ps) + extra)
-    assert np.array_equal(got, np.arange(len(ps))) and np.array_equal(got, want)
-
-
-def test_farthest_point_sample_refuses_an_empty_budget():
-    with pytest.raises(InvalidParameterError):
-        fps(np.zeros((3, 2)), 0)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_farthest_point_sample_on_coarse_cell_edges(dim):
-    # The root is [0, 1]^dim.  Points sit exactly on coarse-cell edges
-    # (multiples of the coarse side), one ulp to either side of them, and
-    # on the root's upper face, which the address clip puts in the last cell.
+def coarse_cell_edges(dim):
+    """Points exactly on coarse-cell edges (multiples of the coarse side),
+    one ulp to either side of them, and on the root's upper face, which the
+    address clip puts in the last cell.  The root is [0, 1]^dim."""
     level = min(8, 16 // dim)
     rng = np.random.default_rng(dim)
     edges = rng.integers(0, 2**level + 1, size=(300, dim)) / 2.0**level
     nudged = np.nextafter(edges, rng.choice([-np.inf, np.inf], size=edges.shape))
     pts = np.clip(np.vstack([[np.zeros(dim)], edges, nudged, [np.ones(dim)]]), 0.0, 1.0)
     pts[rng.random(len(pts)) < 0.2, rng.integers(0, dim)] = 1.0
-    idx = index_sample(PointSet(dim=dim, points=pts, resolution=2.0**-10))
-    cells = _coarse_cells(idx)
-    assert cells.level == level and np.array_equal(idx.low, np.zeros(dim))
-    for block in (1, 3, 1024):
-        with mock.patch.object(estimators, "_FPS_BLOCK", block):
-            for budget in (2, 17, 60, 200):
-                got = farthest_point_sample(pts, budget, cells)
-                assert np.array_equal(got, reference_farthest_point_sample(pts, budget))
+    ps = PointSet(dim=dim, points=pts, resolution=2.0**-10)
+    idx = index_sample(ps)
+    assert idx.coarse_level == level and np.array_equal(idx.low, np.zeros(dim))
+    return ps
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_farthest_point_seed_searches_the_whole_lowest_column(dim):
-    # The root is [0, 1]^dim.  The smallest first coordinate, 0, lies on the
-    # root's lower face.  In the plane and in space its points sit in three
-    # coarse cells of the lowest column, and the column's first occupied
-    # cell holds only a decoy half a coarse side along the first axis.  The
-    # lexicographic minimum comes after larger points with the same first
-    # coordinate, and it is repeated: the first of its copies is the seed.
-    level = min(8, 16 // dim)
-    side = 2.0**-level
-    rng = np.random.default_rng(dim)
-
-    def row(first, second):
-        return [first, second, *rng.uniform(0, 1, 1)][:dim]
-
-    decoy = [side / 2] + [0.0] * (dim - 1)
-    lowest = [row(0.0, 9.25 * side), row(0.0, 5.25 * side)]
-    seed = row(0.0, 3.25 * side)
-    bulk = rng.uniform(2 * side, 1.0, size=(200, dim))
-    pts = np.vstack([[np.ones(dim)], bulk[:100], [decoy], lowest, [seed], bulk[100:], [seed]])
-    idx = index_sample(PointSet(dim=dim, points=pts, resolution=2.0**-12))
-    cells = _coarse_cells(idx)
-    assert cells.level == level and np.array_equal(idx.low, np.zeros(dim))
-    for budget in (2, 9):
-        got = farthest_point_sample(pts, budget, cells)
-        assert np.array_equal(got, reference_farthest_point_sample(pts, budget))
-    assert got[0] == (102 if dim == 1 else 104)  # in a line the lowest points are copies
-
-
-def test_farthest_point_sample_ties_go_to_the_first_index():
-    # (1, 0) and (0, 1) tie at distance 1 from the seed's and then the
-    # first pick's cell; the coarse cell of (0, 1) comes first in key order
-    # but the first index is that of (1, 0).  Duplicates tie at every round.
-    pts = np.array([(0, 0), (1, 0), (0, 1), (0, 1), (1, 0), (1, 1), (1, 1), (0, 0)], float)
-    assert fps(pts, 4).tolist() == [0, 5, 1, 2]
-    for budget in range(1, len(pts) + 1):
-        assert np.array_equal(fps(pts, budget), reference_farthest_point_sample(pts, budget))
-
-
-@pytest.mark.parametrize("a, res", [(1.0, 1e-3), (0.5, 2e-3)])
-def test_farthest_point_sample_matches_reference_on_spirals(a, res):
-    ps = sample_family(FamilySpec(kind="poly_spiral", a=a, x_max=1e3, target_resolution=res))
-    cells = _coarse_cells(index_sample(ps))
-    want = reference_farthest_point_sample(ps.points, 200)  # each budget's picks are a prefix
-    for block in (64, 1024):
-        with mock.patch.object(estimators, "_FPS_BLOCK", block):
-            for budget in (1, 2, 12, 50, 200):
-                assert np.array_equal(farthest_point_sample(ps.points, budget, cells), want[:budget])
+# What --centers N means: Cantor depth 12 and the sequence at the CLI's
+# defaults have 10 and 8 occupied hot cells, a 20,001-point diagonal segment
+# 64, so budget 24 places 10, 8 and 24 centers, and budget 1000 10, 8 and 64.
+CANTOR_12 = sample_family(FamilySpec(kind="cantor", depth=12))
+SEQUENCE = sample_family(FamilySpec(kind="sequence"))
+DIAGONAL = PointSet(dim=2, points=np.repeat(np.linspace(0.0, 1.0, 20_001)[:, None], 2, axis=1),
+                    resolution=1e-4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(ps=point_samples(), budget=st.integers(1, 40), block=st.integers(1, 70))
-@example(ps=SINGLE_POINT, budget=24, block=70)
-@example(ps=TIED_ACROSS_CELLS, budget=2, block=1)
-def test_select_centers_matches_reference(ps, budget, block):
+@given(ps=point_samples(), budget=st.integers(1, 40))
+@example(ps=SINGLE_POINT, budget=24)
+@example(ps=TIED_ACROSS_CELLS, budget=2)
+@example(ps=CANTOR_12, budget=24)
+@example(ps=SEQUENCE, budget=24)
+@example(ps=DIAGONAL, budget=24)
+@example(ps=coarse_cell_edges(1), budget=200)
+@example(ps=coarse_cell_edges(2), budget=200)
+@example(ps=coarse_cell_edges(3), budget=200)
+def test_select_centers_matches_reference(ps, budget):
     idx = index_sample(ps)
-    with mock.patch.object(estimators, "_FPS_BLOCK", block):
-        got = select_centers(idx, budget)
-    want = reference_select_centers(idx, budget)
+    got = select_centers(idx, budget)
+    want = reference_hotspots(idx, budget)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # one center per occupied hot cell, up to the budget; a smaller budget's
+    # centers are the first rows of a larger one's
+    most = select_centers(idx, 1000)
+    assert len(most) == min(1000, idx.occupied_count(hot_level(idx)))
+    assert len(got) == min(budget, len(most)) and got.tobytes() == most[:budget].tobytes()
+    with pytest.raises(InvalidParameterError, match="center budget"):
+        select_centers(idx, 0)
 
 
 def reference_coarse_keys(idx):
@@ -554,9 +464,8 @@ def reference_coarse_keys(idx):
 def test_coarse_cells_group_points_by_leaf_ancestor(ps, block):
     with mock.patch.object(index, "_BLOCK", block):
         idx = index_sample(ps)
-    order, starts, level, low, side = _coarse_cells(idx)
+    order, starts, level = _coarse_cells(idx)
     assert level == idx.coarse_level == min(idx.max_level, 8, 16 // idx.dim)
-    assert np.array_equal(low, idx.low) and side == idx.cell_side(level)
     assert np.array_equal(np.sort(order), np.arange(len(ps)))
     leaf = np.floor((ps.points - idx.low) / idx.cell_side(idx.max_level)).astype(np.int64)
     np.clip(leaf, 0, 2**idx.max_level - 1, out=leaf)
@@ -650,18 +559,6 @@ def test_coarse_cells_from_runs_allocate_per_point_only_the_order():
     assert np.array_equal(cells.order, np.argsort(keys, kind="stable"))
 
 
-def test_farthest_point_sample_allocates_no_point_sized_float_array():
-    ps = sample_family(SPIRAL_200K)
-    n = len(ps)
-    cells = _coarse_cells(index_sample(ps))
-    for budget in (12, 24):
-        tracemalloc.start()
-        farthest_point_sample(ps.points, budget, cells)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 8 * n, (budget, peak / n)
-
-
 @pytest.mark.parametrize("near", [(0.249, 0.3125), (0.376, 0.3125)], ids=["below", "above"])
 def test_snap_back_reaches_neighbour_cells(near):
     # Leaf side 1/8.  The drill ends in the leaf cell [0.25, 0.375)^2, whose
@@ -670,7 +567,7 @@ def test_snap_back_reaches_neighbour_cells(near):
     pts = [(0.0, 0.0), (1.0, 1.0), (0.37, 0.37), (0.26, 0.49), (0.49, 0.49),
            (0.49, 0.26), near]
     idx = index_sample(PointSet(dim=2, points=pts, resolution=1.0 / 8.0))
-    got = _structural_hotspots(idx, 1, _coarse_cells(idx))
+    got = select_centers(idx, 1)
     assert got.tolist() == [list(near)]
     assert got.tobytes() == reference_hotspots(idx, 1).tobytes()
 
@@ -691,7 +588,7 @@ def test_hot_cells_tie_to_the_smaller_key(dim):
     assert np.array_equal(idx.low, np.zeros(dim)) and idx.max_level == 6
     want = np.array([leaf(28), leaf(8), leaf(40), [0.0] * dim, [1.0] * dim])
     for budget in (1, 2, 3, 5, 6, 40):
-        got = _structural_hotspots(idx, budget, _coarse_cells(idx))
+        got = select_centers(idx, budget)
         assert got.tobytes() == want[:budget].tobytes()
         assert got.tobytes() == reference_hotspots(idx, budget).tobytes()
 
@@ -699,17 +596,19 @@ def test_hot_cells_tie_to_the_smaller_key(dim):
 def test_hotspots_allocate_no_cells_by_dim_array():
     # The ranking shifts the sorted leaf keys field by field: no decoded
     # (leaf cells x dim) int64 addresses, at a budget under and one over the
-    # number of hot cells.
+    # number of hot cells.  The coarse cells are built beforehand: their
+    # allocations are bounded by the coarse-cell tests above.
     ps = sample_family(SPIRAL_200K)
     idx = index_sample(ps)
     cells = _coarse_cells(idx)
     leaves = idx.occupied_count(idx.max_level)
-    for budget in (12, 500):
-        tracemalloc.start()
-        _structural_hotspots(idx, budget, cells)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 8 * idx.dim * leaves, (budget, peak / leaves)
+    with mock.patch.object(estimators, "_coarse_cells", lambda _: cells):
+        for budget in (12, 500):
+            tracemalloc.start()
+            select_centers(idx, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 8 * idx.dim * leaves, (budget, peak / leaves)
 
 
 @pytest.mark.parametrize("a, x_max, res, shuffle", [
@@ -723,9 +622,14 @@ def test_select_centers_matches_reference_on_spirals(a, x_max, res, shuffle):
         ps = PointSet(dim=2, points=ps.points[perm], resolution=ps.resolution)
     idx = index_sample(ps)
     assert idx.max_level > min(idx.max_level, 16 // idx.dim)
-    got = _structural_hotspots(idx, 12, _coarse_cells(idx))
-    assert got.tobytes() == reference_hotspots(idx, 12).tobytes()
-    assert select_centers(idx, 24).tobytes() == reference_select_centers(idx, 24).tobytes()
+    got = select_centers(idx, 24)
+    assert got.tobytes() == reference_hotspots(idx, 24).tobytes()
+    # --centers 1000 places one distinct center per occupied hot cell (277
+    # and 170 here), and its first 24 are those of the default budget
+    most = select_centers(idx, 1000)
+    assert len(most) == idx.occupied_count(hot_level(idx)) < 1000
+    assert len(np.unique(most, axis=0)) == len(most)
+    assert most[:24].tobytes() == got.tobytes()
 
 
 # ---- exact invariances -------------------------------------------------------
