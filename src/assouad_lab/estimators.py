@@ -211,8 +211,8 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     descendants (ties to the smaller key).  So there is one center per
     occupied mid-depth cell at most, and a smaller budget's centers are the
     first rows of a larger one's.  Accumulation points (spiral centers,
-    sequence limits), where the Assouad spectrum is attained, are found
-    this way.  Each drilled cell snaps to its nearest sample point (first
+    sequence limits), where a spiral's spectrum peaks, are found this
+    way.  Each drilled cell snaps to its nearest sample point (first
     index on ties).  That point lies in the cell's 3^dim leaf
     neighbourhood: the cell holds a point within s*sqrt(dim)/2 of its
     center, and every point outside it is at least 1.5*s away (s the leaf
