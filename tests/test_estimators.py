@@ -434,9 +434,6 @@ DIAGONAL = PointSet(dim=2, points=np.repeat(np.linspace(0.0, 1.0, 20_001)[:, Non
 @example(ps=CANTOR_12, budget=24)
 @example(ps=SEQUENCE, budget=24)
 @example(ps=DIAGONAL, budget=24)
-@example(ps=coarse_cell_edges(1), budget=200)
-@example(ps=coarse_cell_edges(2), budget=200)
-@example(ps=coarse_cell_edges(3), budget=200)
 def test_select_centers_matches_reference(ps, budget):
     idx = index_sample(ps)
     got = select_centers(idx, budget)
@@ -449,6 +446,18 @@ def test_select_centers_matches_reference(ps, budget):
     assert len(got) == min(budget, len(most)) and got.tobytes() == most[:budget].tobytes()
     with pytest.raises(InvalidParameterError, match="center budget"):
         select_centers(idx, 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_select_centers_on_coarse_cell_edges(dim):
+    ps = coarse_cell_edges(dim)
+    for block in (1, 3, 1024):
+        with mock.patch.object(index, "_BLOCK", block):
+            idx = index_sample(ps)
+        for budget in (2, 17, 60, 200):
+            got = select_centers(idx, budget)
+            want = reference_hotspots(idx, budget)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def reference_coarse_keys(idx):
