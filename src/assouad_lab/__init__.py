@@ -50,7 +50,6 @@ from .estimators import (
     SpectrumEstimate,
     estimate_assouad,
     estimate_box_dim,
-    estimate_quasi_assouad,
     estimate_rho,
     estimate_spectrum,
     select_centers,

@@ -205,8 +205,7 @@ def cmd_estimate(args) -> int:
         if args.mode == "box":
             e = est.estimate_box_dim(idx, window=window)
         else:
-            limit = est.estimate_quasi_assouad if args.mode == "qa" else est.estimate_assouad
-            e = limit(idx, window=window, center_budget=args.centers)
+            e = est.estimate_assouad(idx, window=window, center_budget=args.centers)
         payload.update(
             value=e.value,
             method=e.method,
@@ -583,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("estimate", help="estimate a dimension or the spectrum")
     e.add_argument("input")
-    e.add_argument("--mode", choices=["box", "spectrum", "assouad", "qa"], default="box")
+    e.add_argument("--mode", choices=["box", "spectrum", "assouad"], default="box")
     e.add_argument("--res", type=float, default=None, help="resolution override for plain CSV")
     e.add_argument("--centers", type=_center_budget, default=est.DEFAULT_CENTER_BUDGET)
     _add_grid_flags(e)

@@ -29,13 +29,11 @@ __all__ = [
     "select_centers",
     "estimate_box_dim",
     "estimate_spectrum",
-    "estimate_quasi_assouad",
     "estimate_assouad",
     "estimate_rho",
 ]
 
 METHOD_BOX = "box"
-METHOD_SPECTRUM_LIMIT = "spectrumLimit"
 METHOD_ASSOUAD_WINDOW = "assouadWindow"
 
 #: Default grid for spectrum sweeps; 0.05 steps keep the CSV/plot output small
@@ -484,48 +482,26 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
     )
 
 
-def _limit_sweep(idx: MultiScaleIndex, window: ScaleWindow | None,
-                 center_budget: int) -> tuple[SpectrumEstimate, ScaleWindow]:
-    """The default-grid sweep that both Assouad-type dimensions read.
-
-    Its last regularized value is the answer of both.  The grid stops at
-    0.9 because no larger grid theta is ever admitted: a ray at theta spans
-    (1 - theta) * k octaves at level k, over levels _K_LO..k_hi with k_hi at
-    most the index's 62 address bits, so its span is at most
-    (1 - theta) * (62 - 3), which is 2.95 < _MIN_RAY_SPAN at theta = 0.95.
-    """
-    spec = estimate_spectrum(idx, DEFAULT_THETA_GRID, window, center_budget)
-    return spec, window or ScaleWindow.default_for(idx)
-
-
-def estimate_quasi_assouad(idx: MultiScaleIndex, window: ScaleWindow | None = None,
-                           center_budget: int = DEFAULT_CENTER_BUDGET) -> DimEstimate:
-    """Quasi-Assouad dimension: the regularized spectrum at the grid's top, 0.9.
-
-    The theta -> 1 limit is unreachable in a finite scale window; the
-    diagnostics are the regularized curve, as (theta, value) pairs.
-    """
-    spec, window = _limit_sweep(idx, window, center_budget)
-    return DimEstimate(
-        value=spec.regularized_values[-1],
-        method=METHOD_SPECTRUM_LIMIT,
-        window=window,
-        slope_diagnostics=list(zip(spec.theta_grid, spec.regularized_values)),
-    )
-
-
 def estimate_assouad(idx: MultiScaleIndex, window: ScaleWindow | None = None,
                      center_budget: int = DEFAULT_CENTER_BUDGET) -> DimEstimate:
     """Assouad dimension: supremum of the localized statistics over all
-    admissible scale pairs, which is the quasi-Assouad value: the running
-    maximum of the clipped raw values (plus the box floor) ends at it.  The
-    diagnostics are the raw values where present, as (theta, value) pairs."""
-    spec, window = _limit_sweep(idx, window, center_budget)
+    admissible scale pairs, read as the last regularized value of one
+    default-grid sweep: the running maximum of the clipped raw values (plus
+    the box floor) ends at it.  The diagnostics are the raw values where
+    present, as (theta, value) pairs.
+
+    The grid stops at 0.9 because no larger grid theta is ever admitted: a
+    ray at theta spans (1 - theta) * k octaves at level k, over levels
+    _K_LO..k_hi with k_hi at most the index's 62 address bits, so its span
+    is at most (1 - theta) * (62 - 3), which is 2.95 < _MIN_RAY_SPAN at
+    theta = 0.95.
+    """
+    spec = estimate_spectrum(idx, DEFAULT_THETA_GRID, window, center_budget)
     diag = [(t, v) for t, v in zip(spec.theta_grid, spec.values) if not math.isnan(v)]
     return DimEstimate(
         value=spec.regularized_values[-1],
         method=METHOD_ASSOUAD_WINDOW,
-        window=window,
+        window=window or ScaleWindow.default_for(idx),
         slope_diagnostics=diag,
     )
 

@@ -301,7 +301,7 @@ def test_estimate_plot_writes_curve(spiral_s1_coarse, tmp_path, capsys):
     assert len(lines) == 19
 
 
-@pytest.mark.parametrize("mode", ["box", "qa", "assouad"])
+@pytest.mark.parametrize("mode", ["box", "assouad"])
 def test_estimate_plot_outside_spectrum_is_refused_before_loading(mode, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran past the --plot check")
@@ -314,7 +314,7 @@ def test_estimate_plot_outside_spectrum_is_refused_before_loading(mode, capsys):
     assert_one_error_line(err, "--plot is only available in spectrum mode")
 
 
-@pytest.mark.parametrize("mode", ["qa", "assouad"])
+@pytest.mark.parametrize("mode", ["assouad"])
 def test_estimate_limit_modes_run_one_default_sweep(spiral_s1_coarse, mode, capsys):
     grids = []
     sweep = est.estimate_spectrum
@@ -628,7 +628,7 @@ def test_non_finite_resolutions_and_spiral_parameters_exit_2(tmp_path, capsys, a
     assert_one_error_line(err, needle)
 
 
-@pytest.mark.parametrize("mode", ["spectrum", "qa", "assouad", "box"])
+@pytest.mark.parametrize("mode", ["spectrum", "assouad", "box"])
 def test_window_flags_outside_the_float_range(spiral_s1_coarse, capsys, mode):
     path = str(spiral_s1_coarse)
     with warnings.catch_warnings():

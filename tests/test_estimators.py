@@ -17,7 +17,6 @@ from assouad_lab.estimators import (
     SpectrumEstimate,
     estimate_assouad,
     estimate_box_dim,
-    estimate_quasi_assouad,
     estimate_rho,
     _distances,
     _coarse_cells,
@@ -65,7 +64,7 @@ def test_single_point_spectrum(single_point_idx):
 
 
 def test_single_point_qa_and_assouad(single_point_idx):
-    assert estimate_quasi_assouad(single_point_idx).value == 0.0
+    # one estimate stands for both: the last regularized value of the sweep
     assert estimate_assouad(single_point_idx).value == 0.0
 
 
@@ -94,9 +93,9 @@ def test_cantor_depth10_box():
 
 
 def test_cantor_quasi_assouad(cantor12_idx):
-    est = estimate_quasi_assouad(cantor12_idx)
+    est = estimate_assouad(cantor12_idx)
     assert est.value == pytest.approx(LOG23, abs=0.08)
-    assert est.method == "spectrumLimit"
+    assert est.method == "assouadWindow"
 
 
 def test_sequence_assouad_one_sided(sequence_idx):
@@ -107,11 +106,12 @@ def test_sequence_assouad_one_sided(sequence_idx):
 def test_qa_and_assouad_read_the_last_regularized_value(cantor12_idx, sequence_idx):
     spiral = index_sample(sample_family(
         FamilySpec(kind="poly_spiral", a=1.0, x_max=1e3, target_resolution=1e-3)))
+    # the quasi-Assouad level of the curve is the Assouad estimate: no
+    # finite window tells the two apart
     for idx in (cantor12_idx, sequence_idx, spiral):
         spec = estimate_spectrum(idx)
-        qa, assouad = estimate_quasi_assouad(idx), estimate_assouad(idx)
-        assert qa.value == assouad.value == spec.regularized_values[-1]
-        assert qa.slope_diagnostics == list(zip(spec.theta_grid, spec.regularized_values))
+        assouad = estimate_assouad(idx)
+        assert assouad.value == spec.regularized_values[-1]
         assert assouad.slope_diagnostics == [
             (t, v) for t, v in zip(spec.theta_grid, spec.values) if not math.isnan(v)]
 

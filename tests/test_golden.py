@@ -39,13 +39,11 @@ CASES = [
      ["c.json"]),
     ("index-stats", ["index-stats", "s.csv"], []),
     ("estimate-box", ["estimate", "s.csv", "--mode", "box"], []),
-    ("estimate-qa", ["estimate", "s.csv", "--mode", "qa"], []),
     ("estimate-assouad", ["estimate", "s.csv", "--mode", "assouad"], []),
     ("estimate-spectrum", ["estimate", "s.csv", "--mode", "spectrum", "--plot", "curve.csv"],
      ["curve.csv"]),
-    ("estimate-qa-json", ["estimate", "c.json", "--mode", "qa"], []),
     ("estimate-assouad-json", ["estimate", "c.json", "--mode", "assouad"], []),
-    ("estimate-plot-outside-spectrum", ["estimate", "s.csv", "--mode", "qa", "--plot", "x.csv"],
+    ("estimate-plot-outside-spectrum", ["estimate", "s.csv", "--mode", "assouad", "--plot", "x.csv"],
      []),
     ("map-pushforward-csv", ["map", "s.csv", "--spec", _PUSH, "-o", "m.csv"], ["m.csv"]),
     ("map-radial-json", ["map", "s.csv", "--spec", "radial:K=2", "-o", "r.json"], ["r.json"]),
