@@ -553,8 +553,17 @@ def _add_window_flags(p) -> None:
     p.add_argument("--rmax", type=float, default=None, help="largest ball radius")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``parser_class`` its subparsers, whose usage
+    errors are one-line ``InvalidParameterError``s instead of a usage block
+    and ``SystemExit``; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="assouad-lab",
         description="box-counting and Assouad spectrum estimation with "
         "quasiconformal distortion checks",
@@ -644,7 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        # option types that raise a usage error (``--centers``) do so here
+        # every usage error, from argparse or an option type, is raised here
         args = parser.parse_args(argv)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

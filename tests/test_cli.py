@@ -495,11 +495,29 @@ def test_bounds_source_csv_takes_one_header_before_the_data(tmp_path, capsys, co
 
 
 def test_bounds_p_must_be_a_number(capsys):
+    rc, out, err = run(capsys, "bounds", "--formula", "beta-upper", "--n", "3", "--K", "2",
+                       "--p", "abc", "--alpha", "1")
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, "argument --p", "'abc'")
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["estimate", "x.csv", "--mode", "qa"], "argument --mode: invalid choice: 'qa'"),
+    (["verify", "--set", "spiral:a=1", "--eps", "abc"], "argument --eps: invalid float value"),
+    (["verify", "--t", "1"], "the following arguments are required: --set"),
+    ([], "the following arguments are required: command"),
+], ids=["mode-qa", "bad-float", "missing-set", "missing-command"])
+def test_usage_errors_print_one_line(capsys, argv, needle):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, needle)
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--formula", "beta-upper", "--n", "3", "--K", "2",
-              "--p", "abc", "--alpha", "1"])
-    assert exc.value.code == 2
-    assert "--p" in capsys.readouterr().err
+        main(["estimate", "--help"])
+    assert exc.value.code == 0
+    assert "--mode {box,spectrum,assouad}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", ["inf", "+inf", "Infinity"])
