@@ -206,11 +206,9 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     Ranks mid-depth cells by how many deepest-level cells they contain
     (ties to the smaller key), keeps the first ``budget``, then drills each
     down level by level, always following the child with the most
-    descendants (ties to the smaller key).  So there is one center per
-    occupied mid-depth cell at most, and a smaller budget's centers are the
-    first rows of a larger one's.  Accumulation points (spiral centers,
-    sequence limits), where a spiral's spectrum peaks, are found this
-    way.  Each drilled cell snaps to its nearest sample point (first
+    descendants (ties to the smaller key).  Accumulation points (spiral
+    centers, sequence limits), where a spiral's spectrum peaks, are found
+    this way.  Each drilled cell snaps to its nearest sample point (first
     index on ties).  That point lies in the cell's 3^dim leaf
     neighbourhood: the cell holds a point within s*sqrt(dim)/2 of its
     center, and every point outside it is at least 1.5*s away (s the leaf
@@ -220,6 +218,10 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
     S_1's core cell holds a third of the sample.  Per point this allocates
     the coarse cells' order (int32 for a sample in curve order) and the
     first coordinates of the cells the snap-backs search.
+
+    A point that two cells snap to is kept once, at its first place.  So
+    there is one center per occupied mid-depth cell at most, all distinct,
+    and a smaller budget's centers are the first rows of a larger one's.
     """
     if budget < 1:
         raise InvalidParameterError(f"center budget must be >= 1, got {budget}")
@@ -277,8 +279,8 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
             cand.append(members[np.abs(gap, out=gap) <= 1.5 * side])
         cand = np.sort(np.concatenate(cand))
         d = _distances([points[cand, j] for j in range(idx.dim)], cell_center)
-        out.append(points[cand[np.argmin(d)]])
-    return np.asarray(out)
+        out.append(int(cand[np.argmin(d)]))
+    return points[list(dict.fromkeys(out))]
 
 
 def _ray_model(g: np.ndarray):

@@ -383,7 +383,9 @@ def reference_hotspots(idx, budget):
             sub = sub[child == winners[np.argmax(tallies)]]
         cell_center = low + (sub[0] + 0.5) * idx.cell_side(idx.max_level)
         out.append(points[int(np.argmin(np.linalg.norm(points - cell_center, axis=1)))])
-    return np.asarray(out)
+    out = np.asarray(out)
+    first = np.unique(out, axis=0, return_index=True)[1]  # each row at its first place
+    return out[np.sort(first)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -418,6 +420,12 @@ def coarse_cell_edges(dim):
     return ps
 
 
+# Two of its 9 hot cells snap back to (0.75, 0), which is kept once.
+SNAPS_TWICE = PointSet(dim=2, points=[
+    (0.25, -0.5), (-1, -1), (0.75, 0.75), (0.25, 0.5), (0, 0.75), (0.75, -1), (0.75, -1),
+    (0.5, -0.75), (0.75, 0), (-0.5, -0.25), (-1, -0.75), (0.25, 0.25), (0.25, 0.25),
+    (0.25, -0.25), (1, 1), (0.5, -0.25)], resolution=0.25)
+
 # What --centers N means: Cantor depth 12 and the sequence at the CLI's
 # defaults have 10 and 8 occupied hot cells, a 20,001-point diagonal segment
 # 64, so budget 24 places 10, 8 and 24 centers, and budget 1000 10, 8 and 64.
@@ -434,18 +442,27 @@ DIAGONAL = PointSet(dim=2, points=np.repeat(np.linspace(0.0, 1.0, 20_001)[:, Non
 @example(ps=CANTOR_12, budget=24)
 @example(ps=SEQUENCE, budget=24)
 @example(ps=DIAGONAL, budget=24)
+@example(ps=SNAPS_TWICE, budget=9)
 def test_select_centers_matches_reference(ps, budget):
     idx = index_sample(ps)
     got = select_centers(idx, budget)
     want = reference_hotspots(idx, budget)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    # one center per occupied hot cell, up to the budget; a smaller budget's
-    # centers are the first rows of a larger one's
+    # distinct centers, at most one per occupied hot cell; a smaller
+    # budget's centers are the first rows of a larger one's
     most = select_centers(idx, 1000)
-    assert len(most) == min(1000, idx.occupied_count(hot_level(idx)))
-    assert len(got) == min(budget, len(most)) and got.tobytes() == most[:budget].tobytes()
+    assert len(np.unique(most, axis=0)) == len(most) <= idx.occupied_count(hot_level(idx))
+    assert len(got) <= budget and got.tobytes() == most[:len(got)].tobytes()
     with pytest.raises(InvalidParameterError, match="center budget"):
         select_centers(idx, 0)
+
+
+@pytest.mark.parametrize("ps, at_24, at_1000", [
+    (CANTOR_12, 10, 10), (SEQUENCE, 8, 8), (DIAGONAL, 24, 64), (SNAPS_TWICE, 8, 8),
+], ids=["cantor", "sequence", "diagonal", "snaps-twice"])
+def test_center_counts(ps, at_24, at_1000):
+    idx = index_sample(ps)
+    assert [len(select_centers(idx, b)) for b in (24, 1000)] == [at_24, at_1000]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
