@@ -428,7 +428,7 @@ SNAPS_TWICE = PointSet(dim=2, points=[
 
 # What --centers N means: Cantor depth 12 and the sequence at the CLI's
 # defaults have 10 and 8 occupied hot cells, a 20,001-point diagonal segment
-# 64, so budget 24 places 10, 8 and 24 centers, and budget 1000 10, 8 and 64.
+# 64, so budget N places min(N, that many) centers (test_center_counts).
 CANTOR_12 = sample_family(FamilySpec(kind="cantor", depth=12))
 SEQUENCE = sample_family(FamilySpec(kind="sequence"))
 DIAGONAL = PointSet(dim=2, points=np.repeat(np.linspace(0.0, 1.0, 20_001)[:, None], 2, axis=1),

@@ -43,8 +43,8 @@ CASES = [
     ("estimate-spectrum", ["estimate", "s.csv", "--mode", "spectrum", "--plot", "curve.csv"],
      ["curve.csv"]),
     ("estimate-assouad-json", ["estimate", "c.json", "--mode", "assouad"], []),
-    ("estimate-plot-outside-spectrum", ["estimate", "s.csv", "--mode", "assouad", "--plot", "x.csv"],
-     []),
+    ("estimate-plot-outside-spectrum",
+     ["estimate", "s.csv", "--mode", "assouad", "--plot", "x.csv"], []),
     ("map-pushforward-csv", ["map", "s.csv", "--spec", _PUSH, "-o", "m.csv"], ["m.csv"]),
     ("map-radial-json", ["map", "s.csv", "--spec", "radial:K=2", "-o", "r.json"], ["r.json"]),
     ("verify-radial", [*_VERIFY, "--map", "radial:K=2"], []),
