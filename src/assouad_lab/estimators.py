@@ -21,18 +21,6 @@ import numpy as np
 from .errors import InvalidParameterError, WindowTooNarrowError
 from .index import MultiScaleIndex, _ancestor_keys, _decode
 
-__all__ = [
-    "ScaleWindow",
-    "DimEstimate",
-    "SpectrumEstimate",
-    "DEFAULT_THETA_GRID",
-    "select_centers",
-    "estimate_box_dim",
-    "estimate_spectrum",
-    "estimate_assouad",
-    "estimate_rho",
-]
-
 METHOD_BOX = "box"
 METHOD_ASSOUAD_WINDOW = "assouadWindow"
 

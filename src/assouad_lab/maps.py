@@ -23,20 +23,6 @@ from .errors import (
 )
 from .geometry import PointSet
 
-__all__ = [
-    "RadialPower",
-    "Similarity",
-    "Mobius",
-    "PlanarMap",
-    "radial_stretch",
-    "identity_map",
-    "compose",
-    "invert",
-    "apply_map",
-    "parse_map_spec",
-    "format_map_spec",
-]
-
 # Moebius images blow up near the pole; points closer than this many
 # resolution units are refused rather than silently distorted.
 POLE_MARGIN = 10.0
