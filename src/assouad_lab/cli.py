@@ -113,23 +113,30 @@ def _center_budget(text: str) -> int:
 
 
 def _theta_grid(args, extra=()) -> tuple:
+    """The ``--theta`` values, else the ``--theta-min/-max/-step`` range, else
+    ``DEFAULT_THETA_GRID``, with ``extra`` added.  A range flag left out is
+    read off the default grid: its first or last theta, or its spacing."""
+    default = est.DEFAULT_THETA_GRID
     if args.theta:
         grid = {round(v, 10) for v in args.theta}
+    elif args.theta_min is None and args.theta_max is None and args.theta_step is None:
+        grid = set(default)
     else:
-        if not args.theta_step > 0:
+        lo = default[0] if args.theta_min is None else args.theta_min
+        hi = default[-1] if args.theta_max is None else args.theta_max
+        step = default[1] - default[0] if args.theta_step is None else args.theta_step
+        if not step > 0:
             raise InvalidParameterError("theta-step must be positive")
-        if not args.theta_min <= args.theta_max:
-            raise InvalidParameterError(
-                f"theta-min {args.theta_min:g} exceeds theta-max {args.theta_max:g}"
-            )
-        steps = (args.theta_max - args.theta_min) / args.theta_step
+        if not lo <= hi:
+            raise InvalidParameterError(f"theta-min {lo:g} exceeds theta-max {hi:g}")
+        steps = (hi - lo) / step
         if not steps <= _MAX_THETAS - 1:
             raise InvalidParameterError(
-                f"theta-step {args.theta_step:g} asks for {steps + 1:.3g} thetas; "
+                f"theta-step {step:g} asks for {steps + 1:.3g} thetas; "
                 f"at most {_MAX_THETAS} are allowed"
             )
         steps = int(round(steps))
-        grid = {round(args.theta_min + i * args.theta_step, 10) for i in range(steps + 1)}
+        grid = {round(lo + i * step, 10) for i in range(steps + 1)}
     grid.update(round(v, 10) for v in extra)
     return tuple(sorted(grid))
 
@@ -176,10 +183,19 @@ def cmd_index_stats(args) -> int:
 
 # ---- estimate ----------------------------------------------------------
 
+# estimate flags that only --mode spectrum reads
+_SPECTRUM_ONLY = ("plot", "theta", "theta_min", "theta_max", "theta_step")
+
 
 def cmd_estimate(args) -> int:
-    if args.plot and args.mode != "spectrum":
-        raise InvalidParameterError("--plot is only available in spectrum mode")
+    if args.mode != "spectrum":
+        for name in _SPECTRUM_ONLY:
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise InvalidParameterError(f"{flag} is only available in spectrum mode")
+    if args.mode == "box" and args.centers is not None:
+        raise InvalidParameterError("--centers is not available in box mode")
+    centers = est.DEFAULT_CENTER_BUDGET if args.centers is None else args.centers
     ps, idx = _load(args)
     window = _window_from(args, idx)
     started = time.perf_counter()
@@ -187,7 +203,7 @@ def cmd_estimate(args) -> int:
 
     if args.mode == "spectrum":
         spec = est.estimate_spectrum(
-            idx, theta_grid=_theta_grid(args), window=window, center_budget=args.centers
+            idx, theta_grid=_theta_grid(args), window=window, center_budget=centers
         )
         absent = [t for t, v in zip(spec.theta_grid, spec.values) if math.isnan(v)]
         if absent:
@@ -205,7 +221,7 @@ def cmd_estimate(args) -> int:
         if args.mode == "box":
             e = est.estimate_box_dim(idx, window=window)
         else:
-            e = est.estimate_assouad(idx, window=window, center_budget=args.centers)
+            e = est.estimate_assouad(idx, window=window, center_budget=centers)
         payload.update(
             value=e.value,
             method=e.method,
@@ -543,9 +559,9 @@ def cmd_verify(args) -> int:
 def _add_grid_flags(p) -> None:
     p.add_argument("--theta", type=float, action="append",
                    help="explicit grid value; repeatable, replaces the range flags")
-    p.add_argument("--theta-min", type=float, default=0.05)
-    p.add_argument("--theta-max", type=float, default=0.90)
-    p.add_argument("--theta-step", type=float, default=0.05)
+    p.add_argument("--theta-min", type=float, default=None)
+    p.add_argument("--theta-max", type=float, default=None)
+    p.add_argument("--theta-step", type=float, default=None)
 
 
 def _add_window_flags(p) -> None:
@@ -593,7 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("input")
     e.add_argument("--mode", choices=["box", "spectrum", "assouad"], default="box")
     e.add_argument("--res", type=float, default=None, help="resolution override for plain CSV")
-    e.add_argument("--centers", type=_center_budget, default=est.DEFAULT_CENTER_BUDGET)
+    e.add_argument("--centers", type=_center_budget, default=None)
     _add_grid_flags(e)
     _add_window_flags(e)
     e.add_argument("--out", default=None)

@@ -14,7 +14,6 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,32 +126,8 @@ class SpectrumEstimate:
         return buf.getvalue()
 
 
-def _distances(cols: list[np.ndarray], p: np.ndarray) -> np.ndarray:
-    """Euclidean distance from p to every point, given the points' columns.
-
-    Same float operations, in the same order, as
-    ``np.linalg.norm(points - p, axis=1)``, so results agree bit for bit.
-    """
-    d = cols[0] - p[0]
-    d *= d
-    for c, v in zip(cols[1:], p[1:]):
-        sq = c - v
-        sq *= sq
-        d += sq
-    return np.sqrt(d, out=d)
-
-
-class CoarseCells(NamedTuple):
-    """Source points grouped by coarse cell, ``order`` int32 or intp; see
-    ``_coarse_cells``.  The hotspot snap-backs search these cells."""
-
-    order: np.ndarray
-    starts: np.ndarray
-    level: int
-
-
-def _coarse_cells(idx: MultiScaleIndex) -> CoarseCells:
-    """Source points grouped by the index's coarse cells.
+def _coarse_cells(idx: MultiScaleIndex) -> tuple[np.ndarray, np.ndarray, int]:
+    """Source points grouped by the index's coarse cells: ``(order, starts, level)``.
 
     The points of coarse cell k are ``order[starts[k]:starts[k + 1]]``, in
     index order.  ``order`` is int32 when built from runs of one key (4 bytes
@@ -184,7 +159,7 @@ def _coarse_cells(idx: MultiScaleIndex) -> CoarseCells:
         order = np.ones(len(keys), dtype=np.int32 if len(keys) <= 1 << 31 else np.intp)
         order[np.cumsum(size) - size] = first - np.concatenate([[0], (first + size - 1)[:-1]])
         np.cumsum(order, out=order)
-    return CoarseCells(order, starts, level)
+    return order, starts, level
 
 
 def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
@@ -266,7 +241,7 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
             gap -= cell_center[0]
             cand.append(members[np.abs(gap, out=gap) <= 1.5 * side])
         cand = np.sort(np.concatenate(cand))
-        d = _distances([points[cand, j] for j in range(idx.dim)], cell_center)
+        d = np.linalg.norm(points[cand] - cell_center, axis=1)
         out.append(int(cand[np.argmin(d)]))
     return points[list(dict.fromkeys(out))]
 

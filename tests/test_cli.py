@@ -301,17 +301,24 @@ def test_estimate_plot_writes_curve(spiral_s1_coarse, tmp_path, capsys):
     assert len(lines) == 19
 
 
-@pytest.mark.parametrize("mode", ["box", "assouad"])
-def test_estimate_plot_outside_spectrum_is_refused_before_loading(mode, capsys):
+@pytest.mark.parametrize("mode, flags, message", [
+    pytest.param(mode, flags, f"{flags[0]} is only available in spectrum mode",
+                 id=mode if flags[0] == "--plot" else f"{mode}-{flags[0][2:]}")
+    for mode in ("box", "assouad")
+    for flags in (["--plot", "curve.csv"], ["--theta", "0.3"], ["--theta-min", "0.1"],
+                  ["--theta-max", "0.5"], ["--theta-step", "0.1"])
+] + [pytest.param("box", ["--centers", "5"], "--centers is not available in box mode",
+                  id="box-centers")])
+def test_estimate_plot_outside_spectrum_is_refused_before_loading(mode, flags, message, capsys):
+    # Flags a mode would ignore are refused, before the input is read.
     def must_not_run(*args, **kwargs):
-        raise AssertionError("ran past the --plot check")
+        raise AssertionError(f"ran past the {flags[0]} check")
 
     with mock.patch.object(cli, "load_points", must_not_run), \
             mock.patch.object(est, "estimate_spectrum", must_not_run):
-        rc, out, err = run(capsys, "estimate", "missing.csv", "--mode", mode,
-                           "--plot", "curve.csv")
+        rc, out, err = run(capsys, "estimate", "missing.csv", "--mode", mode, *flags)
     assert rc == 2 and out == ""
-    assert_one_error_line(err, "--plot is only available in spectrum mode")
+    assert_one_error_line(err, message)
 
 
 @pytest.mark.parametrize("mode", ["assouad"])
@@ -328,6 +335,23 @@ def test_estimate_limit_modes_run_one_default_sweep(spiral_s1_coarse, mode, caps
     assert rc == 0
     assert grids == [est.DEFAULT_THETA_GRID]
     assert json.loads(out)["value"] == pytest.approx(1.62, abs=0.01)
+
+
+GRID = est.DEFAULT_THETA_GRID
+
+
+@pytest.mark.parametrize("flags, want", [
+    ([], GRID),
+    (["--theta-min", "0.05", "--theta-max", "0.9", "--theta-step", "0.05"], GRID),
+    (["--theta-min", "0.5"], GRID[9:]),
+    (["--theta-max", "0.2"], GRID[:4]),
+    (["--theta-step", "0.25"], (0.05, 0.3, 0.55, 0.8)),
+    (["--theta", "0.3", "--theta-min", "0.5"], (0.3,)),
+], ids=["none", "all", "min", "max", "step", "theta"])
+def test_range_flags_left_out_are_read_off_the_default_grid(flags, want):
+    for command in (["estimate", "x.csv", "--mode", "spectrum"], ["verify", "--set", "spiral:a=1"]):
+        args = cli._build_parser().parse_args([*command, *flags])
+        assert cli._theta_grid(args) == want
 
 
 # ---- map --------------------------------------------------------------------
@@ -1027,3 +1051,17 @@ def test_centers_cap_is_inclusive(command):
     parser = cli._build_parser()
     for value in (1, 1000):
         assert parser.parse_args(command + ["--centers", str(value)]).centers == value
+
+
+@pytest.mark.parametrize("module", ["assouad_lab", "assouad_lab.errors"])
+def test_package_import_loads_nothing_else(module):
+    # Names are imported from their modules; the package re-exports none.
+    script = (
+        f"import sys, {module}\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('assouad_lab')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(sorted({"assouad_lab", module}))

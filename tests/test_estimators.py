@@ -18,7 +18,6 @@ from assouad_lab.estimators import (
     estimate_assouad,
     estimate_box_dim,
     estimate_rho,
-    _distances,
     _coarse_cells,
     estimate_spectrum,
     select_centers,
@@ -388,15 +387,6 @@ def reference_hotspots(idx, budget):
     return out[np.sort(first)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(ps=point_samples(), pick=st.integers(0, 2**16))
-def test_column_distances_are_bitwise_norm(ps, pick):
-    points = ps.points
-    p = points[pick % len(points)] + 0.1
-    cols = [np.ascontiguousarray(points[:, j]) for j in range(ps.dim)]
-    assert _distances(cols, p).tobytes() == np.linalg.norm(points - p, axis=1).tobytes()
-
-
 SINGLE_POINT = PointSet(dim=2, points=[(0.3, 0.7)], resolution=1e-3)
 # The hotspot cell [-1, -0.75) has its center equidistant from -1 and -0.75,
 # which sit in different coarse cells; the first index (-0.75) must win.
@@ -535,10 +525,10 @@ def test_coarse_cells_allocates_per_point_only_the_keys_and_the_order():
     ps = sample_family(SPIRAL_200K)
     idx = index_sample(ps)
     tracemalloc.start()
-    cells = _coarse_cells(idx)
+    order, starts, _ = _coarse_cells(idx)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= cells.order.nbytes + 2 * cells.starts.nbytes + 2**16
+    assert peak <= order.nbytes + 2 * starts.nbytes + 2**16
 
 
 def keys_in_runs(n: int, runs: int, seed: int = 0) -> np.ndarray:
@@ -578,11 +568,11 @@ def test_coarse_cells_from_runs_allocate_per_point_only_the_order():
     runs = np.count_nonzero(keys[1:] != keys[:-1]) + 1
     assert 16 * runs < len(keys)
     tracemalloc.start()
-    cells = _coarse_cells(idx)
+    order, starts, _ = _coarse_cells(idx)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= cells.order.nbytes + 2 * cells.starts.nbytes + 64 * runs + 2**12
-    assert np.array_equal(cells.order, np.argsort(keys, kind="stable"))
+    assert peak <= order.nbytes + 2 * starts.nbytes + 64 * runs + 2**12
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
 
 
 @pytest.mark.parametrize("near", [(0.249, 0.3125), (0.376, 0.3125)], ids=["below", "above"])
