@@ -79,17 +79,18 @@ def _check_ambient(n) -> None:
 
 @dataclass(frozen=True)
 class ExponentContext:
-    """Ambient dimension, dilatation, and the Sobolev exponent they pin down.
+    """Ambient dimension, dilatation, and the Sobolev exponents they pin down.
 
     The exponent p is auto-filled in the plane (2K/(K-1), or +inf for a
     conformal map).  For n >= 3 the sharp value is not known, so the caller
-    must supply one; rh_exponent_floor gives a safe default.
+    must supply one; rh_exponent_floor gives a safe default.  inner_p is p'.
     """
 
     n: int = 2
     K: float = 1.0
     p: Optional[float] = None
     lam: float = 1.0
+    inner_p: Optional[float] = None
 
     def __post_init__(self):
         _check_ambient(self.n)
@@ -108,20 +109,19 @@ class ExponentContext:
             object.__setattr__(self, "p", p)
         elif not (p == math.inf or p > self.n):
             raise InvalidParameterError(f"exponent p must exceed n={self.n} or be +inf, got {p}")
+        q = self.inner_p
+        if not (q is None or q == math.inf or q > self.n):
+            raise InvalidParameterError(f"inner exponent must exceed n={self.n} or be +inf, got {q}")
 
-    def inner_exponent(self, inner_p: Optional[float] = None) -> float:
+    def inner_exponent(self) -> float:
         """Exponent p' used on the expanding side of the chain.
 
-        Defaults to the K^(n-1)-dilatation surrogate: the sharp planar value
-        for n=2, the rh_exponent_floor lower bound otherwise.  A lower bound
-        for p' only weakens (never invalidates) the resulting image bound.
+        inner_p if given, else the K^(n-1)-dilatation surrogate: the sharp
+        planar value for n=2, the rh_exponent_floor lower bound otherwise.  A
+        lower bound for p' only weakens (never invalidates) the image bound.
         """
-        if inner_p is not None:
-            if not (inner_p == math.inf or inner_p > self.n):
-                raise InvalidParameterError(
-                    f"inner exponent must exceed n={self.n} or be +inf, got {inner_p}"
-                )
-            return inner_p
+        if self.inner_p is not None:
+            return self.inner_p
         k_inner = self.K ** (self.n - 1)
         if k_inner == 1.0:
             return math.inf
@@ -164,17 +164,14 @@ def _dim_from_gap(gap: float, n: int) -> float:
     return 1.0 / (gap + 1.0 / n)
 
 
-def _inner_coeff(ctx: ExponentContext, inner_p: Optional[float]) -> float:
+def _inner_coeff(ctx: ExponentContext) -> float:
     """Coefficient (1 - n/p')^{-1} of the expanding side; 1 at p' = +inf."""
-    p_inner = ctx.inner_exponent(inner_p)
+    p_inner = ctx.inner_exponent()
     return 1.0 if p_inner == math.inf else 1.0 / (1.0 - ctx.n / p_inner)
 
 
 def spectrum_bounds(
-    t: float,
-    ctx: ExponentContext,
-    source_spectrum: SpectrumFn,
-    inner_p: Optional[float] = None,
+    t: float, ctx: ExponentContext, source_spectrum: SpectrumFn
 ) -> tuple[float, float]:
     """Two-sided bound on the image spectrum at theta(t).
 
@@ -189,7 +186,7 @@ def spectrum_bounds(
     d_expand = source_spectrum(theta_of_t(K * t))
 
     upper = _dim_from_gap(symmetric_coeff(ctx) * _recip_gap(d_contract, ctx.n), ctx.n)
-    lower = _dim_from_gap(_inner_coeff(ctx, inner_p) * _recip_gap(d_expand, ctx.n), ctx.n)
+    lower = _dim_from_gap(_inner_coeff(ctx) * _recip_gap(d_expand, ctx.n), ctx.n)
     return lower, upper
 
 
@@ -202,16 +199,11 @@ def _source_gap(alpha_source: float, n: int) -> float:
     return _recip_gap(alpha_source, n)
 
 
-def assouad_bounds(
-    alpha_source: float,
-    ctx: ExponentContext,
-    inner_p: Optional[float] = None,
-) -> tuple[float, float]:
-    """Two-sided bound on the image Assouad dimension for a source of dimension alpha."""
-    gap = _source_gap(alpha_source, ctx.n)
-    upper = _dim_from_gap(symmetric_coeff(ctx) * gap, ctx.n)
-    lower = _dim_from_gap(_inner_coeff(ctx, inner_p) * gap, ctx.n)
-    return lower, upper
+def assouad_bounds(alpha_source: float, ctx: ExponentContext) -> tuple[float, float]:
+    """Two-sided bound on the image Assouad dimension for a source of dimension
+    alpha: the spectrum bound of the constant spectrum alpha, at any t."""
+    _source_gap(alpha_source, ctx.n)  # alpha must be interior
+    return spectrum_bounds(1.0, ctx, lambda theta: alpha_source)
 
 
 def assouad_bounds_lambda(alpha_source: float, ctx: ExponentContext) -> tuple[float, float]:

@@ -278,7 +278,7 @@ def cmd_bounds(args) -> int:
     if args.formula == "rh-exponent" and args.p is None and args.n >= 3:
         # this formula is how one finds an exponent, so don't demand one
         args.p = bnd.rh_exponent_floor(args.n, args.K, lam)
-    ctx = bnd.ExponentContext(n=args.n, K=args.K, p=args.p, lam=lam)
+    ctx = bnd.ExponentContext(n=args.n, K=args.K, p=args.p, lam=lam, inner_p=args.inner_p)
     assumptions = []
     if ctx.K == 1.0:
         assumptions.append("conformal case: p = +inf, all coefficients collapse to 1")
@@ -309,16 +309,16 @@ def cmd_bounds(args) -> int:
         values["floor"] = bnd.rh_exponent_floor(ctx.n, ctx.K, ctx.lam)
         assumptions.append("floor = n*lambda*K/(lambda*K - 1), a lower bound in every dimension")
     elif args.formula == "assouad":
-        lower, upper = bnd.assouad_bounds(args.alpha, ctx, inner_p=args.inner_p)
+        lower, upper = bnd.assouad_bounds(args.alpha, ctx)
         values["lower"], values["upper"] = lower, upper
         if args.lam is not None:
             ll, lu = bnd.assouad_bounds_lambda(args.alpha, ctx)
             values["lambdaLower"], values["lambdaUpper"] = ll, lu
             assumptions.append("lambda form uses coefficients 1/(lambda*K) and lambda*K")
-        assumptions.append(_inner_note(ctx, args.inner_p))
+        assumptions.append(_inner_note(ctx))
     elif args.formula == "spectrum":
         src = _oracle_source(args)
-        lower, upper = bnd.spectrum_bounds(args.t, ctx, src, inner_p=args.inner_p)
+        lower, upper = bnd.spectrum_bounds(args.t, ctx, src)
         values.update(
             lower=lower,
             upper=upper,
@@ -326,7 +326,7 @@ def cmd_bounds(args) -> int:
             thetaContract=bnd.theta_of_t(args.t / ctx.K),
             thetaExpand=bnd.theta_of_t(ctx.K * args.t),
         )
-        assumptions.append(_inner_note(ctx, args.inner_p))
+        assumptions.append(_inner_note(ctx))
     elif args.formula == "biholder":
         if args.source_value is not None:
             src_val = args.source_value
@@ -359,12 +359,11 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _inner_note(ctx: bnd.ExponentContext, inner_p) -> str:
+def _inner_note(ctx: bnd.ExponentContext) -> str:
     if ctx.K == 1.0:
         return ""
-    if inner_p is not None:
-        return f"inner exponent p' = {inner_p:.6g} (user-supplied)"
-    return f"inner exponent p' = {ctx.inner_exponent():.6g} (K^(n-1) surrogate)"
+    how = "K^(n-1) surrogate" if ctx.inner_p is None else "user-supplied"
+    return f"inner exponent p' = {ctx.inner_exponent():.6g} ({how})"
 
 
 # ---- classify ----------------------------------------------------------
@@ -391,25 +390,27 @@ def cmd_classify(args) -> int:
 # ---- verify ------------------------------------------------------------
 
 
-def _parse_set(text: str) -> dict:
-    """Parse a scenario selector like "spiral:a=1"."""
+def _parse_set(text: str) -> float:
+    """The exponent a of the scenario selector "spiral:a=<number>", its one piece."""
     head, _, rest = text.partition(":")
     if head != "spiral":
         raise InvalidParameterError(
             f"unsupported scenario family {head!r}; verification covers planar spirals"
         )
-    params = {}
+    a = None
     for piece in filter(None, rest.split(",")):
         key, _, val = piece.partition("=")
         try:
-            params[key.strip()] = float(val)
+            if key.strip() != "a" or a is not None:
+                raise ValueError
+            a = float(val)
         except ValueError:
             raise InvalidParameterError(
-                f"scenario piece {piece!r} is not key=<number>"
+                f"scenario piece {piece!r} is not a=<number>, the spiral's one parameter"
             ) from None
-    if "a" not in params:
+    if a is None:
         raise InvalidParameterError("spiral scenario needs a=<exponent>")
-    return params
+    return a
 
 
 def _net_radial_power(f: qc.PlanarMap) -> Optional[float]:
@@ -447,8 +448,7 @@ def cmd_verify(args) -> int:
                         ("--claim-image-a", args.claim_image_a)):
         if value is not None and not 0.0 < value < math.inf:
             raise InvalidParameterError(f"{flag} must be finite and > 0, got {value}")
-    params = _parse_set(args.set)
-    a_src = params["a"]
+    a_src = _parse_set(args.set)
     f = qc.parse_map_spec(args.map) if args.map else qc.identity_map()
     ctx = bnd.ExponentContext(n=2, K=f.dilatation_bound)  # an overflowing chain stops here
     extra = (bnd.theta_of_t(args.t),) if args.t is not None else ()

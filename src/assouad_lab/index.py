@@ -176,10 +176,6 @@ class MultiScaleIndex:
             return lanes[0]
         return np.add(lanes[0], lanes[1], out=lanes[0])
 
-    def count_intersecting(self, level: int, x, radius: float) -> int:
-        """Occupied cells at a level intersecting the closed ball B(x, radius)."""
-        return int(self.count_intersecting_many(level, x, [radius])[0])
-
     def count_intersecting_many(self, level: int, x, radii) -> np.ndarray:
         """Occupied cells at a level meeting each closed ball B(x, r), r in radii.
 
@@ -374,4 +370,4 @@ def local_dyadic_count(idx: MultiScaleIndex, x, radius: float, m: int) -> int:
         raise LevelOutOfRangeError(
             f"query needs level {level} but the index stops at {idx.max_level}"
         )
-    return idx.count_intersecting(level, x, radius)
+    return int(idx.count_intersecting_many(level, x, [radius])[0])

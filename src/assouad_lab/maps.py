@@ -156,11 +156,6 @@ def radial_stretch(K: float) -> PlanarMap:
     return PlanarMap(ops=(RadialPower(1.0 / K),))
 
 
-def compose(f: PlanarMap, g: PlanarMap) -> PlanarMap:
-    """Pipeline: apply f first, then g.  Dilatation bounds multiply."""
-    return PlanarMap(ops=f.ops + g.ops)
-
-
 def invert(f: PlanarMap) -> PlanarMap:
     return PlanarMap(ops=tuple(op.inverse() for op in reversed(f.ops)))
 
@@ -316,12 +311,3 @@ def _format_stage(op) -> str:
             f"{name}={_format_complex(getattr(op, name))}" for name in "abcd")
     raise InvalidParameterError(f"unknown primitive {op!r}")
 
-
-def format_map_spec(f: PlanarMap) -> str:
-    for op in f.ops:
-        if isinstance(op, RadialPower) and op.power > 1.0:
-            # Inverse stretches fall outside the mini-language's K >= 1 form.
-            raise InvalidParameterError(
-                f"radial power {op.power:g} has no 'radial:K=' form (K < 1)"
-            )
-    return "|".join(map(_format_stage, f.ops)) or "similarity:s=1,t=0"
