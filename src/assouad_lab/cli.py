@@ -64,6 +64,11 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
+def _flag(name: str) -> str:
+    """The option that sets ``args.<name>``."""
+    return "--" + name.replace("_", "-")
+
+
 def _num(v):
     # JSON has no inf/nan literals
     if isinstance(v, float):
@@ -191,8 +196,7 @@ def cmd_estimate(args) -> int:
     if args.mode != "spectrum":
         for name in _SPECTRUM_ONLY:
             if getattr(args, name) is not None:
-                flag = "--" + name.replace("_", "-")
-                raise InvalidParameterError(f"{flag} is only available in spectrum mode")
+                raise InvalidParameterError(f"{_flag(name)} is only available in spectrum mode")
     if args.mode == "box" and args.centers is not None:
         raise InvalidParameterError("--centers is not available in box mode")
     centers = est.DEFAULT_CENTER_BUDGET if args.centers is None else args.centers
@@ -247,18 +251,34 @@ def cmd_map(args) -> int:
 # ---- bounds ------------------------------------------------------------
 
 
-# Every formula, in --help order, with the flag it needs (None: no flag);
-# that flag is checked and echoed into the report's inputs.
+# Every formula, in --help order, with the flags it reads besides n, K, p and
+# lambda: the one it needs first, checked and echoed into the report's inputs,
+# then those it may take.  Any other flag is refused, and so are two sources.
 _FORMULA_INPUT = {
-    "beta-upper": "alpha",
-    "symmetric-coeff": None,
-    "rh-exponent": None,
-    "assouad": "alpha",
-    "spectrum": "t",
-    "biholder": "theta",
-    "ours": "t",
-    "compare": "t",
+    "beta-upper": ("alpha",),
+    "symmetric-coeff": (),
+    "rh-exponent": (),
+    "assouad": ("alpha", "inner_p"),
+    "spectrum": ("t", "inner_p", "source_a", "source_csv"),
+    "biholder": ("theta", "source_value", "source_a", "source_csv"),
+    "ours": ("t", "d", "source_a", "source_csv"),
+    "compare": ("t", "source_a", "source_csv"),
 }
+_SOURCES = ("d", "source_value", "source_a", "source_csv")
+
+
+def _check_formula_flags(args) -> None:
+    """Refuse a flag the formula does not read, and a second source."""
+    reads = _FORMULA_INPUT[args.formula]
+    every = {name for names in _FORMULA_INPUT.values() for name in names}
+    given = [k for k, v in vars(args).items() if k in every and v is not None]
+    for name in given:
+        if name not in reads:
+            raise InvalidParameterError(f"{_flag(name)} is not read by the {args.formula} formula")
+    sources = [_flag(name) for name in given if name in _SOURCES]
+    if len(sources) > 1:
+        raise InvalidParameterError(
+            f"the {args.formula} formula reads one source, got {' and '.join(sources)}")
 
 
 def _oracle_source(args) -> bnd.SpectrumFn:
@@ -279,6 +299,7 @@ def cmd_bounds(args) -> int:
         # this formula is how one finds an exponent, so don't demand one
         args.p = bnd.rh_exponent_floor(args.n, args.K, lam)
     ctx = bnd.ExponentContext(n=args.n, K=args.K, p=args.p, lam=lam, inner_p=args.inner_p)
+    _check_formula_flags(args)
     assumptions = []
     if ctx.K == 1.0:
         assumptions.append("conformal case: p = +inf, all coefficients collapse to 1")
@@ -292,8 +313,7 @@ def cmd_bounds(args) -> int:
         "lambda": ctx.lam,
         "formula": args.formula,
     }
-    need = _FORMULA_INPUT[args.formula]
-    if need is not None:
+    for need in _FORMULA_INPUT[args.formula][:1]:
         if getattr(args, need) is None:
             raise InvalidParameterError(f"--{need} is required")
         inputs[need] = getattr(args, need)
@@ -370,6 +390,8 @@ def _inner_note(ctx: bnd.ExponentContext) -> str:
 
 
 def cmd_classify(args) -> int:
+    if args.out is not None and not args.json:
+        raise InvalidParameterError("--out writes the --json report; pass --json")
     c = bnd.classify_spirals(args.a, args.b)
     if args.json:
         _emit(args, {
@@ -601,14 +623,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("index-stats", help="per-level occupancy of the dyadic index")
     s.add_argument("input")
-    s.add_argument("--res", type=float, default=None, help="resolution override for plain CSV")
+    s.add_argument("--res", type=float, default=None, help="resolution, overriding the file's")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_index_stats)
 
     e = sub.add_parser("estimate", help="estimate a dimension or the spectrum")
     e.add_argument("input")
     e.add_argument("--mode", choices=["box", "spectrum", "assouad"], default="box")
-    e.add_argument("--res", type=float, default=None, help="resolution override for plain CSV")
+    e.add_argument("--res", type=float, default=None, help="resolution, overriding the file's")
     e.add_argument("--centers", type=_center_budget, default=None)
     _add_grid_flags(e)
     _add_window_flags(e)
@@ -619,7 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("map", help="apply a planar map to a point set")
     m.add_argument("input")
     m.add_argument("--spec", required=True, help='e.g. "radial:K=2" or "radial:K=2|similarity:s=2,t=1"')
-    m.add_argument("--res", type=float, default=None)
+    m.add_argument("--res", type=float, default=None, help="resolution, overriding the file's")
     m.add_argument("-o", "--out", default=None)
     m.set_defaults(func=cmd_map)
 

@@ -201,8 +201,9 @@ class PointSet:
             json.dump(payload, fh)
 
     @classmethod
-    def from_json(cls, path) -> "PointSet":
-        """Parse a JSON file written by to_json; a malformed file names itself."""
+    def from_json(cls, path, resolution: float | None = None) -> "PointSet":
+        """Parse a JSON file written by to_json; a malformed file names itself.
+        ``resolution``, when given, overrides the file's, which is still checked."""
         with open(path) as fh:
             try:
                 payload = json.load(fh)
@@ -213,16 +214,17 @@ class PointSet:
         missing = [k for k in ("dim", "resolution", "points") if k not in payload]
         if missing:
             raise InvalidParameterError(f"{path}: missing key(s) {', '.join(missing)}")
-        dim, resolution = payload["dim"], payload["resolution"]
+        dim, meta_res = payload["dim"], payload["resolution"]
         # bool is an int subclass: true would read as dim 1
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise InvalidParameterError(
                 f"{path}: dim must be an integer, got {json.dumps(dim):.40}"
             )
-        if isinstance(resolution, bool) or not isinstance(resolution, (int, float)):
+        if isinstance(meta_res, bool) or not isinstance(meta_res, (int, float)):
             raise InvalidParameterError(
-                f"{path}: resolution must be a number, got {json.dumps(resolution):.40}"
+                f"{path}: resolution must be a number, got {json.dumps(meta_res):.40}"
             )
+        res = resolution if resolution is not None else meta_res
         if isinstance(payload["points"], list):
             _check_size(path, len(payload["points"]))
         params = payload.get("params")
@@ -238,7 +240,7 @@ class PointSet:
         if points.ndim >= 1 and len(points) == 0:
             raise EmptySetError(f"no points found in {path}")
         try:
-            return cls(dim=dim, points=points, resolution=float(resolution), params=params)
+            return cls(dim=dim, points=points, resolution=float(res), params=params)
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{path}: {exc}") from None
 
@@ -375,10 +377,11 @@ def _bad_row(path, first: int | None = None, ncols: int = 0) -> InvalidParameter
 
 
 def load_points(path, resolution: float | None = None) -> PointSet:
-    """Dispatch on file extension (.json or anything-CSV)."""
+    """Dispatch on file extension (.json or anything-CSV); ``resolution``, when
+    given, overrides the file's."""
     path = str(path)
     if path.endswith(".json"):
-        return PointSet.from_json(path)
+        return PointSet.from_json(path, resolution=resolution)
     return PointSet.from_csv(path, resolution=resolution)
 
 

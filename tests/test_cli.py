@@ -239,7 +239,9 @@ def test_extent_over_resolution_that_overflows_exits_2(tmp_path, capsys, command
     path.write_text(content)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning before the refusal
-        rc, out, err = run(capsys, command, str(path), "--res", "1e-3")
+        # --res would override a JSON file's own resolution, which is under test
+        res = ["--res", "1e-3"] if name.endswith(".csv") else []
+        rc, out, err = run(capsys, command, str(path), *res)
     assert rc == 2 and out == ""
     assert_one_error_line(err, "extent over their resolution overflows a float")
 
@@ -371,6 +373,28 @@ def test_map_radial_stretch(tmp_path, capsys):
     # origin stays put; resolution is inflated by the tangential stretch
     assert np.all(image.points[-1] == 0.0)
     assert image.resolution > 1e-3
+
+
+def test_res_overrides_a_json_input_as_it_does_a_csv(tmp_path, capsys):
+    ps = sample_family(FamilySpec(kind="poly_spiral", a=1.0, x_max=100.0,
+                                  target_resolution=1e-3))
+    reports = []
+    for name in ("s.json", "s.csv"):
+        path = str(tmp_path / name)
+        geometry.save_points(ps, path)
+        rc, out, _ = run(capsys, "index-stats", path, "--res", "0.002")
+        stats = json.loads(out)
+        assert rc == 0 and stats.pop("input") == path and stats["resolution"] == 0.002
+        rc, out, _ = run(capsys, "estimate", path, "--mode", "box", "--res", "0.002")
+        box = json.loads(out)
+        assert rc == 0 and box["window"]["rMin"] == 4 * 0.002  # the default window's floor
+        del box["input"], box["elapsedSeconds"]
+        image = str(tmp_path / ("image-" + name))
+        rc, _, _ = run(capsys, "map", path, "--res", "0.002", "--spec", "similarity:s=1",
+                       "-o", image)
+        assert rc == 0 and load_points(image).resolution == 0.002
+        reports.append((stats, box))
+    assert reports[0] == reports[1]
 
 
 def test_map_bad_spec(spiral_s1_coarse, capsys):
@@ -576,6 +600,13 @@ def test_classify_json(capsys):
     assert payload["inverted"] is False
 
 
+def test_classify_out_needs_json(tmp_path, capsys):
+    report = tmp_path / "k.json"
+    rc, out, err = run(capsys, "classify", "--a", "2", "--b", "1", "--out", str(report))
+    assert rc == 2 and out == "" and not report.exists()
+    assert_one_error_line(err, "--out", "--json")
+
+
 @pytest.mark.parametrize("a, b", [("inf", "1"), ("1", "inf"), ("nan", "1"), ("0", "1")])
 def test_classify_needs_finite_positive_exponents(capsys, a, b):
     rc, out, err = run(capsys, "classify", "--a", a, "--b", b)
@@ -752,6 +783,16 @@ def test_verify_chain_whose_dilatation_overflows_exits_2_before_sampling(monkeyp
      "ambient dimension must be an integer >= 2, got 1"),
     (["bounds", "--formula", "spectrum", "--K", "2", "--t", "1", "--source-a", "1",
       "--inner-p", "1"], "inner exponent must exceed n=2 or be +inf, got 1.0"),
+    (["bounds", "--formula", "beta-upper", "--K", "2", "--alpha", "1", "--inner-p", "1"],
+     "inner exponent must exceed n=2 or be +inf, got 1.0"),
+    (["bounds", "--formula", "symmetric-coeff", "--K", "2", "--alpha", "1"],
+     "--alpha is not read by the symmetric-coeff formula"),
+    # refused before the curve file, which does not exist, is opened
+    (["bounds", "--formula", "spectrum", "--K", "2", "--t", "1", "--source-a", "1",
+      "--source-csv", "no-such-curve.csv"],
+     "the spectrum formula reads one source, got --source-a and --source-csv"),
+    (["bounds", "--formula", "ours", "--K", "2", "--t", "1", "--d", "1", "--source-a", "1"],
+     "the ours formula reads one source, got --d and --source-a"),
     (["bounds", "--formula", "spectrum", "--K", "2", "--t", "-1", "--source-a", "1"],
      "t must be positive, got -1.0"),
     (["bounds", "--formula", "ours", "--K", "2", "--t", "-1", "--d", "1"],
@@ -766,6 +807,8 @@ def test_verify_chain_whose_dilatation_overflows_exits_2_before_sampling(monkeyp
      "planar dimension value must lie in [0, 2], got 3.0"),
 ], ids=["map-empty-stage", "map-bare-key", "map-similarity-no-s", "map-mobius-no-d",
         "map-dangling-plus", "map-not-a-number", "symmetric-coeff-n1", "spectrum-inner-p",
+        "beta-upper-inner-p", "symmetric-coeff-alpha", "spectrum-two-sources",
+        "ours-two-sources",
         "spectrum-negative-t", "ours-negative-t", "ours-d-past-2", "biholder-theta-past-1",
         "biholder-nan-source", "biholder-source-past-2"])
 def test_map_spec_and_bound_formula_refusals_exit_2(tmp_path, capsys, argv, message):
@@ -798,11 +841,12 @@ def test_verify_detects_wrong_oracle_claim(tmp_path, capsys):
     (["--set", "julia:c=0.3"], ["planar spirals"]),
     (["--set", "spiral:a=x"], ["'a=x'"]),
     (["--set", "spiral:a=1,b"], ["'b'"]),
+    (["--set", "spiral:a=1,b=2"], ["'b=2'"]),
     (["--set", "spiral:a=1", "--theta-step", "0"], ["theta-step must be positive"]),
     (["--set", "spiral:a=1", "--theta-step", "-0.05"], ["theta-step must be positive"]),
     (["--set", "spiral:a=1", "--theta-min", "0.5", "--theta-max", "0.2"], ["0.5", "0.2"]),
     (["--set", "spiral:a=1", "--theta-step", "1e-12"], ["1e-12", "8.5e+11", "1000"]),
-], ids=["family", "value", "no-value", "zero-step", "negative-step", "min-above-max",
+], ids=["family", "value", "no-value", "second-piece", "zero-step", "negative-step", "min-above-max",
         "tiny-step"])
 def test_verify_rejects_unknown_scenario(capsys, argv, needles):
     tracemalloc.start()
