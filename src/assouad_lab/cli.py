@@ -313,7 +313,7 @@ def cmd_bounds(args) -> int:
         "lambda": ctx.lam,
         "formula": args.formula,
     }
-    for need in _FORMULA_INPUT[args.formula][:1]:
+    for need in _FORMULA_INPUT[args.formula][:1]:  # the flag it needs, if any
         if getattr(args, need) is None:
             raise InvalidParameterError(f"--{need} is required")
         inputs[need] = getattr(args, need)
