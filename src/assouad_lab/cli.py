@@ -46,18 +46,42 @@ _NUMERIC_ERRORS = (
     ScaleBelowResolutionError,
 )
 
-_FAMILY_KINDS = {
-    "spiral": "poly_spiral",
-    "logspiral": "log_spiral",
-    "cantor": "cantor",
-    "sequence": "sequence",
-}
+# gen families whose FamilySpec kind has another name
+_FAMILY_KINDS = {"logspiral": "log_spiral", "spiral": "poly_spiral"}
 
 # Most thetas a --theta-step grid may hold; each one is a full count sweep.
 _MAX_THETAS = 1000
 
 # Most query centers --centers may ask for; each one is a full ray sweep.
 _MAX_CENTERS = 1000
+
+# Every mode of each command, in --help order, with the flags it reads
+# besides those all the command's modes read; _check_reads refuses the rest.
+# A bounds formula's first flag is the one it needs, checked and echoed into
+# the report's inputs.
+_READS = {
+    "gen": {"cantor": ("ratio", "depth"), "logspiral": ("c", "xmax"),  # --family
+            "sequence": ("p", "mmax"), "spiral": ("a", "xmax")},
+    "estimate": {  # --mode
+        "box": (),
+        "spectrum": ("centers", "theta", "theta_min", "theta_max", "theta_step", "plot"),
+        "assouad": ("centers",),
+    },
+    "bounds": {  # --formula, besides n, K, p and lambda
+        "beta-upper": ("alpha",),
+        "symmetric-coeff": (),
+        "rh-exponent": (),
+        "assouad": ("alpha", "inner_p"),
+        "spectrum": ("t", "inner_p", "source_a", "source_csv"),
+        "biholder": ("theta", "source_value", "source_a", "source_csv"),
+        "ours": ("t", "d", "source_a", "source_csv"),
+        "compare": ("t", "source_a", "source_csv"),
+    },
+    "verify": {"identity": (), "radial": ("image_res",), "pushforward": ()},  # --map's kind
+    "classify": {"text": (), "json": ("out",)},  # the text line or the --json report
+}
+_MODE_NOUN = {"gen": "family", "estimate": "mode", "bounds": "formula", "verify": "chain",
+              "classify": "report"}
 
 
 def _warn(msg: str) -> None:
@@ -67,6 +91,17 @@ def _warn(msg: str) -> None:
 def _flag(name: str) -> str:
     """The option that sets ``args.<name>``."""
     return "--" + name.replace("_", "-")
+
+
+def _check_reads(args, mode: str) -> None:
+    """Refuse the first given flag, in --help order, that ``mode`` of the
+    command does not read though another of its modes does."""
+    rows = _READS[args.command]
+    every = {name for row in rows.values() for name in row}
+    for name, value in vars(args).items():
+        if value is not None and name in every and name not in rows[mode]:
+            raise InvalidParameterError(
+                f"{_flag(name)} is not read by the {mode} {_MODE_NOUN[args.command]}")
 
 
 def _num(v):
@@ -149,18 +184,16 @@ def _theta_grid(args, extra=()) -> tuple:
 # ---- gen ---------------------------------------------------------------
 
 
+# FamilySpec fields whose gen flag has another name
+_SPEC_FIELDS = {"xmax": "x_max", "mmax": "m_max", "res": "target_resolution"}
+
+
 def cmd_gen(args) -> int:
-    spec = fam.FamilySpec(
-        kind=_FAMILY_KINDS[args.family],
-        a=args.a,
-        c=args.c,
-        ratio=args.ratio,
-        p=args.p,
-        x_max=args.xmax,
-        depth=args.depth,
-        m_max=args.mmax,
-        target_resolution=args.res,
-    )
+    _check_reads(args, args.family)
+    # only the flags given, so each default lives in FamilySpec alone
+    given = {_SPEC_FIELDS.get(name, name): getattr(args, name)
+             for name in (*_READS["gen"][args.family], "res") if getattr(args, name) is not None}
+    spec = fam.FamilySpec(kind=_FAMILY_KINDS.get(args.family, args.family), **given)
     save_points(fam.sample_family(spec), args.out)
     return EXIT_OK
 
@@ -188,17 +221,8 @@ def cmd_index_stats(args) -> int:
 
 # ---- estimate ----------------------------------------------------------
 
-# estimate flags that only --mode spectrum reads
-_SPECTRUM_ONLY = ("plot", "theta", "theta_min", "theta_max", "theta_step")
-
-
 def cmd_estimate(args) -> int:
-    if args.mode != "spectrum":
-        for name in _SPECTRUM_ONLY:
-            if getattr(args, name) is not None:
-                raise InvalidParameterError(f"{_flag(name)} is only available in spectrum mode")
-    if args.mode == "box" and args.centers is not None:
-        raise InvalidParameterError("--centers is not available in box mode")
+    _check_reads(args, args.mode)
     centers = est.DEFAULT_CENTER_BUDGET if args.centers is None else args.centers
     ps, idx = _load(args)
     window = _window_from(args, idx)
@@ -251,34 +275,7 @@ def cmd_map(args) -> int:
 # ---- bounds ------------------------------------------------------------
 
 
-# Every formula, in --help order, with the flags it reads besides n, K, p and
-# lambda: the one it needs first, checked and echoed into the report's inputs,
-# then those it may take.  Any other flag is refused, and so are two sources.
-_FORMULA_INPUT = {
-    "beta-upper": ("alpha",),
-    "symmetric-coeff": (),
-    "rh-exponent": (),
-    "assouad": ("alpha", "inner_p"),
-    "spectrum": ("t", "inner_p", "source_a", "source_csv"),
-    "biholder": ("theta", "source_value", "source_a", "source_csv"),
-    "ours": ("t", "d", "source_a", "source_csv"),
-    "compare": ("t", "source_a", "source_csv"),
-}
 _SOURCES = ("d", "source_value", "source_a", "source_csv")
-
-
-def _check_formula_flags(args) -> None:
-    """Refuse a flag the formula does not read, and a second source."""
-    reads = _FORMULA_INPUT[args.formula]
-    every = {name for names in _FORMULA_INPUT.values() for name in names}
-    given = [k for k, v in vars(args).items() if k in every and v is not None]
-    for name in given:
-        if name not in reads:
-            raise InvalidParameterError(f"{_flag(name)} is not read by the {args.formula} formula")
-    sources = [_flag(name) for name in given if name in _SOURCES]
-    if len(sources) > 1:
-        raise InvalidParameterError(
-            f"the {args.formula} formula reads one source, got {' and '.join(sources)}")
 
 
 def _oracle_source(args) -> bnd.SpectrumFn:
@@ -299,7 +296,11 @@ def cmd_bounds(args) -> int:
         # this formula is how one finds an exponent, so don't demand one
         args.p = bnd.rh_exponent_floor(args.n, args.K, lam)
     ctx = bnd.ExponentContext(n=args.n, K=args.K, p=args.p, lam=lam, inner_p=args.inner_p)
-    _check_formula_flags(args)
+    _check_reads(args, args.formula)
+    sources = [_flag(name) for name in _SOURCES if getattr(args, name) is not None]
+    if len(sources) > 1:
+        raise InvalidParameterError(
+            f"the {args.formula} formula reads one source, got {' and '.join(sources)}")
     assumptions = []
     if ctx.K == 1.0:
         assumptions.append("conformal case: p = +inf, all coefficients collapse to 1")
@@ -313,7 +314,7 @@ def cmd_bounds(args) -> int:
         "lambda": ctx.lam,
         "formula": args.formula,
     }
-    for need in _FORMULA_INPUT[args.formula][:1]:  # the flag it needs, if any
+    for need in _READS["bounds"][args.formula][:1]:  # the flag it needs, if any
         if getattr(args, need) is None:
             raise InvalidParameterError(f"--{need} is required")
         inputs[need] = getattr(args, need)
@@ -390,8 +391,7 @@ def _inner_note(ctx: bnd.ExponentContext) -> str:
 
 
 def cmd_classify(args) -> int:
-    if args.out is not None and not args.json:
-        raise InvalidParameterError("--out writes the --json report; pass --json")
+    _check_reads(args, "json" if args.json else "text")
     c = bnd.classify_spirals(args.a, args.b)
     if args.json:
         _emit(args, {
@@ -472,6 +472,8 @@ def cmd_verify(args) -> int:
             raise InvalidParameterError(f"{flag} must be finite and > 0, got {value}")
     a_src = _parse_set(args.set)
     f = qc.parse_map_spec(args.map) if args.map else qc.identity_map()
+    net = _net_radial_power(f)
+    _check_reads(args, "identity" if net == 1.0 else "pushforward" if net is None else "radial")
     ctx = bnd.ExponentContext(n=2, K=f.dilatation_bound)  # an overflowing chain stops here
     extra = (bnd.theta_of_t(args.t),) if args.t is not None else ()
     grid = _theta_grid(args, extra=extra)
@@ -483,7 +485,6 @@ def cmd_verify(args) -> int:
     src_ps = _sample_spiral(a_src, args.xmax, args.res)
     timings["sampleSource"] = clock() - t0
 
-    net = _net_radial_power(f)
     a_img = None
     img_res_used = args.res
     if net == 1.0:
@@ -609,15 +610,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="sample a point family to CSV/JSON")
-    g.add_argument("--family", required=True, choices=sorted(_FAMILY_KINDS))
-    g.add_argument("--a", type=float, default=1.0, help="polynomial spiral exponent")
-    g.add_argument("--c", type=float, default=1.0, help="logarithmic spiral rate")
-    g.add_argument("--ratio", type=float, default=1.0 / 3.0, help="Cantor contraction ratio")
-    g.add_argument("--p", type=float, default=1.0, help="sequence decay exponent")
-    g.add_argument("--xmax", type=float, default=1000.0)
-    g.add_argument("--depth", type=int, default=8)
-    g.add_argument("--mmax", type=int, default=1000)
-    g.add_argument("--res", type=float, default=1e-3, help="target resolution")
+    g.add_argument("--family", required=True, choices=list(_READS["gen"]))
+    g.add_argument("--a", type=float, help="polynomial spiral exponent")
+    g.add_argument("--c", type=float, help="logarithmic spiral rate")
+    g.add_argument("--ratio", type=float, help="Cantor contraction ratio")
+    g.add_argument("--p", type=float, help="sequence decay exponent")
+    g.add_argument("--xmax", type=float)
+    g.add_argument("--depth", type=int)
+    g.add_argument("--mmax", type=int)
+    g.add_argument("--res", type=float, help="target resolution")
     g.add_argument("-o", "--out", default=None)
     g.set_defaults(func=cmd_gen)
 
@@ -629,7 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("estimate", help="estimate a dimension or the spectrum")
     e.add_argument("input")
-    e.add_argument("--mode", choices=["box", "spectrum", "assouad"], default="box")
+    e.add_argument("--mode", choices=list(_READS["estimate"]), default="box")
     e.add_argument("--res", type=float, default=None, help="resolution, overriding the file's")
     e.add_argument("--centers", type=_center_budget, default=None)
     _add_grid_flags(e)
@@ -646,7 +647,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_map)
 
     b = sub.add_parser("bounds", help="evaluate a closed-form distortion bound")
-    b.add_argument("--formula", required=True, choices=list(_FORMULA_INPUT))
+    b.add_argument("--formula", required=True, choices=list(_READS["bounds"]))
     b.add_argument("--n", type=int, default=2)
     b.add_argument("--K", type=float, default=1.0)
     b.add_argument("--p", type=float, default=None, help='Sobolev exponent, a float or "inf"')

@@ -20,7 +20,7 @@ from assouad_lab import maps as qc
 from assouad_lab.cli import main
 from assouad_lab.errors import AssouadLabError, PoleProximityError
 from assouad_lab.families import FamilySpec, sample_family
-from assouad_lab.geometry import PointSet, load_points
+from assouad_lab.geometry import PointSet, load_points, save_points
 
 from conftest import strict_json, two_cpus
 
@@ -89,6 +89,32 @@ def test_gen_rejects_coarse_truncation(capsys):
                      "--xmax", "1000", "--res", "1e-6")
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("family, kind", [
+    ("spiral", "poly_spiral"), ("logspiral", "log_spiral"), ("cantor", "cantor"),
+    ("sequence", "sequence")])
+def test_gen_defaults_are_those_of_family_spec(tmp_path, capsys, family, kind):
+    # gen with no family flag draws FamilySpec's own defaults
+    got, want = tmp_path / "gen.csv", tmp_path / "spec.csv"
+    assert run(capsys, "gen", "--family", family, "-o", str(got))[0] == 0
+    save_points(sample_family(FamilySpec(kind)), want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# a value off FamilySpec's default for each flag a family reads
+_GEN_OFF_DEFAULT = {"a": "2", "c": "0.5", "ratio": "0.25", "p": "2", "xmax": "500",
+                    "depth": "10", "mmax": "500", "res": "2e-3"}
+
+
+@pytest.mark.parametrize("family, flag", [
+    pytest.param(family, name, id=f"{family}-{name}")
+    for family, row in cli._READS["gen"].items() for name in (*row, "res")])
+def test_gen_reads_every_flag_its_family_row_lists(capsys, family, flag):
+    rc, default, _ = run(capsys, "gen", "--family", family)
+    assert rc == 0
+    rc, changed, _ = run(capsys, "gen", "--family", family, f"--{flag}", _GEN_OFF_DEFAULT[flag])
+    assert rc == 0 and changed != default
 
 
 # ---- index-stats -----------------------------------------------------------
@@ -303,24 +329,51 @@ def test_estimate_plot_writes_curve(spiral_s1_coarse, tmp_path, capsys):
     assert len(lines) == 19
 
 
-@pytest.mark.parametrize("mode, flags, message", [
-    pytest.param(mode, flags, f"{flags[0]} is only available in spectrum mode",
-                 id=mode if flags[0] == "--plot" else f"{mode}-{flags[0][2:]}")
-    for mode in ("box", "assouad")
-    for flags in (["--plot", "curve.csv"], ["--theta", "0.3"], ["--theta-min", "0.1"],
-                  ["--theta-max", "0.5"], ["--theta-step", "0.1"])
-] + [pytest.param("box", ["--centers", "5"], "--centers is not available in box mode",
-                  id="box-centers")])
-def test_estimate_plot_outside_spectrum_is_refused_before_loading(mode, flags, message, capsys):
-    # Flags a mode would ignore are refused, before the input is read.
-    def must_not_run(*args, **kwargs):
-        raise AssertionError(f"ran past the {flags[0]} check")
+def _unread_flags():
+    """Every (command, mode, flag) where another mode of the command reads
+    the flag and this one does not, from the CLI's own table."""
+    for command, rows in cli._READS.items():
+        every = {name for row in rows.values() for name in row}
+        for mode, row in rows.items():
+            for name in sorted(every - set(row)):
+                yield pytest.param(command, mode, name,
+                                   id=f"{command}-{mode}-{cli._flag(name)[2:]}")
 
-    with mock.patch.object(cli, "load_points", must_not_run), \
-            mock.patch.object(est, "estimate_spectrum", must_not_run):
-        rc, out, err = run(capsys, "estimate", "missing.csv", "--mode", mode, *flags)
+
+# a --map of each verify chain kind
+_CHAIN_MAP = {"identity": [], "radial": ["--map", "radial:K=2"],
+              "pushforward": ["--map", "similarity:s=2"]}
+
+
+def _mode_argv(command, mode):
+    """A call of ``command`` in ``mode``; no input it names exists."""
+    if command == "verify":
+        return ["verify", "--set", "spiral:a=1", *_CHAIN_MAP[mode]]
+    if command == "classify":
+        return ["classify", "--a", "2", "--b", "1", *(["--json"] if mode == "json" else [])]
+    if command == "estimate":
+        return ["estimate", "missing.csv", "--mode", mode]
+    return [command, "--family" if command == "gen" else "--formula", mode]
+
+
+# a value each flag's own check accepts; every other flag takes 0.5
+_FLAG_VALUE = {"depth": "10", "mmax": "10", "centers": "5", "inner_p": "9", "plot": "x.csv",
+               "source_csv": "x.csv", "out": "x.json"}
+
+
+@pytest.mark.parametrize("command, mode, name", _unread_flags())
+def test_a_flag_its_mode_does_not_read_is_refused_before_any_input(monkeypatch, tmp_path,
+                                                                    capsys, command, mode, name):
+    must_not_run = mock.Mock(side_effect=AssertionError(f"ran past the {name} check"))
+    monkeypatch.setattr(cli, "load_points", must_not_run)
+    monkeypatch.setattr(cli.fam, "sample_family", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    flag = cli._flag(name)
+    rc, out, err = run(capsys, *_mode_argv(command, mode), flag, _FLAG_VALUE.get(name, "0.5"))
     assert rc == 2 and out == ""
-    assert_one_error_line(err, message)
+    assert_one_error_line(err, f"error: {flag} is not read by the {mode} "
+                               f"{cli._MODE_NOUN[command]}")
+    assert not must_not_run.called and not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("mode", ["assouad"])
@@ -604,7 +657,7 @@ def test_classify_out_needs_json(tmp_path, capsys):
     report = tmp_path / "k.json"
     rc, out, err = run(capsys, "classify", "--a", "2", "--b", "1", "--out", str(report))
     assert rc == 2 and out == "" and not report.exists()
-    assert_one_error_line(err, "--out", "--json")
+    assert_one_error_line(err, "--out is not read by the text report")
 
 
 @pytest.mark.parametrize("a, b", [("inf", "1"), ("1", "inf"), ("nan", "1"), ("0", "1")])
@@ -931,6 +984,13 @@ def test_verify_indexes_no_params(monkeypatch, capsys, tmp_path, spec):
     assert len(indexed) == (2 if spec else 1)
     assert all(ps.params is None for ps in indexed)
     assert len(made) >= len(indexed) and not any(made)
+
+
+def test_verify_radial_chain_reads_image_res(capsys, tmp_path):
+    argv = ["--set", "spiral:a=1", "--map", "radial:K=2", "--xmax", "100", "--res", "1e-3"]
+    default, given = (json.loads(verify_run(capsys, tmp_path, *argv, *extra)[1])["scenario"]
+                      for extra in ([], ["--image-res", "0.01"]))
+    assert given["imageRes"] == 0.01 != default["imageRes"]
 
 
 @two_cpus
