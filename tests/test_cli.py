@@ -376,6 +376,23 @@ def test_a_flag_its_mode_does_not_read_is_refused_before_any_input(monkeypatch, 
     assert not must_not_run.called and not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags", [
+    pytest.param(flags, id=f"assouad-{flags[0][2:]}")
+    for flags in (["--theta", "0.3"], ["--theta-min", "0.1"], ["--theta-max", "0.5"],
+                  ["--theta-step", "0.1"])])
+def test_estimate_plot_outside_spectrum_is_refused_before_loading(flags, capsys):
+    # The assouad mode runs a spectrum sweep, but on the default grid only.
+    # Its grid refusals are listed by hand: a table row that let it read a grid
+    # flag would drop the case from the test above rather than fail it.
+    must_not_run = mock.Mock(side_effect=AssertionError(f"ran past the {flags[0]} check"))
+    with mock.patch.object(cli, "load_points", must_not_run), \
+            mock.patch.object(est, "estimate_spectrum", must_not_run):
+        rc, out, err = run(capsys, "estimate", "missing.csv", "--mode", "assouad", *flags)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, f"error: {flags[0]} is not read by the assouad mode")
+    assert not must_not_run.called
+
+
 @pytest.mark.parametrize("mode", ["assouad"])
 def test_estimate_limit_modes_run_one_default_sweep(spiral_s1_coarse, mode, capsys):
     grids = []
