@@ -22,14 +22,12 @@ from .errors import (
     AssouadLabError,
     InvalidParameterError,
     PoleProximityError,
-    ResolutionExceededError,
-    ScaleBelowResolutionError,
     SpectrumUndefinedError,
     WindowTooNarrowError,
 )
 from .forking import forked
 from .geometry import _read_csv_table, load_points, save_points
-from .index import build_index, deepest_level
+from .index import build_index
 
 SCHEMA = "assouad-lab/1"
 
@@ -39,12 +37,7 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 # Every other AssouadLabError is a usage or parameter error.
-_NUMERIC_ERRORS = (
-    WindowTooNarrowError,
-    PoleProximityError,
-    ResolutionExceededError,
-    ScaleBelowResolutionError,
-)
+_NUMERIC_ERRORS = (WindowTooNarrowError, PoleProximityError)
 
 # gen families whose FamilySpec kind has another name
 _FAMILY_KINDS = {"logspiral": "log_spiral", "spiral": "poly_spiral"}
@@ -126,7 +119,7 @@ def _emit(args, payload: dict) -> None:
 
 def _load(args):
     ps = load_points(args.input, resolution=getattr(args, "res", None))
-    return ps, build_index(ps, deepest_level(ps))
+    return ps, build_index(ps)
 
 
 def _window_from(args, idx) -> Optional[est.ScaleWindow]:
@@ -457,7 +450,7 @@ def _sample_spiral(a: float, x_max: float, res: float):
 def _estimate_curve(ps, grid, centers):
     """The spectrum estimate of ``ps`` and the seconds it took."""
     t0 = time.perf_counter()
-    idx = build_index(ps, deepest_level(ps))
+    idx = build_index(ps)
     spec = est.estimate_spectrum(idx, theta_grid=grid, center_budget=centers)
     return spec, time.perf_counter() - t0
 
@@ -486,9 +479,8 @@ def cmd_verify(args) -> int:
     timings["sampleSource"] = clock() - t0
 
     a_img = None
-    img_res_used = args.res
     if net == 1.0:
-        a_img = a_src
+        a_img, img_ps = a_src, src_ps
         src_est, timings["estimateSource"] = _estimate_curve(src_ps, grid, args.centers)
         img_est = src_est
     else:
@@ -508,7 +500,6 @@ def cmd_verify(args) -> int:
                     res_img = tail_floor * (1.0 + 1e-9)
                     _warn(f"image resolution raised to {res_img:.3g} "
                           "to keep the truncation tail honest")
-                img_res_used = res_img
                 img_ps = _sample_spiral(a_img, args.xmax, res_img)
             else:
                 img_ps = qc.apply_map(f, src_ps)
@@ -555,7 +546,7 @@ def cmd_verify(args) -> int:
         "t": args.t,
         "xmax": args.xmax,
         "res": args.res,
-        "imageRes": img_res_used,
+        "imageRes": img_ps.resolution,
         "centers": args.centers,
         "thetaGrid": list(grid),
         "claimImageA": args.claim_image_a,

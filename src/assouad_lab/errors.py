@@ -13,10 +13,6 @@ class EmptySetError(AssouadLabError):
     """An operation that needs at least one point received none."""
 
 
-class ResolutionExceededError(AssouadLabError):
-    """A grid was requested below the declared sampling resolution."""
-
-
 class LevelOutOfRangeError(AssouadLabError):
     """A dyadic level outside the stored range was queried."""
 

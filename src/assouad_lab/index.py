@@ -10,8 +10,8 @@ first axis's address most significant: ball counting relies on it, since a
 slab of first-axis addresses is then one contiguous range of sorted keys.
 
 Queries never fabricate detail below the declared sampling resolution:
-building a grid whose leaf cells would be finer than the source
-resolution is refused outright.
+the index stops at the deepest level whose cells are still at least the
+source resolution.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     EmptySetError,
     InvalidParameterError,
     LevelOutOfRangeError,
-    ResolutionExceededError,
     ScaleBelowResolutionError,
 )
 from .geometry import PointSet
@@ -219,13 +218,26 @@ class MultiScaleIndex:
         return np.array([np.count_nonzero(d2 <= r2) for r2 in radii * radii], dtype=np.intp)
 
 
-def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
-    """Index a point sample down to the requested dyadic level.
+#: Largest coordinate magnitude and extent an index takes.  Its squared
+#: distances sum at most 8 squares of gaps within the root cube, and its slab
+#: bounds add a few coordinates and sides: far inside the float range below it.
+_MAX_MAGNITUDE = 2.0**500
 
-    The root is the smallest cube centered at the bounding-box midpoint
-    that covers the sample; a degenerate (single-point) box is widened so
-    the leaf cells sit exactly at the declared resolution.  Building is
-    refused when leaf cells would be finer than the resolution.
+#: Levels a single point, or a sample under its resolution, is indexed to:
+#: fewer make even a flat occupancy profile unfittable.
+_MIN_INDEX_LEVELS = 8
+
+
+def build_index(ps: PointSet) -> MultiScaleIndex:
+    """Index a point sample down to the deepest level whose cells are still at
+    least its declared resolution.
+
+    The root is the smallest cube centered at the bounding-box midpoint that
+    covers the sample, and the depth is ``floor(log2(extent / resolution))``,
+    capped by the packed-address budget.  A sample with no extent, or one
+    under its resolution, is indexed to ``_MIN_INDEX_LEVELS`` levels on a
+    root widened around its midpoint so the leaf cells sit exactly at the
+    resolution.
 
     Per point, building allocates the int64 leaf keys (sorted in place, with
     a dedup mask) and the uint16 coarse keys it keeps; everything else is
@@ -233,27 +245,41 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
     """
     if len(ps) == 0:
         raise EmptySetError("cannot index an empty point set")
+    lo, hi = ps.bounding_box()
+    lo_l, hi_l = lo.tolist(), hi.tolist()
+    extent = max(h - l for l, h in zip(lo_l, hi_l))  # inf on overflow, unwarned
+    ratio = extent / ps.resolution
+    if ratio == math.inf:
+        raise InvalidParameterError(
+            "the points' extent over their resolution overflows a float "
+            f"(extent {extent:.3g}, resolution {ps.resolution:.3g})"
+        )
+    reach = max(extent, -min(lo_l), max(hi_l))
+    if reach > _MAX_MAGNITUDE:
+        raise InvalidParameterError(
+            f"the points' coordinates or extent reach {reach:.3g}, past "
+            f"{_MAX_MAGNITUDE:.3g}: their squared distances would overflow a float"
+        )
     if ps.dim > MAX_AMBIENT_DIM:
         raise InvalidParameterError(
             f"ambient dimension {ps.dim} exceeds the supported maximum {MAX_AMBIENT_DIM}"
         )
-    if max_level < 0:
-        raise InvalidParameterError(f"max_level must be >= 0, got {max_level}")
+    # negative when the extent is 0 or under the resolution (or the ratio underflows)
+    level = math.floor(math.log2(ratio) + 1e-12) if ratio > 0.0 else -1
+    max_level = _MIN_INDEX_LEVELS if level < 0 else min(level, _ADDRESS_BITS // ps.dim)
     bits = max(max_level, 1)
     if ps.dim * bits > _ADDRESS_BITS:
         raise InvalidParameterError(
-            f"max_level {max_level} at dim {ps.dim} exceeds the packed-address budget"
+            f"{max_level} levels at dim {ps.dim} exceed the {_ADDRESS_BITS}-bit "
+            "packed-address budget"
         )
-
-    lo, hi = ps.bounding_box()
-    extent = float(np.max(hi - lo))
-    if extent == 0.0:
-        # Degenerate sample: widen so the deepest cells match the resolution.
+    if level < 0:
+        # Widen, as for a single point, so the deepest cells match the resolution.
         extent = float(ps.resolution) * 2.0**max_level
         if extent == math.inf:
             raise InvalidParameterError(
-                "the points' extent over their resolution overflows a float (one "
-                f"point, widened to resolution {ps.resolution:.3g} * 2^{max_level})"
+                "the points' extent over their resolution overflows a float (a sample "
+                f"under its resolution, widened to resolution {ps.resolution:.3g} * 2^{max_level})"
             )
     low = (lo + hi) / 2.0 - extent / 2.0
     low.flags.writeable = False
@@ -261,15 +287,9 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
     if root_side == 0.0:  # the least subnormal extent halves to 0
         raise InvalidParameterError(f"the points' extent {extent:.3g} halves to 0")
 
-    leaf_side = extent * 2.0**-max_level
-    if leaf_side < ps.resolution * (1.0 - 1e-12):
-        raise ResolutionExceededError(
-            f"leaf cells ({leaf_side:.3g}) would be finer than the declared "
-            f"resolution ({ps.resolution:.3g}); lower max_level"
-        )
-
     level_keys = [None] * (max_level + 1)
     coarse = min(max_level, 8, 16 // ps.dim)  # uint16 keys, radix-sorted; <= 256 cells an axis
+    leaf_side = extent * 2.0**-max_level
     keys, coarse_keys = _leaf_keys(ps.points, low, leaf_side, max_level, bits, coarse)
     keys.sort()
     level_keys[max_level] = _dedup(keys)
@@ -291,42 +311,6 @@ def build_index(ps: PointSet, max_level: int) -> MultiScaleIndex:
         coarse_level=coarse,
         _bits=bits,
     )
-
-
-#: Largest coordinate magnitude and extent an index takes.  Its squared
-#: distances sum at most 8 squares of gaps within the root cube, and its slab
-#: bounds add a few coordinates and sides: far inside the float range below it.
-_MAX_MAGNITUDE = 2.0**500
-
-#: Levels a single point is indexed to: fewer make even a flat occupancy
-#: profile unfittable.
-_MIN_INDEX_LEVELS = 8
-
-
-def deepest_level(ps: PointSet) -> int:
-    """Largest level whose leaf cells are still >= the declared resolution;
-    ``_MIN_INDEX_LEVELS`` for a single point, whose root ``build_index`` widens."""
-    lo, hi = ps.bounding_box()
-    lo, hi = lo.tolist(), hi.tolist()
-    extent = max(h - l for l, h in zip(lo, hi))  # inf on overflow, unwarned
-    ratio = extent / ps.resolution
-    if ratio == math.inf:
-        raise InvalidParameterError(
-            "the points' extent over their resolution overflows a float "
-            f"(extent {extent:.3g}, resolution {ps.resolution:.3g})"
-        )
-    reach = max(extent, -min(lo), max(hi))
-    if reach > _MAX_MAGNITUDE:
-        raise InvalidParameterError(
-            f"the points' coordinates or extent reach {reach:.3g}, past "
-            f"{_MAX_MAGNITUDE:.3g}: their squared distances would overflow a float"
-        )
-    if extent == 0.0:
-        return _MIN_INDEX_LEVELS
-    level = int(math.floor(math.log2(ratio) + 1e-12))
-    level = max(level, 0)
-    bits_budget = _ADDRESS_BITS // ps.dim
-    return min(level, bits_budget)
 
 
 def snap_level(idx: MultiScaleIndex, target_side: float) -> int:

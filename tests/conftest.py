@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from assouad_lab.families import FamilySpec, sample_family
 from assouad_lab.geometry import PointSet
-from assouad_lab.index import build_index, deepest_level
+from assouad_lab.index import build_index
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +23,7 @@ def cantor12():
 
 @pytest.fixture(scope="session")
 def cantor12_idx(cantor12):
-    return build_index(cantor12, deepest_level(cantor12))
+    return build_index(cantor12)
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +36,7 @@ def dense_square():
 
 @pytest.fixture(scope="session")
 def dense_square_idx(dense_square):
-    return build_index(dense_square, deepest_level(dense_square))
+    return build_index(dense_square)
 
 
 @pytest.fixture(scope="session")
@@ -48,14 +48,14 @@ def sequence_set():
 
 @pytest.fixture(scope="session")
 def sequence_idx(sequence_set):
-    return build_index(sequence_set, deepest_level(sequence_set))
+    return build_index(sequence_set)
 
 
 @pytest.fixture(scope="session")
 def unit_segment_idx():
     pts = np.column_stack([np.linspace(0.0, 1.0, 1001), np.zeros(1001)])
     ps = PointSet(dim=2, points=pts, resolution=1e-3)
-    return build_index(ps, deepest_level(ps))
+    return build_index(ps)
 
 
 @pytest.fixture(scope="session")
@@ -138,9 +138,13 @@ def encode(addr, bits):
     return key
 
 
-def index_sample(ps):
-    """Index at the deepest honest level, as the CLI does."""
-    return build_index(ps, deepest_level(ps))
+def at_level(points, level):
+    """A sample of ``points`` at resolution extent * 2^-level: ``build_index``
+    indexes it to ``level`` levels, with leaf cells of side extent * 2^-level."""
+    pts = np.asarray(points, dtype=np.float64)
+    pts = pts.reshape(len(pts), -1)
+    extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    return PointSet(dim=pts.shape[1], points=pts, resolution=extent * 2.0**-level)
 
 
 def center_aligned_count(ps, x, radius, m):

@@ -30,7 +30,7 @@ from assouad_lab.families import (
     oracle_spiral_spectrum,
     sample_family,
 )
-from assouad_lab.index import build_index, deepest_level, local_dyadic_count
+from assouad_lab.index import build_index, local_dyadic_count
 from assouad_lab.maps import apply_map, radial_stretch
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
@@ -53,7 +53,7 @@ def test_criterion_01_spiral_box_dimensions(capsys):
         t0 = time.perf_counter()
         ps = spiral(a, 1e4, 1e-3)
         assert len(ps) <= 2_000_000
-        e = estimate_box_dim(build_index(ps, deepest_level(ps)))
+        e = estimate_box_dim(build_index(ps))
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
         assert abs(e.value - target) <= 0.1
@@ -64,7 +64,7 @@ def test_criterion_01_spiral_box_dimensions(capsys):
 def test_criterion_02_spiral_spectrum_curve(capsys):
     t0 = time.perf_counter()
     ps = spiral(1.0, 1e4, 1e-5)
-    idx = build_index(ps, deepest_level(ps))
+    idx = build_index(ps)
     grid = tuple(round(0.05 * i, 10) for i in range(1, 15))  # 0.05 .. 0.70
     spec = estimate_spectrum(idx, theta_grid=grid)
     rho_hat = estimate_rho(spec, ambient_dim=2)
@@ -238,7 +238,7 @@ def test_criterion_08_randomized_index_battery(capsys):
     for i in range(200):
         n = (i % 3) + 1
         ps = make_random_set(rng, i, n)
-        idx = build_index(ps, deepest_level(ps))
+        idx = build_index(ps)
 
         for m in range(1, idx.max_level + 1):
             child = idx.cell_addresses(m)

@@ -135,7 +135,7 @@ def test_index_stats_payload(spiral_s1_coarse, capsys):
 
 
 @pytest.mark.parametrize("points, levels", [
-    ([(0.3, 0.7)], 8),  # zero extent: deepest_level's count for one point
+    ([(0.3, 0.7)], 8),  # zero extent: the levels a single point gets
     ([(0.0, 0.0), (1.0, 0.5)], 9),
 ])
 def test_index_for_does_not_reduce_the_points_again(monkeypatch, points, levels):
@@ -144,7 +144,7 @@ def test_index_for_does_not_reduce_the_points_again(monkeypatch, points, levels)
     calls = []
     bounds = geometry._column_bounds
     monkeypatch.setattr(geometry, "_column_bounds", lambda a: calls.append(1) or bounds(a))
-    idx = cli.build_index(ps, cli.deepest_level(ps))
+    idx = cli.build_index(ps)
     assert idx.max_level == levels and calls == []
 
 
@@ -160,6 +160,24 @@ def test_estimate_box_single_point(tmp_path, capsys):
     assert payload["value"] == 0.0
     assert payload["method"] == "box"
     assert "elapsedSeconds" in payload
+
+
+@pytest.mark.parametrize("rows", ["0,0\n0.0001,0\n", "0,0\n5e-324,0\n"],
+                         ids=["under-resolution", "subnormal-extent"])
+def test_a_sample_under_its_resolution_is_indexed_as_one_point(tmp_path, capsys, rows):
+    # Its root widens around the box midpoint to resolution * 2^8, as one point's does.
+    path = tmp_path / "tiny.csv"
+    path.write_text(rows)
+    rc, out, err = run(capsys, "index-stats", str(path), "--res", "1e-3")
+    assert rc == 0 and "error" not in err
+    stats = strict_json(out)
+    assert (stats["maxLevel"], stats["rootSide"]) == (8, 0.256)
+    rc, out, err = run(capsys, "estimate", str(path), "--res", "1e-3", "--mode", "box")
+    assert rc == 0 and "error" not in err and strict_json(out)["value"] == 0.0
+    rc, out, err = run(capsys, "estimate", str(path), "--res", "1e-3", "--mode", "spectrum")
+    spec = strict_json(out)
+    assert rc == 0 and "error" not in err
+    assert all(v is None for v in spec["value"]) and set(spec["regularized"]) == {0.0}
 
 
 def test_estimate_needs_resolution_for_plain_csv(tmp_path, capsys):
@@ -272,7 +290,7 @@ def test_extent_over_resolution_that_overflows_exits_2(tmp_path, capsys, command
     assert_one_error_line(err, "extent over their resolution overflows a float")
 
 
-FAR = 2.0**500  # index.deepest_level's limit on coordinates and extent
+FAR = 2.0**500  # build_index's limit on coordinates and extent
 
 
 @pytest.mark.parametrize("command", ["estimate", "index-stats"])
@@ -985,9 +1003,9 @@ def test_verify_indexes_no_params(monkeypatch, capsys, tmp_path, spec):
     # on the way, sample or map's image, ever holds them, nor any index.
     indexed, build, made, post_init = [], cli.build_index, [], PointSet.__post_init__
 
-    def recorded(ps, level):
+    def recorded(ps):
         indexed.append(ps)
-        return build(ps, level)
+        return build(ps)
 
     def constructed(ps):
         made.append(ps.params is not None)
@@ -1008,6 +1026,13 @@ def test_verify_radial_chain_reads_image_res(capsys, tmp_path):
     default, given = (json.loads(verify_run(capsys, tmp_path, *argv, *extra)[1])["scenario"]
                       for extra in ([], ["--image-res", "0.01"]))
     assert given["imageRes"] == 0.01 != default["imageRes"]
+
+
+def test_verify_pushforward_reports_the_image_resolution(capsys, tmp_path):
+    # the image estimate runs on the map's image, whose resolution apply_map widens
+    report = json.loads(verify_run(capsys, tmp_path, *SMALL, "--map", PUSHFORWARDS[0])[1])
+    image = qc.apply_map(qc.parse_map_spec(PUSHFORWARDS[0]), cli._sample_spiral(1.0, 1e3, 1e-4))
+    assert report["scenario"]["imageRes"] == image.resolution > report["scenario"]["res"]
 
 
 @two_cpus

@@ -24,8 +24,8 @@ from assouad_lab.estimators import (
 )
 from assouad_lab.geometry import PointSet
 from assouad_lab.families import FamilySpec, sample_family
-from assouad_lab.index import _decode, build_index, deepest_level
-from conftest import encode, index_sample, point_samples, two_cpus
+from assouad_lab.index import _decode, build_index
+from conftest import encode, point_samples, two_cpus
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -33,7 +33,7 @@ LOG23 = math.log(2) / math.log(3)
 @pytest.fixture(scope="module")
 def single_point_idx():
     ps = PointSet(dim=2, points=[(0.3, 0.7)], resolution=1e-4)
-    return build_index(ps, 8)
+    return build_index(ps)
 
 
 def test_scale_window_validation():
@@ -87,7 +87,7 @@ def test_cantor_depth10_box():
 
     ps = sample_family(FamilySpec(kind="cantor", ratio=1.0 / 3.0, depth=10,
                                   target_resolution=(1.0 / 3.0) ** 10))
-    idx = build_index(ps, deepest_level(ps))
+    idx = build_index(ps)
     assert estimate_box_dim(idx).value == pytest.approx(LOG23, abs=0.05)
 
 
@@ -103,7 +103,7 @@ def test_sequence_assouad_one_sided(sequence_idx):
 
 
 def test_qa_and_assouad_read_the_last_regularized_value(cantor12_idx, sequence_idx):
-    spiral = index_sample(sample_family(
+    spiral = build_index(sample_family(
         FamilySpec(kind="poly_spiral", a=1.0, x_max=1e3, target_resolution=1e-3)))
     # the quasi-Assouad level of the curve is the Assouad estimate: no
     # finite window tells the two apart
@@ -122,7 +122,7 @@ def scaled_segments():
     for scale in (1.0, 1e-300, 1e150):
         pts = np.column_stack([np.linspace(0.0, scale, 257), np.zeros(257)])
         ps = PointSet(dim=2, points=pts, resolution=scale / 256)
-        out.append(build_index(ps, deepest_level(ps)))
+        out.append(build_index(ps))
     return out
 
 
@@ -163,7 +163,7 @@ def test_no_ray_at_theta_095_even_on_62_levels():
     # The deepest index there is: a ray at 0.95 spans at most
     # 0.05 * (62 - 3) = 2.95 octaves, under the 3 a ray needs.
     pts = np.concatenate([[0.0], 2.0 ** (-np.arange(248) / 4)])
-    idx = index_sample(PointSet(dim=1, points=pts, resolution=2.0**-62))
+    idx = build_index(PointSet(dim=1, points=pts, resolution=2.0**-62))
     assert idx.max_level == 62
     grid = DEFAULT_THETA_GRID + (0.95,)
     for window in (None, ScaleWindow(2.0**-63, 0.5)):
@@ -210,7 +210,7 @@ def test_finite_stability_under_union(cantor12, cantor12_idx):
     shifted = cantor12.points + 2.0
     union = PointSet(dim=1, points=np.vstack([cantor12.points, shifted]),
                      resolution=cantor12.resolution)
-    union_idx = build_index(union, deepest_level(union))
+    union_idx = build_index(union)
     part = estimate_spectrum(cantor12_idx).regularized_values
     whole = estimate_spectrum(union_idx).regularized_values
     for p, w in zip(part, whole):
@@ -237,7 +237,7 @@ def test_spectrum_is_unchanged_when_every_radius_is_counted(cantor12_idx, sequen
         skipped.append(int((~counted).sum()))
         return count_rays(idx, centers, ks, radii_by_k, np.ones_like(counted))
 
-    spiral = index_sample(sample_family(
+    spiral = build_index(sample_family(
         FamilySpec(kind="poly_spiral", a=1.0, x_max=1e3, target_resolution=1e-4)))
     for idx in (cantor12_idx, sequence_idx, spiral):
         for grid in (DEFAULT_THETA_GRID, (0.1, 0.5, 0.95)):
@@ -254,7 +254,7 @@ def test_no_feasible_theta_places_no_center_and_counts_no_ball():
     # 2.80 octaves; 0.35 has a ray.  Where no theta is feasible, neither
     # select_centers nor _count_rays runs, and the absent theta reads as it
     # does beside a feasible one.
-    idx = index_sample(sample_family(
+    idx = build_index(sample_family(
         FamilySpec(kind="poly_spiral", a=0.5, x_max=1e4, target_resolution=1e-3)))
     calls = []
 
@@ -279,7 +279,7 @@ def test_one_count_call_a_level_and_only_for_thetas_with_a_ray():
     # On the README's S_1/2, 0.30 admits levels but spans too few octaves
     # for a ray, and 0.35 has one: each of 0.35's levels is counted in one
     # call, every center a row, for its one radius; 0.30's radii never are.
-    idx = index_sample(sample_family(
+    idx = build_index(sample_family(
         FamilySpec(kind="poly_spiral", a=0.5, x_max=1e4, target_resolution=1e-3)))
     count = index.MultiScaleIndex.count_intersecting_many
     calls = []
@@ -405,7 +405,7 @@ def coarse_cell_edges(dim):
     pts = np.clip(np.vstack([[np.zeros(dim)], edges, nudged, [np.ones(dim)]]), 0.0, 1.0)
     pts[rng.random(len(pts)) < 0.2, rng.integers(0, dim)] = 1.0
     ps = PointSet(dim=dim, points=pts, resolution=2.0**-10)
-    idx = index_sample(ps)
+    idx = build_index(ps)
     assert idx.coarse_level == level and np.array_equal(idx.low, np.zeros(dim))
     return ps
 
@@ -434,7 +434,7 @@ DIAGONAL = PointSet(dim=2, points=np.repeat(np.linspace(0.0, 1.0, 20_001)[:, Non
 @example(ps=DIAGONAL, budget=24)
 @example(ps=SNAPS_TWICE, budget=9)
 def test_select_centers_matches_reference(ps, budget):
-    idx = index_sample(ps)
+    idx = build_index(ps)
     got = select_centers(idx, budget)
     want = reference_hotspots(idx, budget)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -451,7 +451,7 @@ def test_select_centers_matches_reference(ps, budget):
     (CANTOR_12, 10, 10), (SEQUENCE, 8, 8), (DIAGONAL, 24, 64), (SNAPS_TWICE, 8, 8),
 ], ids=["cantor", "sequence", "diagonal", "snaps-twice"])
 def test_center_counts(ps, at_24, at_1000):
-    idx = index_sample(ps)
+    idx = build_index(ps)
     assert [len(select_centers(idx, b)) for b in (24, 1000)] == [at_24, at_1000]
 
 
@@ -460,7 +460,7 @@ def test_select_centers_on_coarse_cell_edges(dim):
     ps = coarse_cell_edges(dim)
     for block in (1, 3, 1024):
         with mock.patch.object(index, "_BLOCK", block):
-            idx = index_sample(ps)
+            idx = build_index(ps)
         for budget in (2, 17, 60, 200):
             got = select_centers(idx, budget)
             want = reference_hotspots(idx, budget)
@@ -479,7 +479,7 @@ def reference_coarse_keys(idx):
 @given(ps=point_samples(), block=st.sampled_from([1, 7, 2**14, 2**15]))
 def test_coarse_cells_group_points_by_leaf_ancestor(ps, block):
     with mock.patch.object(index, "_BLOCK", block):
-        idx = index_sample(ps)
+        idx = build_index(ps)
     order, starts, level = _coarse_cells(idx)
     assert level == idx.coarse_level == min(idx.max_level, 8, 16 // idx.dim)
     assert np.array_equal(np.sort(order), np.arange(len(ps)))
@@ -509,7 +509,7 @@ def test_coarse_keys_match_the_float_formula_on_cell_edges(dim):
     ps = PointSet(dim=dim, points=pts, resolution=2.0**-12)
     for block in (1, 7, 2**14, 2**15):
         with mock.patch.object(index, "_BLOCK", block):
-            idx = index_sample(ps)
+            idx = build_index(ps)
         assert idx.coarse_level == level and np.array_equal(idx.low, np.zeros(dim))
         assert np.array_equal(idx.coarse_keys, reference_coarse_keys(idx))
 
@@ -523,7 +523,7 @@ def test_coarse_cells_allocates_per_point_only_the_keys_and_the_order():
     # The keys live on the index; bincount's intp copy of them is freed
     # before the order is allocated.
     ps = sample_family(SPIRAL_200K)
-    idx = index_sample(ps)
+    idx = build_index(ps)
     tracemalloc.start()
     order, starts, _ = _coarse_cells(idx)
     peak = tracemalloc.get_traced_memory()[1]
@@ -548,7 +548,7 @@ def keys_in_runs(n: int, runs: int, seed: int = 0) -> np.ndarray:
     (keys_in_runs(161, 10), True),
 ], ids=["long-runs", "shuffled", "one-point", "one-cell", "runs-at-1/16", "runs-under-1/16"])
 def test_coarse_cells_is_the_stable_argsort(keys, run_path):
-    idx = index_sample(PointSet(dim=2, points=[(0.0, 0.0), (1.0, 1.0)], resolution=1e-3))
+    idx = build_index(PointSet(dim=2, points=[(0.0, 0.0), (1.0, 1.0)], resolution=1e-3))
     idx = dataclasses.replace(idx, coarse_keys=keys)
     with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
         order, starts, *_ = _coarse_cells(idx)
@@ -563,7 +563,7 @@ def test_coarse_cells_is_the_stable_argsort(keys, run_path):
 
 
 def test_coarse_cells_from_runs_allocate_per_point_only_the_order():
-    idx = index_sample(sample_family(S1_SMALL))  # 2,091 runs over 145,588 points
+    idx = build_index(sample_family(S1_SMALL))  # 2,091 runs over 145,588 points
     keys = idx.coarse_keys
     runs = np.count_nonzero(keys[1:] != keys[:-1]) + 1
     assert 16 * runs < len(keys)
@@ -582,7 +582,7 @@ def test_snap_back_reaches_neighbour_cells(near):
     # lower or the upper x edge, in a neighbouring leaf (and coarse) cell.
     pts = [(0.0, 0.0), (1.0, 1.0), (0.37, 0.37), (0.26, 0.49), (0.49, 0.49),
            (0.49, 0.26), near]
-    idx = index_sample(PointSet(dim=2, points=pts, resolution=1.0 / 8.0))
+    idx = build_index(PointSet(dim=2, points=pts, resolution=1.0 / 8.0))
     got = select_centers(idx, 1)
     assert got.tolist() == [list(near)]
     assert got.tobytes() == reference_hotspots(idx, 1).tobytes()
@@ -600,7 +600,7 @@ def test_hot_cells_tie_to_the_smaller_key(dim):
 
     pts = [leaf(44), leaf(40), leaf(12), leaf(8), leaf(24), leaf(28), leaf(31),
            [0.0] * dim, [1.0] * dim]
-    idx = build_index(PointSet(dim=dim, points=pts, resolution=1.0 / 64.0), 6)
+    idx = build_index(PointSet(dim=dim, points=pts, resolution=1.0 / 64.0))
     assert np.array_equal(idx.low, np.zeros(dim)) and idx.max_level == 6
     want = np.array([leaf(28), leaf(8), leaf(40), [0.0] * dim, [1.0] * dim])
     for budget in (1, 2, 3, 5, 6, 40):
@@ -615,7 +615,7 @@ def test_hotspots_allocate_no_cells_by_dim_array():
     # number of hot cells.  The coarse cells are built beforehand: their
     # allocations are bounded by the coarse-cell tests above.
     ps = sample_family(SPIRAL_200K)
-    idx = index_sample(ps)
+    idx = build_index(ps)
     cells = _coarse_cells(idx)
     leaves = idx.occupied_count(idx.max_level)
     with mock.patch.object(estimators, "_coarse_cells", lambda _: cells):
@@ -636,7 +636,7 @@ def test_select_centers_matches_reference_on_spirals(a, x_max, res, shuffle):
     if shuffle:
         perm = np.random.default_rng(5).permutation(len(ps))
         ps = PointSet(dim=2, points=ps.points[perm], resolution=ps.resolution)
-    idx = index_sample(ps)
+    idx = build_index(ps)
     assert idx.max_level > min(idx.max_level, 16 // idx.dim)
     got = select_centers(idx, 24)
     assert got.tobytes() == reference_hotspots(idx, 24).tobytes()
@@ -658,7 +658,7 @@ S1_SMALL = FamilySpec(kind="poly_spiral", a=1.0, x_max=1e3, target_resolution=1e
 
 def spectrum_invariants(points, resolution) -> str:
     """Values, regularized values and the diagnostics no similarity moves."""
-    spec = estimate_spectrum(index_sample(PointSet(dim=2, points=points, resolution=resolution)))
+    spec = estimate_spectrum(build_index(PointSet(dim=2, points=points, resolution=resolution)))
     keep = ("fit", "points", "span", "count", "p95")
     return json.dumps([spec.values, spec.regularized_values,
                        [d and [d[k] for k in keep] for d in spec.diagnostics]])
@@ -715,5 +715,5 @@ def test_spectrum_over_2_to_the_20_points_forks_nothing(forks):
     xs, ys = np.meshgrid(g, g)
     ps = PointSet(dim=2, points=np.column_stack([xs.ravel(), ys.ravel()]), resolution=1e-3)
     assert len(ps) > 1 << 20
-    estimate_spectrum(index_sample(ps))
+    estimate_spectrum(build_index(ps))
     assert len(forks) == 0

@@ -12,21 +12,20 @@ from assouad_lab.errors import (
     EmptySetError,
     InvalidParameterError,
     LevelOutOfRangeError,
-    ResolutionExceededError,
     ScaleBelowResolutionError,
 )
+from assouad_lab.estimators import estimate_box_dim
 from assouad_lab.families import cantor_intervals
 from assouad_lab.geometry import PointSet
 from assouad_lab.index import (
     _decode,
     _leaf_keys,
     build_index,
-    deepest_level,
     local_dyadic_count,
     snap_level,
 )
 from conftest import (
-    center_aligned_count, encode, index_sample, make_random_set, point_samples,
+    at_level, center_aligned_count, encode, make_random_set, point_samples,
 )
 
 
@@ -35,24 +34,21 @@ from conftest import (
 
 def test_single_point_occupies_one_cell_per_level():
     ps = PointSet(dim=2, points=[(0.0, 0.0)], resolution=1e-3)
-    idx = build_index(ps, 3)
-    assert [idx.occupied_count(m) for m in range(4)] == [1, 1, 1, 1]
+    idx = build_index(ps)
+    assert [idx.occupied_count(m) for m in range(9)] == [1] * 9
     # degenerate box is widened so the leaves sit at the resolution
-    assert idx.cell_side(3) == pytest.approx(ps.resolution)
+    assert idx.cell_side(8) == pytest.approx(ps.resolution)
 
 
 def test_unit_square_corners():
-    ps = PointSet(dim=2, points=[(0, 0), (1, 0), (0, 1), (1, 1)], resolution=1e-3)
-    idx = build_index(ps, 1)
+    idx = build_index(at_level([(0, 0), (1, 0), (0, 1), (1, 1)], 1))
     assert idx.occupied_count(1) == 4
 
 
 def test_uniform_grid_fills_level_six():
     g = np.linspace(0.0, 1.0, 100)
     xs, ys = np.meshgrid(g, g)
-    ps = PointSet(dim=2, points=np.column_stack([xs.ravel(), ys.ravel()]),
-                  resolution=1e-3)
-    idx = build_index(ps, 6)
+    idx = build_index(at_level(np.column_stack([xs.ravel(), ys.ravel()]), 6))
     assert idx.occupied_count(6) >= 0.99 * 4096
 
 
@@ -61,40 +57,37 @@ def test_empty_set_refused():
         # PointSet refuses no points, so empty a valid one after the fact
         ps = PointSet(dim=2, points=[(0.0, 0.0)], resolution=0.1)
         ps.points = ps.points[:0]
-        build_index(ps, 3)
+        build_index(ps)
 
 
-def test_indexing_below_resolution_refused():
+def test_leaf_cells_stop_at_the_resolution():
     ps = PointSet(dim=1, points=[(0.0,), (1.0,)], resolution=0.25)
-    with pytest.raises(ResolutionExceededError):
-        build_index(ps, 4)  # leaf side 1/16 < 0.25
-    idx = build_index(ps, 2)
-    assert idx.cell_side(2) == 0.25
+    idx = build_index(ps)
+    assert idx.max_level == 2 and idx.cell_side(2) == 0.25
 
 
 def test_deepest_level_respects_resolution():
     ps = PointSet(dim=1, points=[(0.0,), (1.0,)], resolution=1e-3)
-    lvl = deepest_level(ps)
+    lvl = build_index(ps).max_level
     assert 2.0**-lvl >= 1e-3 > 2.0 ** -(lvl + 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7])
 def test_one_point_is_indexed_to_eight_levels(dim):
     ps = PointSet(dim=dim, points=[np.full(dim, 0.3)], resolution=1e-3)
-    idx = build_index(ps, deepest_level(ps))
-    assert deepest_level(ps) == 8 and idx.max_level == 8
+    idx = build_index(ps)
+    assert idx.max_level == 8
     assert idx.cell_side(8) == ps.resolution
 
 
 def test_one_point_in_dim_8_overruns_the_address_budget():
     ps = PointSet(dim=8, points=[np.zeros(8)], resolution=1e-3)
     with pytest.raises(InvalidParameterError, match="packed-address budget"):
-        build_index(ps, deepest_level(ps))
+        build_index(ps)
 
 
 def test_root_corner_and_side_are_the_covering_cube_around_the_box_midpoint():
-    ps = PointSet(dim=2, points=[(0.0, 0.0), (1.0, 0.5)], resolution=1e-3)
-    idx = build_index(ps, 3)
+    idx = build_index(at_level([(0.0, 0.0), (1.0, 0.5)], 3))
     assert np.array_equal(idx.low, [0.0, -0.25]) and idx.root_side == 1.0
     assert not idx.low.flags.writeable
 
@@ -102,16 +95,86 @@ def test_root_corner_and_side_are_the_covering_cube_around_the_box_midpoint():
 def test_an_extent_that_halves_to_zero_is_refused():
     ps = PointSet(dim=2, points=[(0.0, 0.0), (5e-324, 0.0)], resolution=5e-324)
     with pytest.raises(InvalidParameterError, match="halves to 0"):
-        build_index(ps, deepest_level(ps))
+        build_index(ps)
 
 
 def test_build_is_deterministic():
     rng = np.random.default_rng(42)
-    ps = PointSet(dim=2, points=rng.uniform(size=(500, 2)), resolution=1e-3)
-    a = build_index(ps, 6)
-    b = build_index(ps, 6)
+    ps = at_level(rng.uniform(size=(500, 2)), 6)
+    a = build_index(ps)
+    b = build_index(ps)
     for m in range(7):
         assert np.array_equal(a.cell_addresses(m), b.cell_addresses(m))
+
+
+# ---- the depth rule against a reference --------------------------------
+
+
+def reference_depth(ps):
+    """floor(log2(extent / resolution)) capped at 62 // dim, or None where the
+    extent is 0 or under the resolution (the floor is negative)."""
+    ratio = float(np.max(ps.points.max(axis=0) - ps.points.min(axis=0))) / ps.resolution
+    if ratio == 0.0:  # no extent, or one so far under that the ratio underflows
+        return None
+    level = math.floor(math.log2(ratio) + 1e-12)
+    return None if level < 0 else min(level, 62 // ps.dim)
+
+
+@st.composite
+def depth_samples(draw):
+    """Samples in dims 1-8 whose extent is 0, just under or just over the
+    resolution (by 2^-1 down to 2^-52 of it), or up to 2^70 resolutions wide,
+    past every dimension's address cap."""
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    res = 2.0 ** draw(st.floats(-30.0, 30.0))
+    kind = draw(st.sampled_from(["zero", "under", "over", "wide"]))
+    if kind == "zero":
+        ratio = 0.0
+    elif kind == "wide":
+        ratio = 2.0 ** draw(st.floats(0.0, 70.0))
+    else:
+        ratio = 1.0 + (-1.0 if kind == "under" else 1.0) * 2.0 ** -draw(st.integers(1, 52))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    corner = rng.uniform(-100.0, 100.0, size=dim) * res
+    pts = corner + rng.uniform(0.0, 1.0, size=(n, dim)) * (ratio * res)
+    axis = draw(st.integers(0, dim - 1))
+    pts[0, axis], pts[-1, axis] = corner[axis], corner[axis] + ratio * res
+    return PointSet(dim=dim, points=pts, resolution=res)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ps=depth_samples())
+@example(ps=PointSet(dim=2, points=[(0.0, 0.0), (1e-4, 0.0)], resolution=1e-3))
+@example(ps=PointSet(dim=2, points=[(0.0, 0.0), (5e-324, 0.0)], resolution=4.0))
+def test_depth_is_the_floor_of_log2_extent_over_resolution(ps):
+    level = reference_depth(ps)
+    if level is None and ps.dim == 8:  # 8 levels of 8 fields pass the 62 address bits
+        with pytest.raises(InvalidParameterError, match="packed-address budget"):
+            build_index(ps)
+        return
+    idx = build_index(ps)
+    if level is not None:
+        assert idx.max_level == level
+        assert idx.cell_side(level) >= ps.resolution * (1.0 - 1e-12)
+        return
+    # No extent, or one under the resolution: indexed as one point at the
+    # box midpoint would be, to 8 levels on a root of resolution * 2^8.
+    mid = (ps.points.min(axis=0) + ps.points.max(axis=0)) / 2.0
+    point = build_index(PointSet(dim=ps.dim, points=[mid], resolution=ps.resolution))
+    assert idx.max_level == point.max_level == 8
+    assert idx.root_side == point.root_side == ps.resolution * 2.0**8
+    assert np.array_equal(idx.low, mid - idx.root_side / 2.0)
+    assert np.array_equal(idx.low, point.low)
+    # The midpoint is a corner of a cell at every level from 1 on, so the
+    # sample holds as many cells at each as it has orthants around it, and
+    # its occupancy profile is as flat as the point's: the box report reads
+    # the same apart from that constant count (and a slope of +-1e-16).
+    box, one = estimate_box_dim(idx), estimate_box_dim(point)
+    assert box.value == pytest.approx(one.value, abs=1e-15) and one.value == 0.0
+    assert (box.method, box.window) == (one.method, one.window)
+    assert [s for s, _ in box.slope_diagnostics] == [s for s, _ in one.slope_diagnostics]
+    assert len({c for _, c in box.slope_diagnostics}) == 1
 
 
 # ---- occupied_count ---------------------------------------------------
@@ -128,7 +191,7 @@ def test_segment_counts_match_1d_bucketing(unit_segment_idx):
 def test_cantor_endpoint_counts_track_interval_oracle():
     eps = np.unique(cantor_intervals(1.0 / 3.0, 8).reshape(-1))
     ps = PointSet(dim=1, points=eps.reshape(-1, 1), resolution=(1.0 / 3.0) ** 9)
-    idx = build_index(ps, deepest_level(ps))
+    idx = build_index(ps)
     for k in range(1, 6):
         lvl = snap_level(idx, 3.0**-k)
         c = idx.occupied_count(lvl)
@@ -225,7 +288,7 @@ def test_randomized_invariants_and_ball_sandwich(seed, n):
     # keep the property runs small; the acceptance suite does the full battery
     if len(ps) > 2000:
         ps = PointSet(dim=n, points=ps.points[:2000], resolution=ps.resolution)
-    idx = build_index(ps, deepest_level(ps))
+    idx = build_index(ps)
     assert_parent_closure_and_growth(idx)
 
     root_r = idx.root_side / 2
@@ -293,7 +356,7 @@ def with_signed_zeros(ps, seed):
 def test_level_keys_match_np_unique_reference(ps, zeros):
     if zeros is not None:
         ps = with_signed_zeros(ps, zeros)
-    idx = index_sample(ps)
+    idx = build_index(ps)
     lo, hi = ps.bounding_box()
     if zeros is None:
         assert lo.tobytes() == ps.points.min(axis=0).tobytes()
@@ -324,7 +387,7 @@ def reference_cell_dist2(idx, level, x):
 @given(ps=point_samples(), pick=st.integers(0, 2**16))
 @example(ps=PointSet(dim=2, points=[(0.3, 0.7)], resolution=1e-3), pick=0)
 def test_cell_dist2_is_bitwise_einsum(ps, pick):
-    idx = index_sample(ps)
+    idx = build_index(ps)
     point = ps.points[pick % len(ps)]
     for level in range(idx.max_level + 1):
         # a sample point, a cell corner (on the grid lines) and a far point
@@ -340,8 +403,7 @@ def test_cell_dist2_is_bitwise_einsum_in_every_dimension(dim):
     # einsum pairs the squares differently from dim 3 on; dim 8 folds a block
     rng = np.random.default_rng(dim)
     pts = rng.uniform(-1.0, 1.0, size=(4000, dim)) * rng.choice([1e-3, 1.0, 1e3], size=dim)
-    ps = PointSet(dim=dim, points=pts, resolution=1e-12)
-    idx = build_index(ps, 62 // dim if dim > 4 else 12)
+    idx = build_index(at_level(pts, 62 // dim if dim > 4 else 12))
     for level in (idx.max_level // 2, idx.max_level):
         xs = np.array([pts[0], pts[1] + 0.01, rng.uniform(-2e3, 2e3, size=dim)])
         for x in xs:
@@ -356,9 +418,9 @@ def test_build_index_allocates_per_point_only_a_column_the_keys_and_a_mask():
     # duplicate-heavy, so the per-point arrays dominate the per-cell ones
     n = 200_000
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
-    ps = PointSet(dim=2, points=pts, resolution=1e-3)
+    ps = at_level(pts, 7)
     tracemalloc.start()
-    idx = build_index(ps, 7)
+    idx = build_index(ps)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     returned = sum(k.nbytes for k in idx.level_keys)
@@ -379,7 +441,7 @@ def reference_count_many(idx, level, x, radii):
 @given(ps=point_samples(), pick=st.integers(0, 2**16),
        radii=st.lists(st.floats(0.0, 4.0), max_size=12))
 def test_count_intersecting_many_matches_matrix_reference(ps, pick, radii):
-    idx = index_sample(ps)
+    idx = build_index(ps)
     x = ps.points[pick % len(ps)]
     for level in range(idx.max_level + 1):
         # unsorted, repeated, and exactly at some cells' distances
@@ -401,7 +463,7 @@ def test_slab_count_matches_full_scan_at_slab_edges(ps, pick, radii, where, sign
     # x0 + R or x0 - R (R the largest radius) on a first-axis cell edge, or
     # one ulp to either side; edges reach a few cells past the root, and the
     # other coordinates may lie far outside it.
-    idx = index_sample(ps)
+    idx = build_index(ps)
     rmax = max(radii)
     x = ps.points[pick % len(ps)] + off
     for level in range(idx.max_level + 1):
@@ -420,7 +482,7 @@ def test_slab_count_matches_full_scan_in_dims_1_and_3(dim):
     # dim 1 has no key fields below the first axis; dim 3 has two
     rng = np.random.default_rng(dim)
     pts = rng.uniform(-1.0, 1.0, size=(3000, dim))
-    idx = build_index(PointSet(dim=dim, points=pts, resolution=1e-4), 12 if dim == 1 else 6)
+    idx = build_index(at_level(pts, 12 if dim == 1 else 6))
     for level in range(idx.max_level + 1):
         s = idx.cell_side(level)
         for x in (pts[0], rng.uniform(-3.0, 3.0, size=dim), idx.low + s):
@@ -436,7 +498,7 @@ def test_batched_counts_match_each_centers_full_scan(dim):
     # repeated, fall exactly on some cells' distances, and one is NaN.
     rng = np.random.default_rng(dim)
     pts = rng.uniform(-1.0, 1.0, size=(3000, dim))
-    idx = build_index(PointSet(dim=dim, points=pts, resolution=1e-4), 12 if dim == 1 else 6)
+    idx = build_index(at_level(pts, 12 if dim == 1 else 6))
     centers = np.vstack([pts[:4], rng.uniform(-3.0, 3.0, size=(2, dim)), [idx.low]])
     for level in range(idx.max_level + 1):
         s = idx.cell_side(level)
@@ -455,7 +517,7 @@ def test_slab_count_when_cells_near_the_float_resolution_of_the_coordinates():
     # the coordinates (2^-53 near 0.6), so float cell edges round by several
     # cells; the slab widens to cover them.
     pts = np.concatenate([[0.1, 1.1], 0.6 + np.arange(-3000, 3000) * 2.0**-55])
-    idx = build_index(PointSet(dim=1, points=pts[:, None], resolution=2.0**-56), 56)
+    idx = build_index(at_level(pts, 56))
     low = idx.low[0]
     for level in (54, 56):
         s = idx.cell_side(level)
