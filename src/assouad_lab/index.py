@@ -273,15 +273,19 @@ def build_index(ps: PointSet) -> MultiScaleIndex:
             f"{max_level} levels at dim {ps.dim} exceed the {_ADDRESS_BITS}-bit "
             "packed-address budget"
         )
+    low = (lo + hi) / 2.0
     if level < 0:
-        # Widen, as for a single point, so the deepest cells match the resolution.
+        # Widen, as for a single point, so the deepest cells match the
+        # resolution, and shift by half a leaf so the midpoint sits at the
+        # centre of a leaf cell rather than on a corner shared by 2^dim.
         extent = float(ps.resolution) * 2.0**max_level
         if extent == math.inf:
             raise InvalidParameterError(
                 "the points' extent over their resolution overflows a float (a sample "
                 f"under its resolution, widened to resolution {ps.resolution:.3g} * 2^{max_level})"
             )
-    low = (lo + hi) / 2.0 - extent / 2.0
+        low -= ps.resolution / 2.0
+    low -= extent / 2.0
     low.flags.writeable = False
     root_side = 2.0 * (extent / 2.0)
     if root_side == 0.0:  # the least subnormal extent halves to 0

@@ -53,7 +53,7 @@ class RadialPower:
     def inverse(self) -> "RadialPower":
         return RadialPower(1.0 / self.power)
 
-    def lipschitz(self, moduli_lo: float, moduli_hi: float) -> float:
+    def lipschitz(self, moduli_lo: float, moduli_hi: float, denom_min: float) -> float:
         # Derivative bound sup |z|^(power-1) over the annulus of the data.
         if moduli_hi == 0.0:
             return 1.0
@@ -83,7 +83,7 @@ class Similarity:
     def inverse(self) -> "Similarity":
         return Similarity(1.0 / self.scale, -self.offset / self.scale)
 
-    def lipschitz(self, moduli_lo: float, moduli_hi: float) -> float:
+    def lipschitz(self, moduli_lo: float, moduli_hi: float, denom_min: float) -> float:
         return float(np.abs(self.scale))  # numpy: a modulus past the float range is inf
 
 
@@ -116,13 +116,9 @@ class Mobius:
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
 
-    def lipschitz(self, moduli_lo: float, moduli_hi: float,
-                  denom_min: float | None = None) -> float:
+    def lipschitz(self, moduli_lo: float, moduli_hi: float, denom_min: float) -> float:
         det = np.abs(self.a * self.d - self.b * self.c)
-        if self.c == 0:
-            denom_min = np.abs(self.d)  # |cz + d| everywhere
-        elif denom_min is None:
-            raise InvalidParameterError("mobius lipschitz needs the minimum |cz + d|")
+        # |f'(z)| = |ad - bc| / |cz + d|^2, largest where |cz + d| is least;
         # numpy arithmetic: a square that leaves the float range, or a
         # minimum that underflows to 0, gives inf or 0 rather than an exception
         return float(det / np.float64(denom_min) ** 2)
@@ -160,13 +156,9 @@ def invert(f: PlanarMap) -> PlanarMap:
     return PlanarMap(ops=tuple(op.inverse() for op in reversed(f.ops)))
 
 
-#: Points per block of apply_map: every pass over the sample works block by
-#: block, in place, so temporaries fit in L2 whatever the sample size.
+#: Points per block of apply_map: each block is taken through every stage
+#: in place, so temporaries fit in L2 whatever the sample size.
 _BLOCK = 1 << 14
-
-
-def _blocks(n: int):
-    return (slice(s, s + _BLOCK) for s in range(0, n, _BLOCK))
 
 
 @np.errstate(all="ignore")  # leaving the float range is refused, not warned about
@@ -181,49 +173,50 @@ def apply_map(f: PlanarMap, ps: PointSet) -> PointSet:
 
     A stage that sends a point, or the resolution, outside the float
     range (to inf, NaN or a resolution of 0) is refused, naming the stage.
+    The first failing stage in chain order is the one refused.
 
-    Per point, only the (N, 2) output is allocated: the map works in place
-    on it, viewed as N complex numbers, one block of temporaries at a time.
+    The sample is read once: each block goes through every stage while it
+    is in cache, folded into a stage's statistics just before that stage
+    maps it, and the stages are checked in chain order after the last
+    block.  Per point, only the (N, 2) output is allocated: the map works
+    in place on it, viewed as N complex numbers.
     """
     if ps.dim != 2:
         raise DimensionMismatchError(f"planar maps need dim=2 point sets, got dim={ps.dim}")
     pts = ps.points
     out = np.empty((len(pts), 2))
     z = out.view(np.complex128).reshape(-1)
-    for b in _blocks(len(z)):
-        z[b] = pts[b, 0] + 1j * pts[b, 1]
-    resolution = ps.resolution
-    for op in f.ops:
-        lo, hi = np.inf, 0.0
-        gap = denom_min = np.inf
-        pole = op.pole if isinstance(op, Mobius) else None
-        for b in _blocks(len(z)):
-            moduli = np.abs(z[b])
+    # per stage, over the points it maps: least and largest nonzero modulus,
+    # least distance to its pole, least |cz + d|, and whether its image is finite
+    n = len(f.ops)
+    lo, gap, denom_min = [np.inf] * n, [np.inf] * n, [np.inf] * n
+    hi, finite = [0.0] * n, [True] * n
+    for s in range(0, len(z), _BLOCK):
+        zb = z[s:s + _BLOCK]
+        zb[:] = pts[s:s + _BLOCK, 0] + 1j * pts[s:s + _BLOCK, 1]
+        for k, op in enumerate(f.ops):
+            moduli = np.abs(zb)
             positive = moduli[moduli > 0]
             if len(positive):
-                lo = min(lo, float(positive.min()))
-                hi = max(hi, float(positive.max()))
-            if pole is not None:
-                gap = min(gap, float(np.min(np.abs(z[b] - pole))))
-                denom_min = min(denom_min, float(np.min(np.abs(op.c * z[b] + op.d))))
-        if lo == np.inf:
-            lo = 0.0
-        if pole is not None:
-            if gap < POLE_MARGIN * resolution:
-                raise PoleProximityError(
-                    f"point at distance {gap:.3e} from mobius pole "
-                    f"(need >= {POLE_MARGIN} * resolution = {POLE_MARGIN * resolution:.3e})"
-                )
-            scale = op.lipschitz(lo, hi, denom_min)
-        else:
-            scale = op.lipschitz(lo, hi)
-        finite = True
-        for b in _blocks(len(z)):
-            z[b] = op.apply(z[b])
-            finite = finite and bool(np.isfinite(z[b]).all())
-        resolution = resolution * scale
-        if not (finite and 0.0 < resolution < np.inf):
-            what = "its resolution" if finite else "a point"
+                lo[k] = min(lo[k], float(positive.min()))
+                hi[k] = max(hi[k], float(positive.max()))
+            if isinstance(op, Mobius):
+                denom_min[k] = min(denom_min[k], float(np.min(np.abs(op.c * zb + op.d))))
+                if op.pole is not None:
+                    gap[k] = min(gap[k], float(np.min(np.abs(zb - op.pole))))
+            zb[:] = op.apply(zb)
+            finite[k] = finite[k] and bool(np.isfinite(zb).all())
+    resolution = ps.resolution
+    for k, op in enumerate(f.ops):
+        if gap[k] < POLE_MARGIN * resolution:
+            raise PoleProximityError(
+                f"point at distance {gap[k]:.3e} from mobius pole "
+                f"(need >= {POLE_MARGIN} * resolution = {POLE_MARGIN * resolution:.3e})"
+            )
+        # with no nonzero modulus, lo stays inf and hi 0: the radial bound is 1
+        resolution = resolution * op.lipschitz(lo[k], hi[k], denom_min[k])
+        if not (finite[k] and 0.0 < resolution < np.inf):
+            what = "its resolution" if finite[k] else "a point"
             raise InvalidParameterError(
                 f"map stage {_format_stage(op)} sends {what} outside the float range"
             )
@@ -278,6 +271,8 @@ def parse_map_spec(text: str) -> PlanarMap:
                 key, eq, value = item.partition("=")
                 if not eq:
                     raise InvalidParameterError(f"malformed map argument {item!r}")
+                if key.strip().lower() in args:
+                    raise InvalidParameterError(f"{kind} stage repeats key {key.strip()!r}")
                 args[key.strip().lower()] = value.strip()
         if kind == "radial":
             if set(args) != {"k"}:

@@ -1,5 +1,7 @@
 """End-to-end checks of the assouad-lab command line."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from assouad_lab import cli, geometry, index
 from assouad_lab import estimators as est
@@ -165,13 +168,15 @@ def test_estimate_box_single_point(tmp_path, capsys):
 @pytest.mark.parametrize("rows", ["0,0\n0.0001,0\n", "0,0\n5e-324,0\n"],
                          ids=["under-resolution", "subnormal-extent"])
 def test_a_sample_under_its_resolution_is_indexed_as_one_point(tmp_path, capsys, rows):
-    # Its root widens around the box midpoint to resolution * 2^8, as one point's does.
+    # Its root widens around the box midpoint to resolution * 2^8, as one
+    # point's does, with the midpoint at a leaf cell's centre: one cell a level.
     path = tmp_path / "tiny.csv"
     path.write_text(rows)
     rc, out, err = run(capsys, "index-stats", str(path), "--res", "1e-3")
     assert rc == 0 and "error" not in err
     stats = strict_json(out)
     assert (stats["maxLevel"], stats["rootSide"]) == (8, 0.256)
+    assert [level["occupied"] for level in stats["levels"]] == [1] * 9
     rc, out, err = run(capsys, "estimate", str(path), "--res", "1e-3", "--mode", "box")
     assert rc == 0 and "error" not in err and strict_json(out)["value"] == 0.0
     rc, out, err = run(capsys, "estimate", str(path), "--res", "1e-3", "--mode", "spectrum")
@@ -837,6 +842,54 @@ def test_map_outside_the_float_range_exits_2(tmp_path, capsys, spec, needle):
     assert_one_error_line(err, needle)
 
 
+# ---- fuzzed map specs ------------------------------------------------------
+
+_STAGE_KEYS = {"radial": "K", "similarity": "st", "mobius": "abcd"}
+# literals a stage reads, listed three times so that most specs parse, then ones
+# that are zero, reach past the float range or do not parse
+_LITERALS = 3 * ["1", "-1", "2", "3", "0.5", "2i", "-1+0.5i"] + [
+    "0", "1e308", "1e-308", "5e-324", "1e400", "nan", "1+", "", "x"]
+# whole stages: a pole on the data point (1, 0), and one on (0.5, 0.5)
+_POLE_STAGES = ["mobius:a=0,b=1,c=1,d=-1", "mobius:a=1,b=0,c=2,d=-1-i"]
+
+
+@st.composite
+def map_specs(draw):
+    """Specs of 1-4 stages with missing, repeated, unknown and upper-case
+    keys, empty stages, unknown kinds and literals past the float range."""
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(3 * [*_STAGE_KEYS, "pole"] + ["Radial", "shear", ""]))
+        if kind == "pole":
+            stages.append(draw(st.sampled_from(_POLE_STAGES)))
+            continue
+        keys = [k for k in _STAGE_KEYS.get(kind.lower(), "") if draw(st.integers(0, 7))]
+        if not draw(st.integers(0, 5)):  # repeated, upper-case or unknown
+            keys.append(draw(st.sampled_from(["K", "S", "t", "a", "D", "q"])))
+        args = ",".join(f"{k}={draw(st.sampled_from(_LITERALS))}" for k in keys)
+        stages.append(f"{kind}:{args}" if args else kind)
+    return "|".join(stages)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=map_specs())
+def test_fuzzed_map_specs_exit_0_2_or_3_with_one_error_line(tmp_path_factory, spec):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    src, dst = tmp / "p.csv", tmp / "o.csv"
+    src.write_text("0.25,0.75\n0.5,0.5\n1,0\n")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(["map", str(src), "--res", "1e-3", "--spec", spec, "-o", str(dst)])
+    assert rc in (0, 2, 3) and out.getvalue() == "", spec
+    if rc:
+        assert_one_error_line(err.getvalue())
+        assert not dst.exists(), spec
+    else:
+        assert err.getvalue() == "" and len(load_points(dst).points) == 3, spec
+
+
 @pytest.mark.parametrize("spec, needle", [
     m for m in _FLOAT_RANGE_MAPS if m[0].startswith("mobius")])
 def test_verify_map_outside_the_float_range_exits_2(capsys, spec, needle):
@@ -867,6 +920,9 @@ def test_verify_chain_whose_dilatation_overflows_exits_2_before_sampling(monkeyp
     (["map", "{p}", "--spec", "mobius:a=1,b=0,c=0"], "mobius stage takes a=,b=,c=,d="),
     (["map", "{p}", "--spec", "similarity:s=1+"], "cannot parse complex literal '1+'"),
     (["map", "{p}", "--spec", "similarity:s=x"], "cannot parse complex literal 'x'"),
+    (["map", "{p}", "--spec", "radial:K=2,K=3"], "radial stage repeats key 'K'"),
+    (["map", "{p}", "--spec", "similarity:s=1,s=2"], "similarity stage repeats key 's'"),
+    (["map", "{p}", "--spec", "mobius:a=1,b=0,c=0,d=1,A=2"], "mobius stage repeats key 'A'"),
     (["bounds", "--formula", "symmetric-coeff", "--n", "1", "--K", "2"],
      "ambient dimension must be an integer >= 2, got 1"),
     (["bounds", "--formula", "spectrum", "--K", "2", "--t", "1", "--source-a", "1",
@@ -894,7 +950,8 @@ def test_verify_chain_whose_dilatation_overflows_exits_2_before_sampling(monkeyp
     (["bounds", "--formula", "biholder", "--K", "1.2", "--theta", "0.5", "--source-value", "3"],
      "planar dimension value must lie in [0, 2], got 3.0"),
 ], ids=["map-empty-stage", "map-bare-key", "map-similarity-no-s", "map-mobius-no-d",
-        "map-dangling-plus", "map-not-a-number", "symmetric-coeff-n1", "spectrum-inner-p",
+        "map-dangling-plus", "map-not-a-number", "map-repeated-key", "map-repeated-s",
+        "map-repeated-upper-case-key", "symmetric-coeff-n1", "spectrum-inner-p",
         "beta-upper-inner-p", "symmetric-coeff-alpha", "spectrum-two-sources",
         "ours-two-sources",
         "spectrum-negative-t", "ours-negative-t", "ours-d-past-2", "biholder-theta-past-1",

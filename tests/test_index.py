@@ -164,17 +164,14 @@ def test_depth_is_the_floor_of_log2_extent_over_resolution(ps):
     point = build_index(PointSet(dim=ps.dim, points=[mid], resolution=ps.resolution))
     assert idx.max_level == point.max_level == 8
     assert idx.root_side == point.root_side == ps.resolution * 2.0**8
-    assert np.array_equal(idx.low, mid - idx.root_side / 2.0)
+    # half a leaf below the centred root: the midpoint is a leaf cell's centre
+    assert np.array_equal(idx.low, (mid - ps.resolution / 2.0) - idx.root_side / 2.0)
     assert np.array_equal(idx.low, point.low)
-    # The midpoint is a corner of a cell at every level from 1 on, so the
-    # sample holds as many cells at each as it has orthants around it, and
-    # its occupancy profile is as flat as the point's: the box report reads
-    # the same apart from that constant count (and a slope of +-1e-16).
-    box, one = estimate_box_dim(idx), estimate_box_dim(point)
-    assert box.value == pytest.approx(one.value, abs=1e-15) and one.value == 0.0
-    assert (box.method, box.window) == (one.method, one.window)
-    assert [s for s, _ in box.slope_diagnostics] == [s for s, _ in one.slope_diagnostics]
-    assert len({c for _, c in box.slope_diagnostics}) == 1
+    # Every point lies under half a resolution from that centre, so the
+    # sample occupies one cell at every level, as the point does, and the
+    # box report reads the same.
+    assert [idx.occupied_count(m) for m in range(9)] == [1] * 9
+    assert estimate_box_dim(idx) == estimate_box_dim(point)
 
 
 # ---- occupied_count ---------------------------------------------------
@@ -325,9 +322,11 @@ def reference_level_keys(ps, max_level):
     bits = max(max_level, 1)
     lo, hi = ps.points.min(axis=0), ps.points.max(axis=0)
     extent = float(np.max(hi - lo))
-    if extent == 0.0:
+    low = (lo + hi) / 2.0
+    if extent == 0.0:  # widened, with the midpoint at a leaf cell's centre
         extent = ps.resolution * 2.0**max_level
-    low = (lo + hi) / 2.0 - extent / 2.0
+        low -= ps.resolution / 2.0
+    low -= extent / 2.0
     leaf_side = extent * 2.0**-max_level
     addr = np.floor((ps.points - low) / leaf_side).astype(np.int64)
     np.clip(addr, 0, (np.int64(1) << max_level) - 1, out=addr)

@@ -226,6 +226,7 @@ def reference_radial_apply(op, z):
     return out
 
 
+@np.errstate(all="ignore")
 def reference_apply_map(f, ps):
     z = ps.points[:, 0] + 1j * ps.points[:, 1]
     resolution = ps.resolution
@@ -234,15 +235,21 @@ def reference_apply_map(f, ps):
         positive = moduli[moduli > 0]
         lo = float(positive.min()) if len(positive) else 0.0
         hi = float(positive.max()) if len(positive) else 0.0
+        denom_min = float(np.min(np.abs(op.c * z + op.d))) if isinstance(op, Mobius) else np.inf
         if isinstance(op, Mobius) and op.pole is not None:
             gap = float(np.min(np.abs(z - op.pole)))
             if gap < maps.POLE_MARGIN * resolution:
-                raise PoleProximityError(f"gap {gap:.3e}")
-            scale = op.lipschitz(lo, hi, float(np.min(np.abs(op.c * z + op.d))))
-        else:
-            scale = op.lipschitz(lo, hi)
+                raise PoleProximityError(
+                    f"point at distance {gap:.3e} from mobius pole (need >= "
+                    f"{maps.POLE_MARGIN} * resolution = {maps.POLE_MARGIN * resolution:.3e})")
+        scale = op.lipschitz(lo, hi, denom_min)
         z = reference_radial_apply(op, z) if isinstance(op, RadialPower) else op.apply(z)
         resolution = resolution * scale
+        finite = bool(np.isfinite(z).all())
+        if not (finite and 0.0 < resolution < np.inf):
+            what = "its resolution" if finite else "a point"
+            raise InvalidParameterError(
+                f"map stage {maps._format_stage(op)} sends {what} outside the float range")
     return np.column_stack([z.real, z.imag]), resolution
 
 
@@ -255,6 +262,17 @@ MAPS = [parse_map_spec(spec) for spec in (
 )]
 # power > 1: the resolution then depends on the largest modulus
 MAPS.append(invert(MAPS[1]))
+# Chains refused on some or all samples: at a first stage whose successor
+# would fail too, or only at a later stage.  The first failing stage in
+# chain order is the one named.
+REFUSED_MAPS = [parse_map_spec(spec) for spec in (
+    "similarity:s=1e308,t=1e308|mobius:a=0,b=1,c=1,d=-1",
+    "mobius:a=0,b=1,c=1,d=-1|similarity:s=1e308,t=1e308",
+    "radial:K=2|similarity:s=5e-324|mobius:a=0,b=1,c=1,d=-1",
+    "mobius:a=0,b=1,c=1,d=0|similarity:s=1e308,t=1e308",
+    "radial:K=2|mobius:a=0,b=1,c=1,d=0",
+    "similarity:s=4|similarity:s=1e308",
+)]
 
 
 @st.composite
@@ -270,14 +288,15 @@ def planar_samples(draw):
     return PointSet(dim=2, points=pts, resolution=1e-6, params=params)
 
 
-@settings(max_examples=60, deadline=None)
-@given(ps=planar_samples(), f=st.sampled_from(MAPS), block=st.integers(1, 70))
+@settings(max_examples=100, deadline=None)
+@given(ps=planar_samples(), f=st.sampled_from(MAPS + REFUSED_MAPS), block=st.integers(1, 70))
 def test_apply_map_matches_whole_array_reference(ps, f, block):
     try:
         want, want_res = reference_apply_map(f, ps)
-    except PoleProximityError:
-        with mock.patch.object(maps, "_BLOCK", block), pytest.raises(PoleProximityError):
+    except AssouadLabError as exc:
+        with mock.patch.object(maps, "_BLOCK", block), pytest.raises(type(exc)) as got:
             apply_map(f, ps)
+        assert str(got.value) == str(exc)
         return
     with mock.patch.object(maps, "_BLOCK", block):
         img = apply_map(f, ps)
