@@ -265,6 +265,8 @@ def parse_map_spec(text: str) -> PlanarMap:
             raise InvalidParameterError("empty stage in map spec")
         kind, _, arg_text = stage.partition(":")
         kind = kind.strip().lower()
+        if kind not in ("radial", "similarity", "mobius"):
+            raise InvalidParameterError(f"unknown map stage kind {kind!r}")
         args = {}
         if arg_text:
             for item in arg_text.split(","):
@@ -287,12 +289,10 @@ def parse_map_spec(text: str) -> PlanarMap:
                 raise InvalidParameterError("similarity stage takes s=<complex>[,t=<complex>]")
             ops.append(Similarity(_parse_complex(args["s"]),
                                   _parse_complex(args.get("t", "0"))))
-        elif kind == "mobius":
+        else:
             if set(args) != {"a", "b", "c", "d"}:
                 raise InvalidParameterError("mobius stage takes a=,b=,c=,d=")
             ops.append(Mobius(*(_parse_complex(args[k]) for k in "abcd")))
-        else:
-            raise InvalidParameterError(f"unknown map stage kind {kind!r}")
     return PlanarMap(ops=tuple(ops))
 
 

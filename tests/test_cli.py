@@ -923,6 +923,7 @@ def test_verify_chain_whose_dilatation_overflows_exits_2_before_sampling(monkeyp
     (["map", "{p}", "--spec", "radial:K=2,K=3"], "radial stage repeats key 'K'"),
     (["map", "{p}", "--spec", "similarity:s=1,s=2"], "similarity stage repeats key 's'"),
     (["map", "{p}", "--spec", "mobius:a=1,b=0,c=0,d=1,A=2"], "mobius stage repeats key 'A'"),
+    (["map", "{p}", "--spec", "shear:x=1,x=2"], "unknown map stage kind 'shear'"),
     (["bounds", "--formula", "symmetric-coeff", "--n", "1", "--K", "2"],
      "ambient dimension must be an integer >= 2, got 1"),
     (["bounds", "--formula", "spectrum", "--K", "2", "--t", "1", "--source-a", "1",
@@ -951,7 +952,7 @@ def test_verify_chain_whose_dilatation_overflows_exits_2_before_sampling(monkeyp
      "planar dimension value must lie in [0, 2], got 3.0"),
 ], ids=["map-empty-stage", "map-bare-key", "map-similarity-no-s", "map-mobius-no-d",
         "map-dangling-plus", "map-not-a-number", "map-repeated-key", "map-repeated-s",
-        "map-repeated-upper-case-key", "symmetric-coeff-n1", "spectrum-inner-p",
+        "map-repeated-upper-case-key", "map-unknown-kind-first", "symmetric-coeff-n1", "spectrum-inner-p",
         "beta-upper-inner-p", "symmetric-coeff-alpha", "spectrum-two-sources",
         "ours-two-sources",
         "spectrum-negative-t", "ours-negative-t", "ours-d-past-2", "biholder-theta-past-1",
