@@ -48,8 +48,8 @@ def forked(fn, task: str):
                 out = (True, fn())
             except BaseException as exc:
                 out = (False, exc)
-            with open(fd_write, "wb") as fh:
-                pickle.dump(out, fh)
+            with open(fd_write, "wb") as fh:  # 5: an array's bytes go out without a copy
+                pickle.dump(out, fh, protocol=5)
             sys.stdout.flush()
             sys.stderr.flush()
             code = 0
@@ -61,12 +61,14 @@ def forked(fn, task: str):
     with open(fd_read, "rb") as reader:
         def join():
             nonlocal status
-            data = reader.read()
+            try:  # an array's bytes are read from the pipe straight into its buffer
+                ok, value = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError) as exc:  # cut short: the pipe is closed
+                ok, value = False, exc
             status = _reap(pid)
             if status:  # a negative code is the signal that ended the child
                 code = os.waitstatus_to_exitcode(status)
                 raise ChildProcessError(f"the forked {task} process ended with code {code}")
-            ok, value = pickle.loads(data)
             if not ok:
                 raise value
             return value

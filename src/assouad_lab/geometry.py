@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import os
 import shutil
 import sys
@@ -30,13 +31,16 @@ from .forking import can_overlap, forked
 # 17 significant digits round-trip every float64 exactly.  They are always
 # written in full, so repr (the shortest round-trip form) is often shorter.
 _FMT = "%.17g"
-_BLOCK_ROWS = 1 << 16  # rows formatted per write: flat memory, few calls; more use two CPUs
+_BLOCK_ROWS = 1 << 14  # rows formatted per write (a few MB of text); more use two CPUs
 _SPLIT_BYTES = 1 << 22  # a CSV of more bytes is read on two CPUs
 _CHUNK_BYTES = 1 << 20  # text read, or copied, per call
 _BOX_ROWS = 512  # rows per line of the bounding-box pass
 
-# Largest sample a family may generate or a file may hold (about 240 MB for
-# a planar curve with its parameters); larger ones are refused.
+# Largest sample a family may generate or a file may hold; larger ones are
+# refused.  A planar curve with its parameters is 240 MB of data at the
+# budget; writing its CSV adds about 7 MB to either process, and reading it
+# peaks near 36 bytes a point (360 MB) in the first and 12 (120 MB) in the
+# second (measured up to 2M points).
 POINT_BUDGET = 10_000_000
 
 
@@ -135,28 +139,29 @@ class PointSet:
 
         ``path`` may be a filesystem path or any object with a write method.
         """
-        cols = [f"x{i}" for i in range(self.dim)]
-        data = self.points
-        if self.params is not None:
-            cols.append("param")
-            data = np.column_stack([self.points, self.params])
         if hasattr(path, "write"):
-            self._write_csv(path, cols, data)
+            self._write_csv(path)
         else:
             with open(path, "w") as fh:
-                self._write_csv(fh, cols, data)
+                self._write_csv(fh)
 
-    def _write_csv(self, fh, cols, data) -> None:
+    def _write_csv(self, fh) -> None:
+        cols = [f"x{i}" for i in range(self.dim)]
+        data = [self.points]  # the columns, formatted a block at a time: no copy of them all
+        if self.params is not None:
+            cols.append("param")
+            data.append(self.params[:, None])
         fh.write(f"# assouad-lab dim={self.dim} resolution={_FMT % self.resolution}\n"
                  + ",".join(cols) + "\n")
-        row = ",".join([_FMT] * data.shape[1]) + "\n"
-        if len(data) <= _BLOCK_ROWS or not can_overlap():
+        row = ",".join([_FMT] * len(cols)) + "\n"
+        if len(self) <= _BLOCK_ROWS or not can_overlap():
             return _write_rows(fh, row, data)
         # A child writes the second half to an unlinked file, copied in bounded chunks.
-        half = len(data) // 2
+        half = len(self) // 2
         with (tempfile.TemporaryFile("w+", 1, encoding="ascii", newline="") as tail,
-              forked(lambda: _write_rows(tail, row, data[half:]), "CSV write") as join):
-            _write_rows(fh, row, data[:half])
+              forked(lambda: _write_rows(tail, row, [c[half:] for c in data]), "CSV write")
+              as join):
+            _write_rows(fh, row, [c[:half] for c in data])
             join()
             tail.seek(0)
             shutil.copyfileobj(tail, fh, _CHUNK_BYTES)
@@ -187,18 +192,21 @@ class PointSet:
             raise InvalidParameterError(f"{path}: {exc}") from None
 
     def to_json(self, path) -> None:
-        payload = {
-            "schema": "assouad-lab/1",
-            "dim": self.dim,
-            "resolution": self.resolution,
-            "points": self.points.tolist(),
-        }
-        if self.params is not None:
-            payload["params"] = [
-                None if not np.isfinite(v) else v for v in self.params
-            ]
+        """What ``json.dump`` writes of the whole payload, byte for byte, with
+        the points and params lists written a block of rows at a time."""
+        def items(values, fix=lambda block: block):
+            for start in range(0, len(values), _BLOCK_ROWS):
+                block = fix(values[start:start + _BLOCK_ROWS].tolist())
+                fh.write((", " if start else "") + json.dumps(block)[1:-1])
+
+        meta = {"schema": "assouad-lab/1", "dim": self.dim, "resolution": self.resolution}
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(meta)[:-1] + ', "points": [')
+            items(self.points)
+            if self.params is not None:  # JSON has no inf: a limit point's param is null
+                fh.write('], "params": [')
+                items(self.params, lambda block: [v if math.isfinite(v) else None for v in block])
+            fh.write("]}")
 
     @classmethod
     def from_json(cls, path, resolution: float | None = None) -> "PointSet":
@@ -293,11 +301,12 @@ def _read_csv_table(path):
     return meta_dim, meta_res, header, arr
 
 
-def _write_rows(fh, row: str, data: np.ndarray) -> None:
-    # One %-operation per block of rows; each value is still a Python
-    # float under %.17g, so the text round-trips bit for bit.
-    for start in range(0, len(data), _BLOCK_ROWS):
-        block = data[start:start + _BLOCK_ROWS]
+def _write_rows(fh, row: str, data: list) -> None:
+    # One %-operation per block of rows, taken from slices of the (N, k)
+    # column arrays in ``data``; each value is still a Python float under
+    # %.17g, so the text round-trips bit for bit.
+    for start in range(0, len(data[0]), _BLOCK_ROWS):
+        block = np.hstack([c[start:start + _BLOCK_ROWS] for c in data])
         fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -336,8 +345,17 @@ def _load_halves(path, first: int) -> np.ndarray:
     with forked(lambda: _load_range(path, cut, size), "CSV read") as join:
         head = _load_range(path, start, cut)
         tail = join()
-    # Halves of different widths raise ValueError, as a ragged file does in one pass.
-    return np.concatenate([head, tail]) if len(tail) else head  # comments add no rows
+    if not len(tail):  # comments add no rows
+        return head
+    if tail.shape[1] != head.shape[1]:  # as a ragged file does in one pass
+        raise ValueError("the halves have different numbers of columns")
+    # One result, filled a half at a time: its pages are touched only as they are filled.
+    n = len(head)
+    arr = np.empty((n + len(tail), tail.shape[1]))
+    arr[:n] = head
+    del head  # freed before the tail is copied
+    arr[n:] = tail
+    return arr
 
 
 def _check_size(path, n_points: int) -> None:

@@ -8,12 +8,17 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assouad_lab import geometry
+from assouad_lab import forking, geometry
 from assouad_lab.cli import main
 from assouad_lab.errors import EmptySetError, InvalidParameterError
 from assouad_lab.geometry import PointSet, load_points, save_points
@@ -207,6 +212,16 @@ def csv_samples(draw):
                     resolution=ps.resolution, params=params)
 
 
+def whole_array_csv(ps) -> str:
+    """The writer before it formatted from the columns: the points and params
+    stacked into one table, every row of it in one %-operation."""
+    cols = [f"x{i}" for i in range(ps.dim)] + ([] if ps.params is None else ["param"])
+    stacked = ps.points if ps.params is None else np.column_stack([ps.points, ps.params])
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    return (f"# assouad-lab dim={ps.dim} resolution={'%.17g' % ps.resolution}\n"
+            + ",".join(cols) + "\n" + (row * len(stacked)) % tuple(stacked.ravel().tolist()))
+
+
 def written(ps) -> str:
     buf = io.StringIO()
     ps.to_csv(buf)
@@ -218,15 +233,28 @@ def written(ps) -> str:
 def test_csv_writer_matches_per_row_writer(ps, block):
     # small blocks put the row counts on both sides of a block boundary
     with mock.patch.object(geometry, "_BLOCK_ROWS", block):
-        assert written(ps) == reference_write_csv(ps)
+        text = written(ps)
+    assert text == reference_write_csv(ps) == whole_array_csv(ps)
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_csv_writer_at_real_block_size(extra):
+@pytest.mark.parametrize("extra", [-1, 0, 1, geometry._BLOCK_ROWS + 1])
+def test_csv_writer_at_real_block_size(forks, extra):
+    # one block short of, at and past a block, and past two blocks; the
+    # params hold inf, as a spiral's origin does
     n = geometry._BLOCK_ROWS + extra
-    pts = np.random.default_rng(n).uniform(-1, 1, size=(n, 1))
-    ps = PointSet(dim=1, points=pts, resolution=1e-3, params=np.arange(n) / 3.0)
-    assert written(ps) == reference_write_csv(ps)
+    rng = np.random.default_rng(n)
+    for dim in (1, 2, 3):
+        for params in (None, np.append(np.inf, rng.normal(size=n - 1))):
+            ps = PointSet(dim=dim, points=rng.uniform(-1, 1, size=(n, dim)), resolution=1e-3,
+                          params=params)
+            want = whole_array_csv(ps).splitlines(True)  # lines: a cheap report on failure
+            with one_cpu():
+                assert written(ps).splitlines(True) == want
+            assert not forks
+            if forking.can_overlap():
+                assert written(ps).splitlines(True) == want
+                assert len(forks) == (extra > 0)
+                del forks[:]
 
 
 CELL_FORMATS = ["%.17g", "%r", "%.6e", "%.3f", " %.17g ", "%+.17g"]
@@ -412,6 +440,69 @@ def test_split_csv_write_to_a_piped_stdout(tmp_path):
     assert proc.stdout == reference_write_csv(ps)
 
 
+MEMORY_PROBE = """
+import os, resource, sys, traceback
+import numpy as np
+from assouad_lab import forking, geometry
+
+def peak(who):  # bytes; ru_maxrss is in KiB on Linux
+    return resource.getrusage(getattr(resource, "RUSAGE_" + who)).ru_maxrss * 1024
+
+def step(work, n):
+    # Each step runs in a forked worker: a process started by exec carries the
+    # peak of the process that started it in ru_maxrss, a forked one its own.
+    pid = os.fork()
+    if pid:
+        os.waitpid(pid, 0)
+        return
+    code = 1
+    try:
+        with forking.forked(lambda: None, "floor") as join:  # a child's peak before any work
+            join()
+        self0, children0 = peak("SELF"), peak("CHILDREN")
+        work()
+        print((peak("SELF") - self0) / n, (peak("CHILDREN") - children0) / n)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        sys.stdout.flush()
+        os._exit(code)
+
+path, n = sys.argv[1], int(sys.argv[2])
+t = np.arange(n) / n  # a planar curve with its parameter, built with no transient copy
+pts = np.empty((n, 2))
+np.cos(t, out=pts[:, 0])
+np.sin(t, out=pts[:, 1])
+ps = geometry.PointSet(dim=2, points=pts, resolution=1e-3, params=t)
+step(lambda: ps.to_csv(path), n)
+del ps, pts, t
+step(lambda: geometry.PointSet.from_csv(path), n)
+"""
+
+# Peak growth in bytes a point of the first process and of its forked child
+# (over a child forked before the step), writing and then reading 500k rows of
+# x0,x1,param: 24 bytes a point of data.  Measured on 2-CPU Linux, Python
+# 3.11, numpy 2.4, three runs: write 14.1-14.4 and 12.0-12.3, read 43.6-45.8
+# and 21.8-23.9.  The writer that stacked the columns first took 63 and 60,
+# the reader that concatenated the halves 64-66 and 30.  Each bound is the
+# largest reading plus 6 bytes a point (3 MB).
+MEMORY_BOUNDS = {"write": (21, 19), "read": (52, 30)}
+
+
+@two_cpus
+@pytest.mark.skipif(resource is None, reason="peak memory is read with the resource module")
+def test_csv_write_and_read_peak_memory_per_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(geometry.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(tmp_path / "s.csv"),
+                           "500000"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    per_point = dict(zip(MEMORY_BOUNDS, [[float(v) for v in line.split()]
+                                         for line in proc.stdout.splitlines()]))
+    for step, bounds in MEMORY_BOUNDS.items():
+        assert all(v <= bound for v, bound in zip(per_point[step], bounds)), (step, per_point)
+
+
 def split_rows(path):
     """The loaded table (params as a last column) on two processes, and on one CPU."""
     tables = []
@@ -485,8 +576,8 @@ def cut_row(header: str, rows: list) -> int:
 
 
 @two_cpus
-@pytest.mark.parametrize("case", ["bad-cell", "columns-at-the-cut", "mid-file-header",
-                                  "not-text-after-the-cut"])
+@pytest.mark.parametrize("case", ["bad-cell", "columns-at-the-cut", "one-column-up-to-the-cut",
+                                  "mid-file-header", "not-text-after-the-cut"])
 def test_split_csv_read_errors_match_one_cpu(tmp_path, capsys, forks, case):
     header = "x0,x1\n"
     rows = [f"{i}.5,{i}.25\n" for i in range(20)]
@@ -498,6 +589,10 @@ def test_split_csv_read_errors_match_one_cpu(tmp_path, capsys, forks, case):
         # past the text the header scan decodes, and past the cut
         rows = [f"{i}.5,{i}.25\n" for i in range(2000)]
         rows[1990] = "0.3,0.4 # \udcff\n"  # written as the lone byte 0xff
+    elif case == "one-column-up-to-the-cut":  # blanks for ",i.25" keep every byte in place
+        k = cut_row(header, rows)
+        rows[:k] = [row.split(",")[0] + " " * len(row.split(",")[1].rstrip()) + " \n"
+                    for row in rows[:k]]
     else:  # "i,25" for "i.25" adds a column and keeps every byte in place
         k = cut_row(header, rows)
         rows[k:] = [row.replace(".25", ",25") for row in rows[k:]]
@@ -509,7 +604,8 @@ def test_split_csv_read_errors_match_one_cpu(tmp_path, capsys, forks, case):
     assert len(split[1].strip().split("\n")) == 1
     assert {"bad-cell": "line 18: non-numeric", "mid-file-header": "line 17: non-numeric",
             "not-text-after-the-cut": "line 1992: not utf-8 text",
-            "columns-at-the-cut": "columns"}[case] in split[1].lower()  # UTF-8 or utf-8
+            "columns-at-the-cut": "columns",
+            "one-column-up-to-the-cut": "columns"}[case] in split[1].lower()  # UTF-8 or utf-8
 
 
 @two_cpus
