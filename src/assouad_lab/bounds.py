@@ -49,19 +49,11 @@ def _check_dilatation(value: float, name: str = "dilatation") -> None:
         raise InvalidParameterError(f"{name} must be {bound}, got {value}")
 
 
-def planar_rh_exponent(K: float) -> float:
-    """Sharp reverse-Holder exponent 2K/(K-1) in the plane; +inf at K=1."""
-    _check_dilatation(K)
-    if K == 1.0:
-        return math.inf
-    return 2.0 * K / (K - 1.0)
-
-
 def rh_exponent_floor(n: int, K: float, lam: float = 1.0) -> float:
     """Lower bound n*lam*K/(lam*K - 1) for the reverse-Holder exponent.
 
-    Valid in every dimension; agrees with planar_rh_exponent when n=2 and
-    lam=1.  Returns +inf when lam*K == 1.
+    Valid in every dimension; at n=2 and lam=1 it is the sharp planar
+    exponent 2K/(K-1).  Returns +inf when lam*K == 1.
     """
     _check_ambient(n)
     _check_dilatation(K)
@@ -101,7 +93,7 @@ class ExponentContext:
             if self.K == 1.0:
                 p = math.inf
             elif self.n == 2:
-                p = planar_rh_exponent(self.K)
+                p = rh_exponent_floor(2, self.K)
             else:
                 raise InvalidParameterError(
                     "exponent p must be supplied for n >= 3 (see rh_exponent_floor)"
@@ -126,7 +118,7 @@ class ExponentContext:
         if k_inner == 1.0:
             return math.inf
         if self.n == 2:
-            return planar_rh_exponent(k_inner)
+            return rh_exponent_floor(2, k_inner)
         return rh_exponent_floor(self.n, k_inner, self.lam)
 
 

@@ -319,7 +319,7 @@ def cmd_bounds(args) -> int:
         values["value"] = bnd.symmetric_coeff(ctx)
     elif args.formula == "rh-exponent":
         if ctx.n == 2:
-            values["planar"] = bnd.planar_rh_exponent(ctx.K)
+            values["planar"] = bnd.rh_exponent_floor(2, ctx.K)
         values["floor"] = bnd.rh_exponent_floor(ctx.n, ctx.K, ctx.lam)
         assumptions.append("floor = n*lambda*K/(lambda*K - 1), a lower bound in every dimension")
     elif args.formula == "assouad":

@@ -137,15 +137,21 @@ def _coarse_cells(idx: MultiScaleIndex) -> tuple[np.ndarray, np.ndarray, int]:
     level, keys = idx.coarse_level, idx.coarse_keys
     starts = np.zeros((1 << (level * idx.dim)) + 1, dtype=np.intp)
     new = keys[1:] != keys[:-1]
-    if 16 * (np.count_nonzero(new) + 1) >= len(keys):
+    # The run path below wins under one run of a key per 4 points.  Forced
+    # paths, in-process medians on 2 CPUs, run path over argsort: 0.21 on
+    # the S_1 source (0.001 runs a point), 0.39 on its pushforward image
+    # (0.025), 0.51 on the radial image (0.075), 0.90 on S_1/2 at res 1e-3
+    # (0.12), 3.3-3.8 on the last two shuffled (0.9-1); on synthetic keys,
+    # 0.64-0.79 at 0.2 and 1.06-1.67 from 0.25 to 0.3 (400k points),
+    # 0.60-0.78 at 0.2 and 0.7-1.2 from 0.25 to 0.3 (2M points).
+    if 4 * (np.count_nonzero(new) + 1) >= len(keys):
         del new
         np.cumsum(np.bincount(keys, minlength=len(starts) - 1), out=starts[1:])
         order = np.argsort(keys, kind="stable")
     else:
-        # Under one run of a key per 16 points (a sample in curve order): a
-        # stable sort keeps each run whole and runs of one key in index order,
-        # so laying out the runs in stable key order gives the stable argsort.
-        # (Near one run per point, as in a shuffled sample, it is 4-5x slower.)
+        # A sample in curve order: a stable sort keeps each run whole and
+        # runs of one key in index order, so laying out the runs in stable
+        # key order gives the stable argsort.
         first = np.concatenate([[0], np.flatnonzero(new) + 1])
         del new
         size = np.diff(first, append=len(keys))
@@ -224,22 +230,16 @@ def select_centers(idx: MultiScaleIndex, budget: int) -> np.ndarray:
         lo = (np.maximum(cell - 1, 0) >> shift).tolist()
         hi = (np.minimum(cell + 1, last) >> shift).tolist()
         cand = []
-        # Row-major keys: the last coordinate's range is one contiguous slice.
-        for head in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
-            base = 0
-            for a in head:
-                base = (base << level) | a
-            base <<= level
-            row = range(base | lo[-1], (base | hi[-1]) + 1)
-            for c in row:
-                if c not in first_coords:
-                    first_coords[c] = points[order[starts[c]:starts[c + 1]], 0]
-            members = order[starts[row[0]]:starts[row[-1] + 1]]
+        for address in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            c = 0
+            for a in address:  # row-major, as the index packs its keys
+                c = (c << level) | a
+            if c not in first_coords:
+                first_coords[c] = points[order[starts[c]:starts[c + 1]], 0]
             # Points more than 1.5 leaf sides off in the first coordinate
             # are farther than the nearest point can be.
-            gap = np.concatenate([first_coords[c] for c in row])
-            gap -= cell_center[0]
-            cand.append(members[np.abs(gap, out=gap) <= 1.5 * side])
+            near = np.abs(first_coords[c] - cell_center[0]) <= 1.5 * side
+            cand.append(order[starts[c]:starts[c + 1]][near])
         cand = np.sort(np.concatenate(cand))
         d = np.linalg.norm(points[cand] - cell_center, axis=1)
         out.append(int(cand[np.argmin(d)]))
@@ -379,6 +379,8 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
         raise InvalidParameterError("theta grid must lie strictly inside (0, 1)")
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise InvalidParameterError("theta grid must be strictly increasing")
+    if center_budget < 1:  # refused whether or not a theta is feasible
+        raise InvalidParameterError(f"center budget must be >= 1, got {center_budget}")
     window = window or ScaleWindow.default_for(idx)
 
     try:
@@ -401,8 +403,6 @@ def estimate_spectrum(idx: MultiScaleIndex, theta_grid=DEFAULT_THETA_GRID,
         points = admitted.sum(0)
         span = np.where(admitted, g, -np.inf).max(0) - np.where(admitted, g, np.inf).min(0)
         feasible = np.flatnonzero((points >= _MIN_RAY_POINTS) & (span >= _MIN_RAY_SPAN))
-        if center_budget < 1:  # refused whether or not a theta is feasible
-            raise InvalidParameterError(f"center budget must be >= 1, got {center_budget}")
         if len(feasible):  # else no center is placed and no ball counted
             centers = select_centers(idx, center_budget)
             counted = np.zeros_like(admitted)  # the admitted radii of feasible thetas

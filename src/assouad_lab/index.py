@@ -178,28 +178,26 @@ class MultiScaleIndex:
     def count_intersecting_many(self, level: int, x, radii) -> np.ndarray:
         """Occupied cells at a level meeting each closed ball B(x, r), r in radii.
 
-        ``x`` is one point, giving one count per radius, or a (centers, dim)
-        array, giving a (centers, radii) array of counts.  When centers times
-        occupied cells is under ``_BATCH_TESTS``, every center is tested
-        against every cell in one ``cell_dist2`` matrix.  Otherwise each
-        center tests only the cells whose first-axis address lies within one
-        cell of [x0 - R, x0 + R] (R the largest radius), one range of the
-        row-major keys, widened by the cells that float rounding can span
-        (none unless a side nears 2^-48 of the coordinates).  Every cell left
-        out is at least R + side away, so the counts are those over every cell.
+        ``x`` is a (centers, dim) array, or one point as its only row; the
+        counts are a (centers, radii) array.  When centers times occupied
+        cells is under ``_BATCH_TESTS``, every center is tested against every
+        cell in one ``cell_dist2`` matrix.  Otherwise each center tests only
+        the cells whose first-axis address lies within one cell of
+        [x0 - R, x0 + R] (R the largest radius), one range of the row-major
+        keys, widened by the cells that float rounding can span (none unless
+        a side nears 2^-48 of the coordinates).  Every cell left out is at
+        least R + side away, so the counts are those over every cell.
         """
         self._check_level(level)
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64).reshape(-1, self.dim)
         radii = np.asarray(radii, dtype=np.float64)
-        if x.ndim < 2:
-            return self._slab_counts(level, x.reshape(self.dim), radii)
         counts = np.empty((len(x), len(radii)), dtype=np.intp)
         if len(x) * len(self.level_keys[level]) < _BATCH_TESTS:
             d2 = self.cell_dist2(level, x)
             for k, r2 in enumerate(radii * radii):
                 counts[:, k] = np.count_nonzero(d2 <= r2, axis=1)
         else:
-            for c, point in enumerate(x.reshape(len(x), self.dim)):
+            for c, point in enumerate(x):
                 counts[c] = self._slab_counts(level, point, radii)
         return counts
 
@@ -347,6 +345,9 @@ def local_dyadic_count(idx: MultiScaleIndex, x, radius: float, m: int) -> int:
         raise LevelOutOfRangeError(f"dyadic refinement m must be >= 0, got {m}")
     if radius <= 0:
         raise InvalidParameterError("ball radius must be positive")
+    if np.size(x) != idx.dim:  # else the counting would read it as several centers
+        raise InvalidParameterError(f"ball center must be one point of dimension "
+                                    f"{idx.dim}, got {np.size(x)} coordinates")
     target = 2.0**-m * 2.0 * radius
     if target < idx.source.resolution * (1.0 - 1e-12):
         raise ScaleBelowResolutionError(
@@ -358,4 +359,4 @@ def local_dyadic_count(idx: MultiScaleIndex, x, radius: float, m: int) -> int:
         raise LevelOutOfRangeError(
             f"query needs level {level} but the index stops at {idx.max_level}"
         )
-    return int(idx.count_intersecting_many(level, x, [radius])[0])
+    return int(idx.count_intersecting_many(level, x, [radius])[0, 0])

@@ -17,7 +17,6 @@ from assouad_lab.bounds import (
     classify_spirals,
     compare_bounds,
     ours_upper,
-    planar_rh_exponent,
     rh_exponent_floor,
     spectrum_bound_report,
     spectrum_bounds,
@@ -59,14 +58,14 @@ def test_theta_of_t_rejects_nonpositive():
 
 
 def test_planar_rh_exponent():
-    assert planar_rh_exponent(2.0) == 4.0
-    assert planar_rh_exponent(1.0) == math.inf
-    assert planar_rh_exponent(10.0) == pytest.approx(20.0 / 9.0)
+    assert rh_exponent_floor(2, 2.0) == 4.0
+    assert rh_exponent_floor(2, 1.0) == math.inf
+    assert rh_exponent_floor(2, 10.0) == pytest.approx(20.0 / 9.0)
 
 
 def test_rh_floor():
-    # n lambda K / (lambda K - 1); at n=2, lambda=1 it is the sharp value
-    assert rh_exponent_floor(2, 2.0) == planar_rh_exponent(2.0)
+    # n lambda K / (lambda K - 1); at n=2, lambda=1 it is the sharp value (above)
+    assert rh_exponent_floor(2, 2.0, lam=1.5) == 3.0
     assert rh_exponent_floor(3, 2.0, lam=1.0) == pytest.approx(6.0)
     assert rh_exponent_floor(3, 1.0) == math.inf
 
@@ -166,6 +165,15 @@ def test_spectrum_bounds_zero_convention():
     ctx = ExponentContext(n=2, K=2.0)
     lo, hi = spectrum_bounds(1.0, ctx, lambda th: 0.0)
     assert (lo, hi) == (0.0, 0.0)
+
+
+def test_spectrum_bounds_refuse_a_nan_or_out_of_range_source_value():
+    ctx = ExponentContext(n=2, K=2.0)
+    with pytest.raises(SpectrumUndefinedError, match="undefined"):
+        spectrum_bounds(1.0, ctx, lambda th: math.nan)
+    for value in (-0.5, 2.5):
+        with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 2\]"):
+            spectrum_bounds(1.0, ctx, lambda th: value)
 
 
 def test_assouad_bounds_frozen_example():
@@ -310,6 +318,11 @@ def test_interpolator_midpoints_and_hull():
         f(0.1)
     with pytest.raises(SpectrumUndefinedError):
         f(0.5)
+
+
+def test_interpolator_of_an_all_nan_curve_is_refused():
+    with pytest.raises(SpectrumUndefinedError, match="no finite values"):
+        spectrum_interpolator([0.1, 0.2], [math.nan, math.nan])
 
 
 def test_interpolator_skips_absent_points():

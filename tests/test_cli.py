@@ -842,6 +842,38 @@ def test_map_outside_the_float_range_exits_2(tmp_path, capsys, spec, needle):
     assert_one_error_line(err, needle)
 
 
+def test_radial_map_whose_resolution_leaves_the_float_range_exits_2(tmp_path, capsys):
+    # K=1e10 sends resolution 1e20 at modulus 1e-300 past the float range
+    src, dst = tmp_path / "p.csv", tmp_path / "o.csv"
+    src.write_text("1e-300,0\n2e-300,0\n")
+    rc, out, err = run(capsys, "map", str(src), "--res", "1e20", "--spec", "radial:K=1e10",
+                       "-o", str(dst))
+    assert rc == 2 and out == "" and not dst.exists()
+    assert_one_error_line(
+        err, "map stage radial:K=1e+10 sends its resolution outside the float range")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--set", "spiral:"], "spiral scenario needs a=<exponent>"),
+    (["gen", "--family", "cantor", "--depth", "-1"], "depth must be >= 0, got -1"),
+    (["gen", "--family", "sequence", "--mmax", "0"], "m_max must be >= 1, got 0"),
+    (["index-stats", "{nine}", "--res", "0.1"],
+     "ambient dimension 9 exceeds the supported maximum 8"),
+    (["index-stats", "{nan}"], "nan.json: points must be finite"),
+    (["index-stats", "{neg}"], "neg.json: resolution must be finite and positive, got -1.0"),
+], ids=["spiral-without-a", "cantor-depth", "sequence-mmax", "dim-9", "json-nan",
+        "json-resolution"])
+def test_parameter_and_input_refusals_exit_2(tmp_path, capsys, argv, message):
+    paths = {name: tmp_path / f"{name}.{ext}" for name, ext in
+             (("nine", "csv"), ("nan", "json"), ("neg", "json"))}
+    paths["nine"].write_text("\n".join([",".join(["0.5"] * 9)] * 3) + "\n")
+    paths["nan"].write_text('{"dim": 2, "resolution": 1e-3, "points": [[0, 0], [NaN, 1]]}')
+    paths["neg"].write_text('{"dim": 2, "resolution": -1, "points": [[0, 0], [1, 1]]}')
+    rc, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, message)  # a file's refusal names the file
+
+
 # ---- fuzzed map specs ------------------------------------------------------
 
 _STAGE_KEYS = {"radial": "K", "similarity": "st", "mobius": "abcd"}
@@ -1151,6 +1183,33 @@ def test_verify_child_killed_by_a_signal_exits_with_one_line(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: the forked estimate process ended with code -9"]
+
+
+@pytest.mark.parametrize("xmax, res, big", [("100", "1e-2", False), ("1e4", "5e-3", True)],
+                         ids=["small", "over-split-bytes"])
+def test_csv_piped_through_dev_stdin_reads_like_the_file(tmp_path, xmax, res, big):
+    # A pipe's size reads as 0, so a CSV piped in is read in one process at
+    # any length; the second sample is one a file would split across two.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-m", "assouad_lab.cli"]
+    gen = [*cmd, "gen", "--family", "spiral", "--a", "0.5", "--xmax", xmax, "--res", res]
+    subprocess.run([*gen, "-o", "s.csv"], cwd=tmp_path, env=env, check=True, timeout=120)
+    assert ((tmp_path / "s.csv").stat().st_size > geometry._SPLIT_BYTES) == big
+
+    def estimate(source, stdin=None):
+        proc = subprocess.run([*cmd, "estimate", source, "--mode", "box"], cwd=tmp_path,
+                              env=env, stdin=stdin, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        report = json.loads(proc.stdout)
+        assert report.pop("input") == source
+        del report["elapsedSeconds"]
+        return report
+
+    with subprocess.Popen(gen, cwd=tmp_path, env=env, stdout=subprocess.PIPE) as producer:
+        piped = estimate("/dev/stdin", producer.stdout)
+    assert producer.returncode == 0
+    assert piped == estimate("s.csv")
 
 
 @two_cpus

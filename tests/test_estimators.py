@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -307,6 +308,34 @@ def test_box_needs_four_levels(cantor12_idx):
         estimate_box_dim(cantor12_idx, window=ScaleWindow(0.01, 0.1))
 
 
+@pytest.mark.parametrize("grid, message", [
+    ((0.0, 0.5), "strictly inside (0, 1)"),
+    ((0.5, 1.0), "strictly inside (0, 1)"),
+    ((), "strictly inside (0, 1)"),
+    ((0.3, 0.3), "strictly increasing"),
+    ((0.5, 0.2), "strictly increasing"),
+], ids=["zero", "one", "empty", "repeated", "decreasing"])
+def test_spectrum_refuses_a_theta_grid_outside_0_1_or_not_increasing(cantor12_idx, grid,
+                                                                     message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        estimate_spectrum(cantor12_idx, theta_grid=grid)
+
+
+def test_center_budget_below_1_is_refused_before_the_window(cantor12_idx):
+    # Two points 4 resolutions apart: a 2-level index whose default window
+    # is empty.  On the Cantor index, a window with r_min above root/8: no
+    # level range.  A budget of 0 is refused for itself, not for the scales.
+    two = build_index(PointSet(dim=2, points=[(0.0, 0.0), (0.004, 0.0)], resolution=1e-3))
+    with pytest.raises(WindowTooNarrowError):
+        estimate_spectrum(two)
+    narrow = ScaleWindow(cantor12_idx.root_side / 4, cantor12_idx.root_side)
+    for idx, window in ((two, None), (cantor12_idx, narrow)):
+        for budget in (0, -3):
+            with pytest.raises(InvalidParameterError,
+                               match=f"center budget must be >= 1, got {budget}"):
+                estimate_spectrum(idx, window=window, center_budget=budget)
+
+
 # ---- rho ----------------------------------------------------------------
 
 
@@ -338,6 +367,12 @@ def test_rho_sits_at_grid_top_while_curve_still_rising():
                               diagnostics=[None] * 3)
     # nothing before the final point comes within epsilon of the top value
     assert estimate_rho(rising, 2, epsilon=0.05) == 0.3
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1])
+def test_rho_refuses_a_nonpositive_epsilon(epsilon):
+    with pytest.raises(InvalidParameterError, match="epsilon must be positive"):
+        estimate_rho(oracle_estimate(1.0), 2, epsilon=epsilon)
 
 
 # ---- serialization ------------------------------------------------------
@@ -521,13 +556,15 @@ SPIRAL_200K = FamilySpec(kind="poly_spiral", a=0.5, x_max=1e4, target_resolution
 
 def test_coarse_cells_allocates_per_point_only_the_keys_and_the_order():
     # The keys live on the index; bincount's intp copy of them is freed
-    # before the order is allocated.
+    # before the order is allocated.  Shuffled, so the argsort path runs.
     ps = sample_family(SPIRAL_200K)
-    idx = build_index(ps)
+    perm = np.random.default_rng(5).permutation(len(ps))
+    idx = build_index(PointSet(dim=2, points=ps.points[perm], resolution=ps.resolution))
     tracemalloc.start()
     order, starts, _ = _coarse_cells(idx)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    assert order.dtype == np.intp  # argsort's, not the run path's int32
     assert peak <= order.nbytes + 2 * starts.nbytes + 2**16
 
 
@@ -544,9 +581,9 @@ def keys_in_runs(n: int, runs: int, seed: int = 0) -> np.ndarray:
     (np.random.default_rng(1).permutation(keys_in_runs(20_000, 50)), False),
     (np.zeros(1, np.uint16), False),
     (np.full(5000, 1234, np.uint16), True),
-    (keys_in_runs(160, 10), False),  # one run per 16 points
-    (keys_in_runs(161, 10), True),
-], ids=["long-runs", "shuffled", "one-point", "one-cell", "runs-at-1/16", "runs-under-1/16"])
+    (keys_in_runs(40, 10), False),  # one run per 4 points
+    (keys_in_runs(41, 10), True),
+], ids=["long-runs", "shuffled", "one-point", "one-cell", "runs-at-1/4", "runs-under-1/4"])
 def test_coarse_cells_is_the_stable_argsort(keys, run_path):
     idx = build_index(PointSet(dim=2, points=[(0.0, 0.0), (1.0, 1.0)], resolution=1e-3))
     idx = dataclasses.replace(idx, coarse_keys=keys)
@@ -566,7 +603,7 @@ def test_coarse_cells_from_runs_allocate_per_point_only_the_order():
     idx = build_index(sample_family(S1_SMALL))  # 2,091 runs over 145,588 points
     keys = idx.coarse_keys
     runs = np.count_nonzero(keys[1:] != keys[:-1]) + 1
-    assert 16 * runs < len(keys)
+    assert 4 * runs < len(keys)
     tracemalloc.start()
     order, starts, _ = _coarse_cells(idx)
     peak = tracemalloc.get_traced_memory()[1]

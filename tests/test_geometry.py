@@ -46,6 +46,11 @@ def test_pointset_rejects_nonfinite():
         PointSet(dim=1, points=[(np.nan,)], resolution=0.1)
 
 
+def test_pointset_rejects_dim_below_1():
+    with pytest.raises(InvalidParameterError, match="dim must be >= 1, got 0"):
+        PointSet(dim=0, points=[(0.0,)], resolution=0.1)
+
+
 @pytest.mark.parametrize("res", [0.0, -1.0, np.inf, np.nan])
 def test_pointset_rejects_bad_resolution(res):
     with pytest.raises(InvalidParameterError):

@@ -240,6 +240,27 @@ def test_local_count_below_resolution_refused(unit_segment_idx):
         local_dyadic_count(unit_segment_idx, (0.5, 0.0), 0.001, 4)
 
 
+def test_local_count_refuses_a_nonpositive_radius(unit_segment_idx):
+    for radius in (0.0, -0.25):
+        with pytest.raises(InvalidParameterError, match="ball radius must be positive"):
+            local_dyadic_count(unit_segment_idx, (0.5, 0.0), radius, 2)
+
+
+@pytest.mark.parametrize("x", [(0.5,), (0.5, 0.0, 0.9, 0.4)])
+def test_local_count_refuses_a_center_that_is_not_one_point(unit_segment_idx, x):
+    with pytest.raises(InvalidParameterError, match="ball center must be one point of dimension 2"):
+        local_dyadic_count(unit_segment_idx, x, 0.25, 2)
+
+
+def test_local_count_refuses_a_level_past_the_index():
+    # Extent 3 at resolution 1: one level, leaf side 1.5.  A cell side of 1
+    # is at the resolution but snaps to level 2, which the index lacks.
+    idx = build_index(PointSet(dim=2, points=[(0.0, 0.0), (3.0, 0.0)], resolution=1.0))
+    assert idx.max_level == 1
+    with pytest.raises(LevelOutOfRangeError, match="query needs level 2 but the index stops at 1"):
+        local_dyadic_count(idx, (0.0, 0.0), 0.5, 0)
+
+
 def test_local_count_needs_stored_level(unit_segment_idx):
     idx = unit_segment_idx
     with pytest.raises((LevelOutOfRangeError, ScaleBelowResolutionError)):
@@ -445,7 +466,7 @@ def test_count_intersecting_many_matches_matrix_reference(ps, pick, radii):
     for level in range(idx.max_level + 1):
         # unsorted, repeated, and exactly at some cells' distances
         ladder = radii + radii[:2] + np.sqrt(idx.cell_dist2(level, x)[:3]).tolist()
-        got = idx.count_intersecting_many(level, x, ladder)
+        got = idx.count_intersecting_many(level, x, ladder)[0]
         want = reference_count_many(idx, level, x, ladder)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -458,6 +479,7 @@ def test_count_intersecting_many_matches_matrix_reference(ps, pick, radii):
        radii=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6),
        where=st.floats(-0.2, 1.2), sign=st.sampled_from([-1.0, 1.0]),
        ulps=st.sampled_from([-1, 0, 1]), off=st.sampled_from([0.0, 2.5, -1e3]))
+@mock.patch.object(index, "_BATCH_TESTS", 0)  # every center counts over its slab
 def test_slab_count_matches_full_scan_at_slab_edges(ps, pick, radii, where, sign, ulps, off):
     # x0 + R or x0 - R (R the largest radius) on a first-axis cell edge, or
     # one ulp to either side; edges reach a few cells past the root, and the
@@ -471,12 +493,13 @@ def test_slab_count_matches_full_scan_at_slab_edges(ps, pick, radii, where, sign
         x[0] = edge + sign * rmax
         if ulps:
             x[0] = np.nextafter(x[0], ulps * np.inf)
-        got = idx.count_intersecting_many(level, x, radii)
+        got = idx.count_intersecting_many(level, x, radii)[0]
         want = reference_count_many(idx, level, x, radii)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
+@mock.patch.object(index, "_BATCH_TESTS", 0)
 def test_slab_count_matches_full_scan_in_dims_1_and_3(dim):
     # dim 1 has no key fields below the first axis; dim 3 has two
     rng = np.random.default_rng(dim)
@@ -486,7 +509,7 @@ def test_slab_count_matches_full_scan_in_dims_1_and_3(dim):
         s = idx.cell_side(level)
         for x in (pts[0], rng.uniform(-3.0, 3.0, size=dim), idx.low + s):
             radii = [0.0, s / 2, s, 3 * s, 0.7, 5.0]
-            got = idx.count_intersecting_many(level, x, radii)
+            got = idx.count_intersecting_many(level, x, radii)[0]
             assert np.array_equal(got, reference_count_many(idx, level, x, radii))
 
 
@@ -511,6 +534,7 @@ def test_batched_counts_match_each_centers_full_scan(dim):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@mock.patch.object(index, "_BATCH_TESTS", 0)
 def test_slab_count_when_cells_near_the_float_resolution_of_the_coordinates():
     # 56 levels over [0.1, 1.1]: leaf cells (2^-56) are finer than the ulp of
     # the coordinates (2^-53 near 0.6), so float cell edges round by several
@@ -524,7 +548,7 @@ def test_slab_count_when_cells_near_the_float_resolution_of_the_coordinates():
         for r in (s, 5 * s):
             for a in range(middle - 1000, middle + 1000, 13):
                 for x0 in (low + a * s - r, low + a * s + r):
-                    got = idx.count_intersecting_many(level, [x0], [r, r / 2])
+                    got = idx.count_intersecting_many(level, [x0], [r, r / 2])[0]
                     assert np.array_equal(got, reference_count_many(idx, level, [x0], [r, r / 2]))
 
 

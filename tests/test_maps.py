@@ -76,6 +76,12 @@ def test_radial_stretch_moves_s2_point_to_s1():
     assert w == pytest.approx(4.0**-1 * np.exp(4.0j), abs=1e-15)
 
 
+@pytest.mark.parametrize("power", [0.0, -1.0, math.inf, math.nan])
+def test_radial_power_must_be_positive_and_finite(power):
+    with pytest.raises(InvalidParameterError, match="radial power must be positive"):
+        RadialPower(power)
+
+
 def test_radial_stretch_rejects_expansion():
     with pytest.raises(InvalidDilatationError):
         radial_stretch(0.5)
