@@ -19,11 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    SpectrumUndefinedError,
-    ThetaOutOfRangeError,
-)
+from .errors import InvalidParameterError, SpectrumUndefinedError
 
 SpectrumFn = Callable[[float], float]
 
@@ -217,7 +213,7 @@ def biholder_upper(theta: float, K: float, source_at_shifted: float) -> float:
     if not 0.0 < theta < 1.0:
         raise InvalidParameterError(f"theta must lie in (0,1), got {theta}")
     if theta >= 1.0 / K**2:
-        raise ThetaOutOfRangeError(f"theta={theta} is not below 1/K^2={1.0 / K**2}")
+        raise InvalidParameterError(f"theta={theta} is not below 1/K^2={1.0 / K**2}")
     if math.isnan(source_at_shifted):
         raise SpectrumUndefinedError("source spectrum value is undefined (NaN)")
     if not 0.0 <= source_at_shifted <= 2.0:
@@ -316,6 +312,7 @@ def spectrum_interpolator(
 
     Queries outside the covered theta range (or on an all-NaN curve) raise
     SpectrumUndefinedError, so bound evaluations never silently extrapolate.
+    The thetas of those points must be finite and strictly increasing.
     """
     thetas = np.asarray(theta_grid, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -323,6 +320,8 @@ def spectrum_interpolator(
     thetas, vals = thetas[keep], vals[keep]
     if thetas.size == 0:
         raise SpectrumUndefinedError("spectrum curve has no finite values")
+    if not (np.isfinite(thetas).all() and (np.diff(thetas) > 0).all()):
+        raise InvalidParameterError("spectrum curve thetas must be finite and strictly increasing")
 
     def lookup(theta: float) -> float:
         if theta < thetas[0] - 1e-12 or theta > thetas[-1] + 1e-12:

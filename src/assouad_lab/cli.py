@@ -233,7 +233,7 @@ def cmd_estimate(args) -> int:
                 + ", ".join(f"{t:g}" for t in absent)
                 + "; raw value reported absent"
             )
-        payload["rhoHat"] = est.estimate_rho(spec, ambient_dim=ps.dim)
+        payload["rhoHat"] = est.estimate_rho(spec)
         payload.update(spec.to_json())
         if args.plot:
             with open(args.plot, "w") as fh:
@@ -279,7 +279,10 @@ def _oracle_source(args) -> bnd.SpectrumFn:
         rows = _read_csv_table(args.source_csv)[3]  # under from_csv's rules
         if rows.shape[1] < 2:
             raise InvalidParameterError(f"{args.source_csv}: expected theta,value rows")
-        return bnd.spectrum_interpolator(rows[:, 0], rows[:, 1])
+        try:
+            return bnd.spectrum_interpolator(rows[:, 0], rows[:, 1])
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{args.source_csv}: {exc}") from None
     raise InvalidParameterError("this formula needs --source-a or --source-csv")
 
 

@@ -471,13 +471,13 @@ def estimate_assouad(idx: MultiScaleIndex, window: ScaleWindow | None = None,
     )
 
 
-def estimate_rho(spec: SpectrumEstimate, ambient_dim: int, epsilon: float = 0.1) -> float:
+def estimate_rho(spec: SpectrumEstimate, epsilon: float = 0.1) -> float:
     """Phase-transition estimate: smallest grid theta whose regularized value
     reaches the quasi-Assouad level (the final regularized value) within
     epsilon; 1.0 if the curve never gets there."""
     if epsilon <= 0.0:
         raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
-    reg = [float(np.clip(v, 0.0, ambient_dim)) for v in spec.regularized_values]
+    reg = spec.regularized_values
     if not reg:
         return 1.0
     qa = reg[-1]

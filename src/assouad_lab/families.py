@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, TruncationTooCoarseError
+from .errors import InvalidParameterError
 from .forking import in_halves
 from .geometry import POINT_BUDGET, PointSet
 
@@ -139,7 +139,7 @@ def _sample_spiral(label: str, rate: float, x_max: float, res: float, modulus, s
         raise InvalidParameterError(f"x_max must be finite and exceed 1, got {x_max}")
     tail = modulus(x_max)
     if tail > TAIL_SLACK * res:
-        raise TruncationTooCoarseError(
+        raise InvalidParameterError(
             f"unsampled tail extends to modulus {tail:.3g} > "
             f"{TAIL_SLACK:g} * resolution ({res:.3g}); raise x_max or resolution"
         )
@@ -186,7 +186,7 @@ def _sample_cantor(ratio: float, depth: int, res: float) -> PointSet:
     ivals = cantor_intervals(ratio, depth)
     width = ratio**depth
     if width > res * (1 + 1e-12):
-        raise TruncationTooCoarseError(
+        raise InvalidParameterError(
             f"depth-{depth} intervals have width {width:.3g} > target "
             f"resolution {res:.3g}; increase depth or coarsen the resolution"
         )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySetError, InvalidParameterError
+from .errors import InvalidParameterError
 from .forking import can_overlap, forked
 
 # 17 significant digits round-trip every float64 exactly.  They are always
@@ -98,7 +98,7 @@ class PointSet:
             )
         self.points = _as_points_array(self.points, self.dim)
         if len(self.points) == 0:
-            raise EmptySetError("point set is empty")
+            raise InvalidParameterError("point set is empty")
         self._box = _column_bounds(self.points)  # the one pass over the points
         if not all(np.isfinite(b).all() for b in self._box):
             raise InvalidParameterError("points must be finite")
@@ -246,7 +246,7 @@ class PointSet:
                 f"{path}: points and params must be numbers in rows of equal length"
             ) from None
         if points.ndim >= 1 and len(points) == 0:
-            raise EmptySetError(f"no points found in {path}")
+            raise InvalidParameterError(f"no points found in {path}")
         try:
             return cls(dim=dim, points=points, resolution=float(res), params=params)
         except InvalidParameterError as exc:
@@ -288,7 +288,7 @@ def _read_csv_table(path):
                         ) from None
                     header = cells.split(",")
             else:
-                raise EmptySetError(f"no points found in {path}")
+                raise InvalidParameterError(f"no points found in {path}")
         except UnicodeDecodeError:
             raise _bad_row(path) from None
         big = os.fstat(fh.fileno()).st_size > _SPLIT_BYTES  # a pipe's size is 0

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptySetError,
-    InvalidParameterError,
-    LevelOutOfRangeError,
-    ScaleBelowResolutionError,
-)
+from .errors import InvalidParameterError
 from .geometry import PointSet
 
 MAX_AMBIENT_DIM = 8  # packed-address budget: dim * max_level must fit in an int64
@@ -132,7 +127,7 @@ class MultiScaleIndex:
 
     def _check_level(self, level: int) -> None:
         if not (0 <= level <= self.max_level):
-            raise LevelOutOfRangeError(
+            raise InvalidParameterError(
                 f"level {level} outside stored range 0..{self.max_level}"
             )
 
@@ -242,7 +237,7 @@ def build_index(ps: PointSet) -> MultiScaleIndex:
     sized by a block of points or by the occupied cells it returns.
     """
     if len(ps) == 0:
-        raise EmptySetError("cannot index an empty point set")
+        raise InvalidParameterError("cannot index an empty point set")
     lo, hi = ps.bounding_box()
     lo_l, hi_l = lo.tolist(), hi.tolist()
     extent = max(h - l for l, h in zip(lo_l, hi_l))  # inf on overflow, unwarned
@@ -327,7 +322,7 @@ def snap_level(idx: MultiScaleIndex, target_side: float) -> int:
         s = side * 2.0**-lvl
         if s <= target_side * (1 + 1e-12) and target_side < 2 * s * (1 + 1e-12):
             return lvl
-    raise LevelOutOfRangeError(
+    raise InvalidParameterError(
         f"no dyadic level matches target side {target_side:.3g} "
         f"(root side {side:.3g})"
     )
@@ -342,7 +337,7 @@ def local_dyadic_count(idx: MultiScaleIndex, x, radius: float, m: int) -> int:
     over cells intersecting the closed ball.
     """
     if m < 0:
-        raise LevelOutOfRangeError(f"dyadic refinement m must be >= 0, got {m}")
+        raise InvalidParameterError(f"dyadic refinement m must be >= 0, got {m}")
     if radius <= 0:
         raise InvalidParameterError("ball radius must be positive")
     if np.size(x) != idx.dim:  # else the counting would read it as several centers
@@ -350,13 +345,13 @@ def local_dyadic_count(idx: MultiScaleIndex, x, radius: float, m: int) -> int:
                                     f"{idx.dim}, got {np.size(x)} coordinates")
     target = 2.0**-m * 2.0 * radius
     if target < idx.source.resolution * (1.0 - 1e-12):
-        raise ScaleBelowResolutionError(
+        raise InvalidParameterError(
             f"requested cell side {target:.3g} is below the declared "
             f"resolution {idx.source.resolution:.3g}"
         )
     level = snap_level(idx, target)
     if level > idx.max_level:
-        raise LevelOutOfRangeError(
+        raise InvalidParameterError(
             f"query needs level {level} but the index stops at {idx.max_level}"
         )
     return int(idx.count_intersecting_many(level, x, [radius])[0, 0])

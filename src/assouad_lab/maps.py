@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidDilatationError,
-    InvalidParameterError,
-    PoleProximityError,
-)
+from .errors import InvalidParameterError, PoleProximityError
 from .geometry import PointSet
 
 # Moebius images blow up near the pole; points closer than this many
@@ -146,7 +141,7 @@ def radial_stretch(K: float) -> PlanarMap:
     Sends the polynomial spiral with decay a onto the one with decay a/K.
     """
     if not (K >= 1.0 and np.isfinite(K)):
-        raise InvalidDilatationError(f"radial stretch needs a finite K >= 1, got {K}")
+        raise InvalidParameterError(f"radial stretch needs a finite K >= 1, got {K}")
     if K == 1.0:
         return identity_map()
     return PlanarMap(ops=(RadialPower(1.0 / K),))
@@ -182,7 +177,7 @@ def apply_map(f: PlanarMap, ps: PointSet) -> PointSet:
     in place on it, viewed as N complex numbers.
     """
     if ps.dim != 2:
-        raise DimensionMismatchError(f"planar maps need dim=2 point sets, got dim={ps.dim}")
+        raise InvalidParameterError(f"planar maps need dim=2 point sets, got dim={ps.dim}")
     pts = ps.points
     out = np.empty((len(pts), 2))
     z = out.view(np.complex128).reshape(-1)

@@ -15,7 +15,7 @@ import pytest
 from conftest import center_aligned_count, make_random_set
 from assouad_lab import bounds as bnd
 from assouad_lab.cli import main as cli_main
-from assouad_lab.errors import LevelOutOfRangeError, ScaleBelowResolutionError
+from assouad_lab.errors import InvalidParameterError
 from assouad_lab.estimators import (
     DEFAULT_THETA_GRID,
     estimate_assouad,
@@ -67,7 +67,7 @@ def test_criterion_02_spiral_spectrum_curve(capsys):
     idx = build_index(ps)
     grid = tuple(round(0.05 * i, 10) for i in range(1, 15))  # 0.05 .. 0.70
     spec = estimate_spectrum(idx, theta_grid=grid)
-    rho_hat = estimate_rho(spec, ambient_dim=2)
+    rho_hat = estimate_rho(spec)
     elapsed = time.perf_counter() - t0
 
     sup = max(
@@ -258,7 +258,7 @@ def test_criterion_08_randomized_index_battery(capsys):
             m = int(rng.integers(0, min(m_hi, 8) + 1))
             try:
                 local = local_dyadic_count(idx, x, radius, m)
-            except (LevelOutOfRangeError, ScaleBelowResolutionError):
+            except InvalidParameterError:
                 continue
             oracle = center_aligned_count(ps, x, radius, m)
             assert oracle >= 1 and local >= 1

@@ -28,7 +28,6 @@ from assouad_lab.bounds import (
 from assouad_lab.errors import (
     InvalidParameterError,
     SpectrumUndefinedError,
-    ThetaOutOfRangeError,
 )
 from assouad_lab.families import oracle_spiral_rho, oracle_spiral_spectrum
 
@@ -229,7 +228,7 @@ def test_biholder_upper_examples():
 
 
 def test_biholder_upper_precondition():
-    with pytest.raises(ThetaOutOfRangeError):
+    with pytest.raises(InvalidParameterError, match=r"theta=0.3 is not below 1/K\^2=0.25"):
         biholder_upper(0.3, 2.0, 1.0)  # 0.3 >= 1/K^2 = 0.25
 
 
@@ -325,11 +324,26 @@ def test_interpolator_of_an_all_nan_curve_is_refused():
         spectrum_interpolator([0.1, 0.2], [math.nan, math.nan])
 
 
+@pytest.mark.parametrize("thetas", [
+    [0.1, 0.5, 0.3, 0.9],  # unsorted: np.interp would read it silently
+    [0.1, 0.3, 0.3, 0.9],  # repeated
+    [0.1, math.nan, 0.3, 0.9],
+    [0.1, 0.3, 0.5, math.inf],
+], ids=["unsorted", "repeated", "nan", "inf"])
+def test_interpolator_refuses_thetas_that_do_not_increase(thetas):
+    with pytest.raises(InvalidParameterError,
+                       match="spectrum curve thetas must be finite and strictly increasing"):
+        spectrum_interpolator(thetas, [1.0, 1.8, 1.2, 2.0])
+
+
 def test_interpolator_skips_absent_points():
     f = spectrum_interpolator([0.1, 0.2, 0.3], [math.nan, 1.0, 2.0])
     assert f(0.25) == pytest.approx(1.5)
     with pytest.raises(SpectrumUndefinedError):
         f(0.15)
+    # an absent point's theta is dropped with it, unchecked
+    f = spectrum_interpolator([0.1, math.nan, 0.05, 0.3], [1.0, math.nan, math.nan, 2.0])
+    assert f(0.2) == pytest.approx(1.5)
 
 
 def test_bound_report_verdicts_and_json():

@@ -532,6 +532,33 @@ def test_bounds_assouad_with_lambda(capsys):
     assert v["lambdaUpper"] == pytest.approx(v["upper"], abs=1e-12)
 
 
+def test_bounds_assouad_beyond_plane_takes_the_surrogate_inner_exponent(capsys):
+    payload = bounds_values(capsys, "--formula", "assouad", "--n", "3", "--K", "2",
+                            "--p", "4", "--alpha", "1")
+    v = payload["values"]
+    assert v["lower"] == pytest.approx(1 / 3, abs=1e-12)
+    assert v["upper"] == pytest.approx(2.0, abs=1e-12)
+    assert payload["assumptions"] == ["inner exponent p' = 4 (K^(n-1) surrogate)"]
+    payload = bounds_values(capsys, "--formula", "assouad", "--n", "3", "--K", "2",
+                            "--p", "4", "--alpha", "1", "--lambda", "2")
+    v = payload["values"]
+    assert v["lower"] == pytest.approx(3 / 17, abs=1e-12)
+    assert v["lambdaLower"] == pytest.approx(1 / 3, abs=1e-12)
+    assert payload["assumptions"][-1] == "inner exponent p' = 3.42857 (K^(n-1) surrogate)"
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["--formula", "assouad", "--K", "1", "--alpha", "1"], 1.0),
+    (["--formula", "spectrum", "--K", "1", "--t", "1", "--source-a", "1"], 2.0),
+], ids=["assouad", "spectrum"])
+def test_bounds_conformal_case_has_equal_sides_and_no_inner_note(capsys, argv, value):
+    payload = bounds_values(capsys, *argv)
+    # the K = 1 equality may be off by one ulp (ROADMAP item 7)
+    assert payload["values"]["lower"] == pytest.approx(value, abs=1e-12)
+    assert payload["values"]["upper"] == pytest.approx(value, abs=1e-12)
+    assert payload["assumptions"] == ["conformal case: p = +inf, all coefficients collapse to 1"]
+
+
 def test_bounds_spectrum_with_oracle_source(capsys):
     payload = bounds_values(capsys, "--formula", "spectrum", "--K", "2",
                             "--t", "1", "--source-a", "2")
@@ -599,6 +626,21 @@ def test_bounds_bad_source_csv_row(tmp_path, capsys, content, needles):
                        "--source-csv", str(curve))
     assert rc == 2 and out == ""
     assert_one_error_line(err, str(curve), *needles)
+
+
+@pytest.mark.parametrize("rows", [
+    "0.1,1.0\n0.5,1.8\n0.3,1.2\n0.9,2.0\n",
+    "0.1,1.0\n0.3,1.2\n0.3,1.5\n0.9,2.0\n",
+    "0.1,1.0\nnan,1.2\n0.9,2.0\n",
+], ids=["unsorted", "repeated", "nan"])
+def test_bounds_source_csv_thetas_must_increase(tmp_path, capsys, rows):
+    curve = tmp_path / "u.csv"
+    curve.write_text(rows)
+    rc, out, err = run(capsys, "bounds", "--formula", "spectrum", "--K", "2", "--t", "1.5",
+                       "--source-csv", str(curve))
+    assert rc == 2 and out == ""
+    assert err == (f"error: {curve}: spectrum curve thetas must be finite and strictly "
+                   "increasing\n")
 
 
 @pytest.mark.parametrize("formula", ["beta-upper", "assouad"])

@@ -348,8 +348,8 @@ def oracle_estimate(a, grid=tuple(round(0.05 * i, 2) for i in range(1, 20))):
 
 
 def test_rho_on_exact_oracle_curves():
-    assert estimate_rho(oracle_estimate(1.0), 2, epsilon=0.01) == pytest.approx(0.5, abs=0.05)
-    assert estimate_rho(oracle_estimate(2.0), 2, epsilon=0.01) == pytest.approx(2 / 3, abs=0.05)
+    assert estimate_rho(oracle_estimate(1.0), epsilon=0.01) == pytest.approx(0.5, abs=0.05)
+    assert estimate_rho(oracle_estimate(2.0), epsilon=0.01) == pytest.approx(2 / 3, abs=0.05)
 
 
 def test_rho_of_flat_zero_spectrum():
@@ -357,7 +357,7 @@ def test_rho_of_flat_zero_spectrum():
     flat = SpectrumEstimate(theta_grid=grid, values=[0.0] * len(grid),
                             regularized_values=[0.0] * len(grid),
                             diagnostics=[None] * len(grid))
-    assert estimate_rho(flat, 2, epsilon=0.05) == grid[0]
+    assert estimate_rho(flat, epsilon=0.05) == grid[0]
 
 
 def test_rho_sits_at_grid_top_while_curve_still_rising():
@@ -366,13 +366,13 @@ def test_rho_sits_at_grid_top_while_curve_still_rising():
                               regularized_values=[0.1, 0.2, 1.0],
                               diagnostics=[None] * 3)
     # nothing before the final point comes within epsilon of the top value
-    assert estimate_rho(rising, 2, epsilon=0.05) == 0.3
+    assert estimate_rho(rising, epsilon=0.05) == 0.3
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.1])
 def test_rho_refuses_a_nonpositive_epsilon(epsilon):
     with pytest.raises(InvalidParameterError, match="epsilon must be positive"):
-        estimate_rho(oracle_estimate(1.0), 2, epsilon=epsilon)
+        estimate_rho(oracle_estimate(1.0), epsilon=epsilon)
 
 
 # ---- serialization ------------------------------------------------------

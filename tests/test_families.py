@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from assouad_lab import families
-from assouad_lab.errors import InvalidParameterError, TruncationTooCoarseError
+from assouad_lab.errors import InvalidParameterError
 from assouad_lab.families import (
     FamilySpec,
     cantor_intervals,
@@ -53,7 +53,7 @@ def test_spiral_params_are_the_curve_parameter():
 
 
 def test_spiral_tail_rule():
-    with pytest.raises(TruncationTooCoarseError):
+    with pytest.raises(InvalidParameterError, match="unsampled tail extends to modulus 0.1 > 16"):
         sample_family(FamilySpec(kind="poly_spiral", a=1.0, x_max=10.0,
                                  target_resolution=1e-6))
 
@@ -213,7 +213,7 @@ def test_cantor_interval_construction():
 
 
 def test_cantor_too_coarse():
-    with pytest.raises(TruncationTooCoarseError):
+    with pytest.raises(InvalidParameterError, match="depth-2 intervals have width 0.111 > target"):
         sample_family(FamilySpec(kind="cantor", ratio=1.0 / 3.0, depth=2,
                                  target_resolution=1e-3))
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from assouad_lab import forking, geometry
 from assouad_lab.cli import main
-from assouad_lab.errors import EmptySetError, InvalidParameterError
+from assouad_lab.errors import InvalidParameterError
 from assouad_lab.geometry import PointSet, load_points, save_points
 
 from conftest import one_cpu, point_samples, two_cpus
@@ -101,7 +102,7 @@ def test_bounding_box_of_strided_points_copies_nothing():
 
 
 def test_pointset_rejects_implicit_empty():
-    with pytest.raises(EmptySetError):
+    with pytest.raises(InvalidParameterError, match="point set is empty"):
         PointSet(dim=2, points=np.empty((0, 2)), resolution=0.1)
 
 
@@ -114,6 +115,21 @@ def test_points_are_immutable():
     ps = PointSet(dim=1, points=[(0.0,), (1.0,)], resolution=0.1)
     with pytest.raises(ValueError):
         ps.points[0, 0] = 5.0
+
+
+def test_point_sets_differing_in_one_field_are_unequal():
+    # the round-trip tests below rest on == telling these apart
+    base = dict(dim=2, points=[(1.0, 0.5), (0.0, 0.0)], resolution=1e-3, params=[1.0, np.inf])
+    ps = PointSet(**base)
+    assert ps == PointSet(**base)
+    for change in [dict(dim=1, points=[(1.0,), (0.5,)]),
+                   dict(resolution=2e-3),
+                   dict(points=[(1.0, 0.5), (0.0, 1e-300)]),
+                   dict(params=None),
+                   dict(params=[1.0, 2.0])]:
+        other = PointSet(**{**base, **change})
+        assert ps != other and other != ps, change
+    assert ps != base["points"]  # not a PointSet: equality is left to the other side
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
@@ -339,7 +355,7 @@ def test_csv_without_data_rows_is_empty(tmp_path, capsys, content):
     path.write_text(content)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(EmptySetError):
+        with pytest.raises(InvalidParameterError, match=f"^no points found in {re.escape(str(path))}$"):
             PointSet.from_csv(path, resolution=0.1)
         assert main(["index-stats", str(path), "--res", "0.1"]) == 2
     err = capsys.readouterr().err.strip().split("\n")

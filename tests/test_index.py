@@ -8,12 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from assouad_lab import index
 
-from assouad_lab.errors import (
-    EmptySetError,
-    InvalidParameterError,
-    LevelOutOfRangeError,
-    ScaleBelowResolutionError,
-)
+from assouad_lab.errors import InvalidParameterError
 from assouad_lab.estimators import estimate_box_dim
 from assouad_lab.families import cantor_intervals
 from assouad_lab.geometry import PointSet
@@ -53,7 +48,7 @@ def test_uniform_grid_fills_level_six():
 
 
 def test_empty_set_refused():
-    with pytest.raises(EmptySetError):
+    with pytest.raises(InvalidParameterError, match="cannot index an empty point set"):
         # PointSet refuses no points, so empty a valid one after the fact
         ps = PointSet(dim=2, points=[(0.0, 0.0)], resolution=0.1)
         ps.points = ps.points[:0]
@@ -197,10 +192,11 @@ def test_cantor_endpoint_counts_track_interval_oracle():
 
 
 def test_occupied_count_level_bounds(unit_segment_idx):
-    with pytest.raises(LevelOutOfRangeError):
+    top = unit_segment_idx.max_level
+    with pytest.raises(InvalidParameterError, match=f"level -1 outside stored range 0..{top}"):
         unit_segment_idx.occupied_count(-1)
-    with pytest.raises(LevelOutOfRangeError):
-        unit_segment_idx.occupied_count(unit_segment_idx.max_level + 1)
+    with pytest.raises(InvalidParameterError, match=f"level {top + 1} outside stored range"):
+        unit_segment_idx.occupied_count(top + 1)
 
 
 # ---- snap_level / local_dyadic_count ----------------------------------
@@ -236,7 +232,7 @@ def test_local_count_empty_region(unit_segment_idx):
 
 
 def test_local_count_below_resolution_refused(unit_segment_idx):
-    with pytest.raises(ScaleBelowResolutionError):
+    with pytest.raises(InvalidParameterError, match="cell side 0.000125 is below the declared resolution"):
         local_dyadic_count(unit_segment_idx, (0.5, 0.0), 0.001, 4)
 
 
@@ -257,15 +253,15 @@ def test_local_count_refuses_a_level_past_the_index():
     # is at the resolution but snaps to level 2, which the index lacks.
     idx = build_index(PointSet(dim=2, points=[(0.0, 0.0), (3.0, 0.0)], resolution=1.0))
     assert idx.max_level == 1
-    with pytest.raises(LevelOutOfRangeError, match="query needs level 2 but the index stops at 1"):
+    with pytest.raises(InvalidParameterError, match="query needs level 2 but the index stops at 1"):
         local_dyadic_count(idx, (0.0, 0.0), 0.5, 0)
 
 
 def test_local_count_needs_stored_level(unit_segment_idx):
     idx = unit_segment_idx
-    with pytest.raises((LevelOutOfRangeError, ScaleBelowResolutionError)):
+    with pytest.raises(InvalidParameterError, match="below the declared resolution"):
         local_dyadic_count(idx, (0.5, 0.0), idx.root_side / 2, idx.max_level + 3)
-    with pytest.raises(LevelOutOfRangeError):
+    with pytest.raises(InvalidParameterError, match="dyadic refinement m must be >= 0, got -1"):
         local_dyadic_count(idx, (0.5, 0.0), 0.25, -1)
 
 
@@ -320,7 +316,7 @@ def test_randomized_invariants_and_ball_sandwich(seed, n):
         m = int(rng.integers(0, min(m_hi, 8) + 1))
         try:
             local = local_dyadic_count(idx, x, radius, m)
-        except (LevelOutOfRangeError, ScaleBelowResolutionError):
+        except InvalidParameterError:
             continue
         oracle = center_aligned_count(ps, x, radius, m)
         assert oracle >= 1 and local >= 1

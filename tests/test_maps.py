@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -11,8 +12,6 @@ from assouad_lab import maps
 
 from assouad_lab.errors import (
     AssouadLabError,
-    DimensionMismatchError,
-    InvalidDilatationError,
     InvalidParameterError,
     PoleProximityError,
 )
@@ -83,7 +82,7 @@ def test_radial_power_must_be_positive_and_finite(power):
 
 
 def test_radial_stretch_rejects_expansion():
-    with pytest.raises(InvalidDilatationError):
+    with pytest.raises(InvalidParameterError, match="radial stretch needs a finite K >= 1, got 0.5"):
         radial_stretch(0.5)
 
 
@@ -101,10 +100,14 @@ def test_spiral_transport(a, K):
     assert np.all(img.points[~mask] == 0.0)  # origin goes to origin
 
 
-def test_round_trip_through_inverse():
+@pytest.mark.parametrize("f", [
+    radial_stretch(3.0),
+    # pole at -4, beyond the unit disc the spiral and its image lie in
+    PlanarMap(radial_stretch(3.0).ops + (Mobius(1.0, 0.0, 0.25, 1.0),)),
+], ids=["radial", "radial-then-mobius"])
+def test_round_trip_through_inverse(f):
     ps = sample_family(FamilySpec(kind="poly_spiral", a=1.0, x_max=100.0,
                                   target_resolution=1e-3))
-    f = radial_stretch(3.0)
     back = apply_map(invert(f), apply_map(f, ps))
     assert np.abs(back.points - ps.points).max() < 1e-10
 
@@ -182,7 +185,7 @@ def test_apply_map_resolution_tracks_worst_stretch():
 
 def test_apply_map_requires_planar_input():
     ps = PointSet(dim=1, points=[(0.5,)], resolution=1e-3)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InvalidParameterError, match="planar maps need dim=2 point sets, got dim=1"):
         apply_map(identity_map(), ps)
 
 
@@ -361,16 +364,16 @@ def test_parse_chain_round_trip():
     assert f.dilatation_bound == 2.0
 
 
-@pytest.mark.parametrize("bad", [
-    "radial",            # missing parameter
-    "radial:K=",         # empty value
-    "radial:K=fast",     # non-numeric value
-    "radial:K=0.5",      # dilatation below 1
-    "twirl:K=2",         # unknown primitive
-    "similarity:s=0,t=0",  # degenerate scale
+@pytest.mark.parametrize("bad,message", [
+    ("radial", "radial stage takes exactly K=<real>"),  # missing parameter
+    ("radial:K=", "cannot parse K value ''"),  # empty value
+    ("radial:K=fast", "cannot parse K value 'fast'"),  # non-numeric value
+    ("radial:K=0.5", "radial stretch needs a finite K >= 1, got 0.5"),  # dilatation below 1
+    ("twirl:K=2", "unknown map stage kind 'twirl'"),  # unknown primitive
+    ("similarity:s=0,t=0", "similarity scale must be nonzero"),  # degenerate scale
 ])
-def test_parse_rejects_malformed(bad):
-    with pytest.raises((InvalidParameterError, InvalidDilatationError)):
+def test_parse_rejects_malformed(bad, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
         parse_map_spec(bad)
 
 
